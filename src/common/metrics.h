@@ -147,14 +147,14 @@ class Histogram {
   /// (bounded) until two successive count reads agree, and the
   /// percentiles computed from the CAPTURED buckets — not from live
   /// re-reads like the individual accessors. Under a sustained
-  /// concurrent Record storm the bounded retry can still give up with a
-  /// small tear, but the residual slack is monotone: every field of a
-  /// later snapshot is >= (count/sum/max, buckets per-entry) or <=
-  /// (min, once nonzero) the same field of an earlier one, which is
-  /// exactly the tolerance tools/check_timeseries.py validates and
-  /// tests/common/metrics_test.cc pins (|sum - count| bounded by the
-  /// number of in-flight recorders for an all-ones workload). At
-  /// quiesce the snapshot is exact.
+  /// concurrent Record storm the bounded retry can give up with a tear
+  /// of any size between fields (a sampler preempted between its reads
+  /// sees every Record that landed meanwhile in the later fields only),
+  /// but each field is monotone: every field of a later snapshot is >=
+  /// (count/sum/max, buckets per-entry) or <= (min, once nonzero) the
+  /// same field of an earlier one, which is exactly the tolerance
+  /// tools/check_timeseries.py validates and tests/common/metrics_test.cc
+  /// pins. At quiesce the snapshot is exact.
   HistogramSnapshot ConsistentSnapshot() const;
 
   const char* name() const { return name_; }

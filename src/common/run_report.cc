@@ -1,10 +1,10 @@
 #include "common/run_report.h"
 
 #include <cstdio>
-#include <fstream>
 
 #include "common/build_info.h"
 #include "common/failpoint.h"
+#include "common/file_io.h"
 #include "common/metrics.h"
 
 namespace randrecon {
@@ -12,8 +12,8 @@ namespace report {
 namespace {
 
 // The report publication seams (common/failpoint.h): a report rides the
-// same write-temp → rename protocol as every store file, and these two
-// points let tests (and the CI fault matrix) prove a full disk or EIO
+// same durable publish as every store file (common/file_io.h), and these
+// two points let tests (and the CI fault matrix) prove a full disk or EIO
 // at either step leaves neither a truncated report nor a stray temp.
 Failpoint fp_report_write("report.write");    ///< Before the temp write.
 Failpoint fp_report_rename("report.rename");  ///< Before the rename.
@@ -112,34 +112,10 @@ std::string RunReportBuilder::ToJson() const {
 }
 
 Status RunReportBuilder::WriteFile(const std::string& path) const {
-  const std::string temp_path = path + ".tmp";
   RR_FAILPOINT(fp_report_write);
-  {
-    std::ofstream file(temp_path, std::ios::binary | std::ios::trunc);
-    if (!file.is_open()) {
-      return Status::IoError("cannot create report temp file '" + temp_path +
-                             "'");
-    }
-    file << ToJson() << "\n";
-    file.flush();
-    if (!file.good()) {
-      std::remove(temp_path.c_str());
-      return Status::IoError("cannot write report to '" + temp_path + "'");
-    }
-  }
-  const Status renamed = [&]() -> Status {
-    RR_FAILPOINT(fp_report_rename);
-    if (std::rename(temp_path.c_str(), path.c_str()) != 0) {
-      return Status::IoError("cannot rename report '" + temp_path + "' to '" +
-                             path + "'");
-    }
-    return Status::OK();
-  }();
-  if (!renamed.ok()) {
-    std::remove(temp_path.c_str());  // A failed publish leaves no temp.
-    return renamed;
-  }
-  return Status::OK();
+  PublishSeams seams;
+  seams.before_rename = &fp_report_rename;
+  return WriteFileAtomic(path, ToJson() + "\n", seams);
 }
 
 }  // namespace report

@@ -71,8 +71,8 @@ class RunReportBuilder {
   ///    "spans":[...], <sections...>}
   std::string ToJson() const;
 
-  /// ToJson() to `path` via write-temp + rename (a crashed tool must
-  /// not leave a truncated report that parses as valid JSON prefix).
+  /// ToJson() to `path` via WriteFileAtomic (common/file_io.h): a crash
+  /// or power loss never leaves a truncated report at `path`.
   Status WriteFile(const std::string& path) const;
 
  private:

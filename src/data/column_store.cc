@@ -12,9 +12,9 @@
 
 #include "common/check.h"
 #include "common/failpoint.h"
+#include "common/file_io.h"
 #include "common/metrics.h"
 #include "data/csv.h"
-#include "data/file_io.h"
 #include "data/shard_store.h"
 
 // The format is little-endian on disk and the reader/writer serialize
@@ -370,11 +370,10 @@ Status ColumnStoreWriter::Seal() {
   // Durable finalization (docs/FORMAT.md §8): the sealed bytes reach the
   // platters before the rename publishes them, and the rename reaches
   // the directory before anyone trusts the final name.
-  RR_FAILPOINT(fp_fsync);
-  RR_RETURN_NOT_OK(FsyncFile(temp_path_));
-  RR_FAILPOINT(fp_rename);
-  RR_RETURN_NOT_OK(AtomicRename(temp_path_, path_));
-  RR_RETURN_NOT_OK(FsyncParentDirectory(path_));
+  PublishSeams seams;
+  seams.before_fsync = &fp_fsync;
+  seams.before_rename = &fp_rename;
+  RR_RETURN_NOT_OK(PublishTempFile(temp_path_, path_, seams));
   m_seals.Add(1);
   return Status::OK();
 }

@@ -75,11 +75,11 @@ struct ColumnStoreOptions {
 
 /// Streams row-major record chunks into a column-store file.
 ///
-/// All bytes stream into the temp file data::TempPathFor(path)
-/// ("<path>.tmp"); Close() flushes the final partial block, patches the
-/// record count + the real header checksum, fsyncs, and atomically
-/// renames the temp over `path` (then fsyncs the parent directory) —
-/// the rename protocol of docs/FORMAT.md §8. `path` therefore either
+/// All bytes stream into the temp file TempPathFor(path) ("<path>.tmp");
+/// Close() flushes the final partial block, patches the record count +
+/// the real header checksum, and publishes the temp over `path` with
+/// PublishTempFile (common/file_io.h: fsync, rename, fsync the parent
+/// directory) — the rename protocol of docs/FORMAT.md §8. `path` therefore either
 /// does not exist or holds a complete sealed store at every instant; a
 /// crash leaves at worst an orphan ".tmp" whose header carries an
 /// intentionally mismatched checksum, so even a reader pointed straight

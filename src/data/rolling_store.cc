@@ -7,10 +7,10 @@
 
 #include "common/check.h"
 #include "common/failpoint.h"
+#include "common/file_io.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/trace.h"
-#include "data/file_io.h"
 
 namespace randrecon {
 namespace data {

@@ -10,8 +10,8 @@
 
 #include "common/check.h"
 #include "common/failpoint.h"
+#include "common/file_io.h"
 #include "common/metrics.h"
-#include "data/file_io.h"
 
 namespace randrecon {
 namespace data {
@@ -377,31 +377,13 @@ Status WriteShardManifest(const ShardManifest& manifest,
   // Write-temp → fsync → atomic-rename (docs/FORMAT.md §8): the manifest
   // path flips from absent/old to the complete new manifest in one
   // rename — readers never observe a torn manifest.
-  const std::string temp_path = TempPathFor(manifest_path);
-  const Status written = [&]() -> Status {
-    RR_FAILPOINT(fp_manifest_write);
-    std::ofstream file(temp_path, std::ios::binary | std::ios::trunc);
-    if (!file.is_open()) {
-      return Status::IoError(prefix + "cannot open temp file '" + temp_path +
-                             "' for writing");
-    }
-    file.write(image.data(), static_cast<std::streamsize>(image.size()));
-    file.close();
-    if (file.fail()) {
-      return Status::IoError(prefix + "write failed");
-    }
-    RR_FAILPOINT(fp_manifest_fsync);
-    RR_RETURN_NOT_OK(FsyncFile(temp_path));
-    RR_FAILPOINT(fp_manifest_rename);
-    RR_RETURN_NOT_OK(AtomicRename(temp_path, manifest_path));
-    return FsyncParentDirectory(manifest_path);
-  }();
-  if (!written.ok()) {
-    std::remove(temp_path.c_str());  // Best-effort.
-    return written;
-  }
+  RR_FAILPOINT(fp_manifest_write);
+  PublishSeams seams;
+  seams.before_fsync = &fp_manifest_fsync;
+  seams.before_rename = &fp_manifest_rename;
+  RR_RETURN_NOT_OK(WriteFileAtomic(manifest_path, image, seams));
   m_manifests_written.Add(1);
-  return written;
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------

@@ -8,10 +8,10 @@
 #include <set>
 #include <utility>
 
+#include "common/file_io.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/trace.h"
-#include "data/file_io.h"
 #include "data/shard_store.h"
 
 namespace randrecon {
@@ -55,15 +55,18 @@ Status RemoveIfPresent(const std::string& path, const std::string& prefix,
 Status Quarantine(const std::string& path, const std::string& prefix,
                   StoreRecoveryReport* report) {
   const std::string destination = path + kQuarantineFileSuffix;
-  if (std::rename(path.c_str(), destination.c_str()) != 0) {
-    return Status::IoError(prefix + "cannot quarantine '" + path +
-                           "': " + std::strerror(errno));
+  const Status renamed = AtomicRename(path, destination);
+  if (!renamed.ok()) {
+    return Status::IoError(prefix + "cannot quarantine: " + renamed.message());
   }
+  // The rename happened: record it even if making it durable fails.
   report->quarantined_files.push_back(destination);
   m_recovery_shards_quarantined.Add(1);
   RR_LOG(kWarning) << "recovery quarantined '" << path << "' -> '"
                    << destination << "'";
-  return Status::OK();
+  // Durable before the caller rebuilds the manifest: a reverted rename
+  // would put the damaged shard back under its conventional name.
+  return FsyncParentDirectory(destination);
 }
 
 /// True iff every shard the manifest names verifies bitwise against it:

@@ -1,19 +1,15 @@
 #include "net/metrics_recorder.h"
 
-#include <dirent.h>
 #include <sys/stat.h>
 
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 
 #include "common/failpoint.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/trace.h"
-#include "data/file_io.h"
 
 namespace randrecon {
 namespace net {
@@ -32,29 +28,18 @@ metrics::Counter m_samples("recorder.samples");
 metrics::Counter m_publish_failures("recorder.publish_failures");
 metrics::Counter m_files_published("recorder.files_published");
 
-/// "metrics-000007.jsonl" -> 7. False for anything else. The width is
-/// unbounded: FilePath pads to 6 digits but emits more past 999999, and
-/// those files must still anchor the index-continuation scan.
-bool ParseSeriesIndex(const char* name, uint64_t* index) {
-  unsigned long long parsed = 0;
-  int consumed = 0;
-  if (std::sscanf(name, "metrics-%llu.jsonl%n", &parsed, &consumed) != 1) {
-    return false;
-  }
-  if (name[consumed] != '\0') return false;
-  *index = parsed;
-  return true;
-}
-
-std::string JoinPath(const std::string& dir, const std::string& name) {
-  if (dir.empty() || dir.back() == '/') return dir + name;
-  return dir + "/" + name;
+/// The series: metrics-NNNNNN.jsonl files in `dir`.
+FileSeries MetricsSeries(const std::string& dir) {
+  return FileSeries{dir, "metrics-", ".jsonl"};
 }
 
 }  // namespace
 
-MetricsRecorder::MetricsRecorder(Options options)
-    : options_(std::move(options)) {}
+MetricsRecorder::MetricsRecorder(Options options, uint64_t first_index)
+    : options_(std::move(options)),
+      series_(MetricsSeries(options_.series_dir)),
+      first_index_(first_index),
+      file_index_(first_index) {}
 
 Result<std::unique_ptr<MetricsRecorder>> MetricsRecorder::Create(
     Options options) {
@@ -73,39 +58,18 @@ Result<std::unique_ptr<MetricsRecorder>> MetricsRecorder::Create(
     return Status::IoError("MetricsRecorder: cannot create series dir '" +
                            options.series_dir + "': " + std::strerror(errno));
   }
-  std::unique_ptr<MetricsRecorder> recorder(
-      new MetricsRecorder(std::move(options)));
   // Continue the file-index sequence after any previous run — published
   // history is never appended to or overwritten.
-  DIR* dir = ::opendir(recorder->options_.series_dir.c_str());
-  if (dir == nullptr) {
-    return Status::IoError("MetricsRecorder: cannot scan series dir '" +
-                           recorder->options_.series_dir +
-                           "': " + std::strerror(errno));
-  }
-  uint64_t max_index = 0;
-  while (struct dirent* entry = ::readdir(dir)) {
-    uint64_t index = 0;
-    if (ParseSeriesIndex(entry->d_name, &index) && index > max_index) {
-      max_index = index;
-    }
-  }
-  ::closedir(dir);
-  recorder->file_index_ = max_index + 1;
-  recorder->oldest_index_ = recorder->file_index_;
+  RR_ASSIGN_OR_RETURN(const std::vector<uint64_t> indexes,
+                      MetricsSeries(options.series_dir).List());
+  std::unique_ptr<MetricsRecorder> recorder(new MetricsRecorder(
+      std::move(options), indexes.empty() ? 1 : indexes.back() + 1));
   recorder->next_due_nanos_ =
       trace::NowNanos() + recorder->options_.interval_nanos;
   return recorder;
 }
 
 MetricsRecorder::~MetricsRecorder() { Stop(); }
-
-std::string MetricsRecorder::FilePath(uint64_t index) const {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "metrics-%06llu.jsonl",
-                static_cast<unsigned long long>(index));
-  return JoinPath(options_.series_dir, buffer);
-}
 
 bool MetricsRecorder::Tick() {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -146,7 +110,6 @@ Status MetricsRecorder::SampleNowLocked() {
     m_publish_failures.Add(1);
     return published;
   }
-  published_current_ = true;
   m_samples.Add(1);
   if (current_samples_ >= options_.samples_per_file) {
     // Rotate: the published file is final; the next sample opens the
@@ -154,58 +117,20 @@ Status MetricsRecorder::SampleNowLocked() {
     ++file_index_;
     current_lines_.clear();
     current_samples_ = 0;
-    published_current_ = false;
     m_files_published.Add(1);
-    RetireLocked();
+    const Status retired = series_.RetainNewest(options_.retain_files);
+    if (!retired.ok()) {
+      RR_LOG_FIRST_N(kWarning, 4) << "MetricsRecorder: " << retired.message();
+    }
   }
   return Status::OK();
 }
 
 Status MetricsRecorder::PublishLocked() {
-  const std::string path = FilePath(file_index_);
-  const std::string temp_path = data::TempPathFor(path);
   RR_FAILPOINT(fp_recorder_write);
-  {
-    std::ofstream file(temp_path, std::ios::binary | std::ios::trunc);
-    if (!file.is_open()) {
-      return Status::IoError("MetricsRecorder: cannot create temp '" +
-                             temp_path + "'");
-    }
-    file << current_lines_;
-    file.flush();
-    if (!file.good()) {
-      std::remove(temp_path.c_str());
-      return Status::IoError("MetricsRecorder: cannot write temp '" +
-                             temp_path + "'");
-    }
-  }
-  const Status published = [&]() -> Status {
-    RR_RETURN_NOT_OK(data::FsyncFile(temp_path));
-    RR_FAILPOINT(fp_recorder_publish);
-    RR_RETURN_NOT_OK(data::AtomicRename(temp_path, path));
-    return data::FsyncParentDirectory(path);
-  }();
-  if (!published.ok()) {
-    std::remove(temp_path.c_str());  // A failed publish leaves no temp.
-    return published;
-  }
-  return Status::OK();
-}
-
-void MetricsRecorder::RetireLocked() {
-  if (options_.retain_files == 0) return;
-  // file_index_ already points at the NEXT (unwritten) file; published
-  // files are [oldest_index_, file_index_ - 1].
-  while (file_index_ - oldest_index_ > options_.retain_files) {
-    const std::string victim = FilePath(oldest_index_);
-    if (std::remove(victim.c_str()) != 0 && errno != ENOENT) {
-      RR_LOG_FIRST_N(kWarning, 4)
-          << "MetricsRecorder: cannot retire '" << victim
-          << "': " << std::strerror(errno);
-      return;  // Retry on the next rotation.
-    }
-    ++oldest_index_;
-  }
+  PublishSeams seams;
+  seams.before_rename = &fp_recorder_publish;
+  return WriteFileAtomic(series_.Path(file_index_), current_lines_, seams);
 }
 
 void MetricsRecorder::Start() {
@@ -248,12 +173,14 @@ uint64_t MetricsRecorder::samples() const {
 
 std::vector<std::string> MetricsRecorder::PublishedFiles() const {
   std::lock_guard<std::mutex> lock(mutex_);
+  // The directory is the source of truth: a buffered sample whose
+  // rename failed has no file, and a file retention missed is still
+  // there.
+  Result<std::vector<uint64_t>> indexes = series_.List();
   std::vector<std::string> files;
-  for (uint64_t index = oldest_index_; index <= file_index_; ++index) {
-    // The current file is on disk only once a sample for this index has
-    // actually published (a buffered sample whose rename failed is not).
-    if (index == file_index_ && !published_current_) break;
-    files.push_back(FilePath(index));
+  if (!indexes.ok()) return files;
+  for (const uint64_t index : indexes.value()) {
+    if (index >= first_index_) files.push_back(series_.Path(index));
   }
   return files;
 }

@@ -14,13 +14,14 @@
 /// (the counters/gauges/histograms members are exactly
 /// metrics::SnapshotJson()'s, so report tooling parses both.)
 ///
-/// Crash safety rides the store discipline (data/file_io.h): every
-/// publish rewrites the current file to a temp, fsyncs, and renames —
-/// so ANY published metrics-*.jsonl is complete and parseable; a crash
-/// loses at most the unpublished latest sample. Rotation starts a fresh
-/// file every `samples_per_file` samples and retention unlinks the
-/// oldest beyond `retain_files`. A new recorder never appends to a
-/// previous run's files: it continues the index sequence after the
+/// Crash safety rides the store discipline (common/file_io.h): every
+/// publish rewrites the current file with WriteFileAtomic — so ANY
+/// published metrics-*.jsonl is complete and parseable, even after a
+/// power loss; a crash loses at most the unpublished latest sample.
+/// Rotation starts a fresh file every `samples_per_file` samples and
+/// retention unlinks the oldest files in the directory beyond
+/// `retain_files`, earlier runs' included. A new recorder never appends
+/// to a previous run's files: it continues the index sequence after the
 /// highest existing one, and `seq` restarts at 1 — which is how
 /// tools/check_timeseries.py detects run boundaries.
 ///
@@ -42,6 +43,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/file_io.h"
 #include "common/result.h"
 
 namespace randrecon {
@@ -95,28 +97,25 @@ class MetricsRecorder {
   /// Samples successfully published so far.
   uint64_t samples() const;
 
-  /// The published file paths, oldest first (what retention kept).
+  /// This run's series files present in the directory, oldest first
+  /// (what retention kept); empty if the directory cannot be scanned.
   std::vector<std::string> PublishedFiles() const;
 
  private:
-  explicit MetricsRecorder(Options options);
+  MetricsRecorder(Options options, uint64_t first_index);
 
   Status SampleNowLocked();
   Status PublishLocked();
-  void RetireLocked();
-  std::string FilePath(uint64_t index) const;
 
   const Options options_;
+  const FileSeries series_;  ///< metrics-NNNNNN.jsonl in series_dir.
   mutable std::mutex mutex_;
+  const uint64_t first_index_;  ///< This run's first file index.
   uint64_t next_due_nanos_ = 0;
-  uint64_t file_index_ = 1;      ///< Index of the file being written.
-  uint64_t oldest_index_ = 1;    ///< Oldest index retention has kept.
+  uint64_t file_index_;          ///< Index of the file being written.
   uint64_t seq_ = 0;             ///< Samples taken this run.
   std::string current_lines_;    ///< Accumulated lines of the current file.
   size_t current_samples_ = 0;   ///< Samples in current_lines_.
-  /// True once file_index_ has at least one successful publish — i.e.
-  /// the file is actually on disk, not just buffered.
-  bool published_current_ = false;
   bool closed_ = false;
 
   std::thread thread_;

@@ -1,6 +1,5 @@
 #include "pipeline/attack_scheduler.h"
 
-#include <dirent.h>
 #include <sys/stat.h>
 
 #include <algorithm>
@@ -12,6 +11,7 @@
 #include <utility>
 
 #include "common/failpoint.h"
+#include "common/file_io.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/run_report.h"
@@ -32,8 +32,12 @@ namespace {
 // out the SAME version again (no gap, no duplicate). `sched.latest`
 // fires before the latest.json rewrite — the pointer going stale is
 // non-fatal by contract, repaired on the next publish or Create.
+// `sched.after_rename` fires once the report is under its final name;
+// an error there stands in for a failed directory fsync, after which
+// the version must still be consumed.
 Failpoint fp_sched_publish("sched.publish");
 Failpoint fp_sched_latest("sched.latest");
+Failpoint fp_sched_after_rename("sched.after_rename");
 
 // Per-process scheduler telemetry. The identity
 //   scheduler.cycles == cycles_ok + cycles_degraded + cycles_failed
@@ -54,9 +58,9 @@ metrics::Gauge g_last_version("scheduler.last_version");
 metrics::Gauge g_last_snapshot_rows("scheduler.last_snapshot_rows");
 metrics::Histogram h_cycle_nanos("scheduler.cycle_nanos");
 
-std::string JoinPath(const std::string& dir, const std::string& name) {
-  if (dir.empty() || dir.back() == '/') return dir + name;
-  return dir + "/" + name;
+/// The report series: report-NNNNNN.json files in `dir`.
+FileSeries ReportSeries(const std::string& dir) {
+  return FileSeries{dir, "report-", ".json"};
 }
 
 std::string RenderDouble(double value) {
@@ -68,24 +72,13 @@ std::string RenderDouble(double value) {
   return rendered;
 }
 
-/// True iff `name` is "report-<digits>.json" with version > 0.
-bool ParseReportVersion(const std::string& name, uint64_t* version) {
-  static const char kPrefix[] = "report-";
-  static const char kSuffix[] = ".json";
-  const size_t prefix_len = sizeof(kPrefix) - 1;
-  const size_t suffix_len = sizeof(kSuffix) - 1;
-  if (name.size() <= prefix_len + suffix_len) return false;
-  if (name.compare(0, prefix_len, kPrefix) != 0) return false;
-  if (name.compare(name.size() - suffix_len, suffix_len, kSuffix) != 0) {
-    return false;
-  }
-  const std::string digits =
-      name.substr(prefix_len, name.size() - prefix_len - suffix_len);
-  for (const char c : digits) {
-    if (c < '0' || c > '9') return false;
-  }
-  *version = std::strtoull(digits.c_str(), nullptr, 10);
-  return *version > 0;
+/// Rewrites `<dir>/latest.json` to name report `version`.
+Status PublishLatestPointer(const FileSeries& reports, uint64_t version) {
+  RR_FAILPOINT(fp_sched_latest);
+  return WriteFileAtomic(JoinPath(reports.dir, "latest.json"),
+                         "{\"version\":" + std::to_string(version) +
+                             ",\"path\":\"" + ReportSeries("").Path(version) +
+                             "\"}\n");
 }
 
 /// Recovers the previous report's snapshot identity from its own JSON
@@ -137,15 +130,14 @@ const char* CycleOutcomeName(CycleOutcome outcome) {
 }
 
 std::string AttackScheduler::ReportFileName(uint64_t version) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "report-%06llu.json",
-                static_cast<unsigned long long>(version));
-  return buffer;
+  return ReportSeries("").Path(version);
 }
 
 AttackScheduler::AttackScheduler(std::string manifest_path,
                                  AttackSchedulerOptions options)
-    : manifest_path_(std::move(manifest_path)), options_(std::move(options)) {}
+    : manifest_path_(std::move(manifest_path)),
+      options_(std::move(options)),
+      reports_(ReportSeries(options_.report_dir)) {}
 
 AttackScheduler::~AttackScheduler() { Stop(); }
 
@@ -169,25 +161,12 @@ Result<std::unique_ptr<AttackScheduler>> AttackScheduler::Create(
 
   // Recover the version counter from the directory itself — the only
   // source a crash cannot desynchronize from the published files.
-  DIR* dir = ::opendir(scheduler->options_.report_dir.c_str());
-  if (dir == nullptr) {
-    return Status::IoError("AttackScheduler: cannot scan report dir '" +
-                           scheduler->options_.report_dir +
-                           "': " + std::strerror(errno));
-  }
-  while (struct dirent* entry = ::readdir(dir)) {
-    uint64_t version = 0;
-    if (ParseReportVersion(entry->d_name, &version)) {
-      scheduler->existing_versions_.insert(version);
-    }
-  }
-  ::closedir(dir);
-
-  if (!scheduler->existing_versions_.empty()) {
-    const uint64_t max_version = *scheduler->existing_versions_.rbegin();
+  RR_ASSIGN_OR_RETURN(const std::vector<uint64_t> versions,
+                      scheduler->reports_.List());
+  if (!versions.empty()) {
+    const uint64_t max_version = versions.back();
     scheduler->next_version_ = max_version + 1;
-    const std::string latest_report =
-        JoinPath(scheduler->options_.report_dir, ReportFileName(max_version));
+    const std::string latest_report = scheduler->reports_.Path(max_version);
     uint64_t rows = 0;
     uint64_t hash = 0;
     if (RecoverSeriesState(latest_report, &rows, &hash)) {
@@ -206,7 +185,8 @@ Result<std::unique_ptr<AttackScheduler>> AttackScheduler::Create(
     // A crash between the report rename and the pointer rewrite leaves
     // latest.json one version behind; publishing is already done, so
     // repair is just rewriting the derived pointer.
-    const Status repaired = scheduler->WriteLatestPointer(max_version);
+    const Status repaired =
+        PublishLatestPointer(scheduler->reports_, max_version);
     if (!repaired.ok()) {
       RR_LOG(kWarning) << "AttackScheduler: " << repaired.message()
                        << " — latest.json stays stale until the next publish";
@@ -428,8 +408,7 @@ SchedulerCycleResult AttackScheduler::RunCycleLocked() {
 Status AttackScheduler::PublishLocked(SchedulerCycleResult* result) {
   const uint64_t version = next_version_;
   const bool degraded = result->outcome == CycleOutcome::kDegraded;
-  const std::string path =
-      JoinPath(options_.report_dir, ReportFileName(version));
+  const std::string path = reports_.Path(version);
 
   size_t jobs_failed = 0;
   for (const PipelineJobResult& job : result->jobs) {
@@ -522,14 +501,24 @@ Status AttackScheduler::PublishLocked(SchedulerCycleResult* result) {
 
   const Status written = [&]() -> Status {
     RR_FAILPOINT(fp_sched_publish);
-    return builder.WriteFile(path);
+    RR_RETURN_NOT_OK(builder.WriteFile(path));
+    RR_FAILPOINT(fp_sched_after_rename);
+    return Status::OK();
   }();
-  RR_RETURN_NOT_OK(written);
+  // The rename is the commit point: a report visible under its final
+  // name consumes its version even when a later step (the directory
+  // fsync) failed, or the next cycle would overwrite it.
+  if (!written.ok()) {
+    struct stat st;
+    if (::stat(path.c_str(), &st) != 0) return written;
+    RR_LOG_EVERY_N(kWarning, 16) << "AttackScheduler: report '" << path
+                                 << "' published but may not be durable: "
+                                 << written.message();
+  }
 
   // Commit: the file exists, so the series state may advance.
   result->version = version;
   result->report_path = path;
-  existing_versions_.insert(version);
   next_version_ = version + 1;
   last_published_version_ = version;
   last_manifest_hash_ = result->manifest_hash;
@@ -540,7 +529,7 @@ Status AttackScheduler::PublishLocked(SchedulerCycleResult* result) {
   g_last_version.Set(static_cast<int64_t>(version));
   g_last_snapshot_rows.Set(static_cast<int64_t>(result->snapshot_rows));
 
-  const Status latest = WriteLatestPointer(version);
+  const Status latest = PublishLatestPointer(reports_, version);
   if (!latest.ok()) {
     // Repeats every publish while the condition persists; rate-limited
     // so a long outage cannot melt stderr (the report series itself is
@@ -549,52 +538,15 @@ Status AttackScheduler::PublishLocked(SchedulerCycleResult* result) {
         << "AttackScheduler: " << latest.message()
         << " — latest.json stays stale until the next publish";
   }
-  RetireReportsLocked();
-  return Status::OK();
-}
-
-Status AttackScheduler::WriteLatestPointer(uint64_t version) {
-  const std::string path = JoinPath(options_.report_dir, "latest.json");
-  const std::string temp_path = path + ".tmp";
-  RR_FAILPOINT(fp_sched_latest);
-  {
-    std::ofstream file(temp_path, std::ios::binary | std::ios::trunc);
-    if (!file.is_open()) {
-      return Status::IoError("cannot create latest pointer temp '" +
-                             temp_path + "'");
-    }
-    file << "{\"version\":" << version << ",\"path\":\""
-         << ReportFileName(version) << "\"}\n";
-    file.flush();
-    if (!file.good()) {
-      std::remove(temp_path.c_str());
-      return Status::IoError("cannot write latest pointer '" + temp_path +
-                             "'");
-    }
-  }
-  if (std::rename(temp_path.c_str(), path.c_str()) != 0) {
-    std::remove(temp_path.c_str());
-    return Status::IoError("cannot rename latest pointer '" + temp_path +
-                           "' to '" + path + "'");
+  // Retire only after the newer report published.
+  size_t retired = 0;
+  const Status retained =
+      reports_.RetainNewest(options_.retain_reports, &retired);
+  m_reports_retired.Add(retired);
+  if (!retained.ok()) {
+    RR_LOG_EVERY_N(kWarning, 16) << "AttackScheduler: " << retained.message();
   }
   return Status::OK();
-}
-
-void AttackScheduler::RetireReportsLocked() {
-  if (options_.retain_reports == 0) return;
-  while (existing_versions_.size() > options_.retain_reports) {
-    const uint64_t oldest = *existing_versions_.begin();
-    existing_versions_.erase(existing_versions_.begin());
-    const std::string path =
-        JoinPath(options_.report_dir, ReportFileName(oldest));
-    if (std::remove(path.c_str()) == 0) {
-      m_reports_retired.Add(1);
-    } else {
-      RR_LOG_EVERY_N(kWarning, 16)
-          << "AttackScheduler: cannot retire report '" << path
-          << "': " << std::strerror(errno);
-    }
-  }
 }
 
 Status AttackScheduler::Start() {

@@ -34,9 +34,11 @@
 //     FakeClockGuard drives every scheduling decision in tests with
 //     zero sleeps. (The background daemon thread's POLL between Ticks
 //     is real time — fake-clock tests call Tick() directly.)
-//   * Crash-safe series. Reports publish via write-temp → rename; the
-//     version counter is recovered by scanning the report directory, so
-//     a process killed at the publish seam (`sched.publish` failpoint)
+//   * Crash-safe series. Reports and latest.json publish through
+//     WriteFileAtomic (common/file_io.h: fsync, rename, fsync the
+//     directory), so they survive power loss as well as a process kill.
+//     The version counter is recovered by scanning the report directory,
+//     so a process killed at the publish seam (`sched.publish` failpoint)
 //     resumes with no gap and no duplicate version. `latest.json` is a
 //     derived pointer, repaired on Create if a crash left it stale.
 //
@@ -55,11 +57,11 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/file_io.h"
 #include "common/result.h"
 #include "data/column_store.h"
 #include "pipeline/retry.h"
@@ -267,20 +269,16 @@ class AttackScheduler {
   void UpdateStatusLocked();
 
   /// Builds and publishes report `next_version_` for an attacked
-  /// cycle; advances the series state on success.
+  /// cycle; advances the series state, rewrites latest.json and retires
+  /// the oldest reports beyond retain_reports on success.
   Status PublishLocked(SchedulerCycleResult* result);
-
-  /// Rewrites latest.json to point at `version` (write-temp → rename).
-  Status WriteLatestPointer(uint64_t version);
-
-  /// Deletes the oldest report files beyond retain_reports.
-  void RetireReportsLocked();
 
   /// Daemon thread body.
   void DaemonLoop();
 
   const std::string manifest_path_;
   const AttackSchedulerOptions options_;
+  const FileSeries reports_;  ///< report-NNNNNN.json in report_dir.
 
   /// Serializes cycles (Tick, RunCycleNow, accessors).
   mutable std::mutex mutex_;
@@ -290,9 +288,6 @@ class AttackScheduler {
   uint64_t last_manifest_hash_ = 0;
   uint64_t last_report_rows_ = 0;
   bool have_last_report_ = false;
-  /// Versions whose report files exist (initial scan + publishes minus
-  /// retirements) — the retention working set.
-  std::set<uint64_t> existing_versions_;
   uint64_t cycles_ = 0;
   uint64_t cycles_ok_ = 0;
   uint64_t cycles_degraded_ = 0;

@@ -6,12 +6,12 @@
 #include <chrono>
 #include <thread>
 
+#include "common/file_io.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/parallel.h"
 #include "common/stopwatch.h"
 #include "common/trace.h"
-#include "data/file_io.h"
 #include "data/shard_store.h"
 #include "pipeline/source_factory.h"
 
@@ -217,10 +217,10 @@ Status ProbeShard(const std::string& shard_path,
   if (!probe.ok()) {
     // A shard recovery renamed aside is the common cause of a missing
     // file — say so when the quarantined copy is sitting right there.
-    if (FileExists(shard_path + data::kQuarantineFileSuffix)) {
+    if (FileExists(shard_path + kQuarantineFileSuffix)) {
       return Status::FailedPrecondition(
           "shard was quarantined by recovery ('" + shard_path +
-          data::kQuarantineFileSuffix + "'); " + probe.status().ToString());
+          kQuarantineFileSuffix + "'); " + probe.status().ToString());
     }
     return probe.status();
   }

@@ -30,8 +30,8 @@
 #include <gtest/gtest.h>
 
 #include "common/failpoint.h"
+#include "common/file_io.h"
 #include "common/trace.h"
-#include "data/file_io.h"
 #include "data/shard_store.h"
 #include "data/store_recovery.h"
 #include "stats/rng.h"

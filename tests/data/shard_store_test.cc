@@ -18,8 +18,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/file_io.h"
 #include "data/csv.h"
-#include "data/file_io.h"
 #include "stats/rng.h"
 
 namespace randrecon {

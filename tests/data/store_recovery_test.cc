@@ -25,7 +25,7 @@
 #include <gtest/gtest.h>
 
 #include "common/failpoint.h"
-#include "data/file_io.h"
+#include "common/file_io.h"
 #include "data/shard_store.h"
 #include "stats/rng.h"
 

@@ -226,6 +226,69 @@ TEST_F(MetricsRecorderTest, IndexContinuationBeyondSixDigits) {
   EXPECT_TRUE(FileExists(dir_ + "/metrics-1000001.jsonl"));
 }
 
+TEST_F(MetricsRecorderTest, RestartSkipsStrayNamesThatAreNotSeriesIndexes) {
+  trace::FakeClockGuard clock(0);
+  {
+    std::unique_ptr<MetricsRecorder> first = MustCreate(DefaultOptions());
+    ASSERT_TRUE(first->Close().ok());
+  }
+  // A sign- or overflow-tolerant parse reads each of these as a huge
+  // index (2^64 - 1) and wraps the next index to 0.
+  const std::vector<std::string> strays = {
+      "metrics--1.jsonl", "metrics-+7.jsonl", "metrics- 7.jsonl",
+      "metrics-18446744073709551616.jsonl"};
+  for (const std::string& stray : strays) {
+    std::ofstream(dir_ + "/" + stray) << "{}\n";
+  }
+  std::unique_ptr<MetricsRecorder> second = MustCreate(DefaultOptions());
+  ASSERT_TRUE(second->SampleNow().ok());
+  EXPECT_EQ(second->PublishedFiles(),
+            std::vector<std::string>{dir_ + "/metrics-000002.jsonl"});
+  for (const std::string& stray : strays) {
+    EXPECT_TRUE(FileExists(dir_ + "/" + stray)) << stray;
+  }
+}
+
+TEST_F(MetricsRecorderTest, RetentionCoversEarlierRuns) {
+  trace::FakeClockGuard clock(0);
+  MetricsRecorder::Options options = DefaultOptions();
+  options.samples_per_file = 1;
+  options.retain_files = 1;
+  {
+    std::unique_ptr<MetricsRecorder> first = MustCreate(options);
+    ASSERT_TRUE(first->SampleNow().ok());
+    ASSERT_TRUE(first->SampleNow().ok());
+  }
+  std::unique_ptr<MetricsRecorder> second = MustCreate(options);
+  ASSERT_TRUE(second->SampleNow().ok());
+  // The earlier run's file counts against retain_files too.
+  EXPECT_EQ(ListDir(dir_),
+            std::vector<std::string>{"metrics-000003.jsonl"});
+  EXPECT_EQ(second->PublishedFiles(),
+            std::vector<std::string>{dir_ + "/metrics-000003.jsonl"});
+}
+
+TEST_F(MetricsRecorderTest, PublishedFilesListsOnlyThisRun) {
+  trace::FakeClockGuard clock(0);
+  MetricsRecorder::Options options = DefaultOptions();
+  options.samples_per_file = 1;
+  options.retain_files = 3;
+  {
+    std::unique_ptr<MetricsRecorder> first = MustCreate(options);
+    ASSERT_TRUE(first->SampleNow().ok());
+    ASSERT_TRUE(first->SampleNow().ok());
+  }
+  std::unique_ptr<MetricsRecorder> second = MustCreate(options);
+  ASSERT_TRUE(second->SampleNow().ok());
+  ASSERT_TRUE(second->SampleNow().ok());
+  // Four files written, three kept; this run owns the newest two.
+  EXPECT_EQ(ListDir(dir_).size(), 3u);
+  EXPECT_FALSE(FileExists(dir_ + "/metrics-000001.jsonl"));
+  EXPECT_EQ(second->PublishedFiles(),
+            (std::vector<std::string>{dir_ + "/metrics-000003.jsonl",
+                                      dir_ + "/metrics-000004.jsonl"}));
+}
+
 TEST_F(MetricsRecorderTest, PublishFailuresAreCounted) {
   trace::FakeClockGuard clock(0);
   std::unique_ptr<MetricsRecorder> recorder = MustCreate(DefaultOptions());

@@ -304,6 +304,34 @@ TEST_F(AttackSchedulerTest, SeriesStateSurvivesARestart) {
             std::string::npos);
 }
 
+TEST_F(AttackSchedulerTest, RestartSkipsAStrayOverflowingReportName) {
+  PublishShards(kManifest, 2);
+  AttackSchedulerOptions options = BaseOptions(kReports);
+  options.attack_unchanged = true;
+  {
+    auto created = AttackScheduler::Create(kManifest, options);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    ASSERT_EQ(created.value()->RunCycleNow().outcome, CycleOutcome::kOk);
+  }
+  // 20 digits past 2^64 - 1: a saturating parse reads this as the
+  // newest version and wraps the counter to 0.
+  const std::string stray =
+      std::string(kReports) + "/report-99999999999999999999.json";
+  std::ofstream(stray) << "{}\n";
+  auto recreated = AttackScheduler::Create(kManifest, options);
+  ASSERT_TRUE(recreated.ok()) << recreated.status().ToString();
+  AttackScheduler& scheduler = *recreated.value();
+  EXPECT_EQ(scheduler.last_published_version(), 1u);
+  EXPECT_EQ(scheduler.next_version(), 2u);
+  SchedulerCycleResult next = scheduler.RunCycleNow();
+  ASSERT_EQ(next.outcome, CycleOutcome::kOk) << next.status.ToString();
+  EXPECT_EQ(next.version, 2u);
+  EXPECT_NE(SlurpFile(std::string(kReports) + "/latest.json")
+                .find("\"version\":2"),
+            std::string::npos);
+  EXPECT_TRUE(FileExists(stray));
+}
+
 TEST_F(AttackSchedulerTest, PublishFailureConsumesNoVersion) {
   PublishShards(kManifest, 2);
   AttackSchedulerOptions options = BaseOptions(kReports);
@@ -328,6 +356,35 @@ TEST_F(AttackSchedulerTest, PublishFailureConsumesNoVersion) {
   EXPECT_EQ(ok.version, 1u);
   EXPECT_EQ(scheduler.cycles(), 2u);
   EXPECT_EQ(scheduler.cycles_ok(), 1u);
+}
+
+TEST_F(AttackSchedulerTest, FailureAfterTheRenameStillConsumesTheVersion) {
+  PublishShards(kManifest, 2);
+  AttackSchedulerOptions options = BaseOptions(kReports);
+  options.attack_unchanged = true;
+  auto created = AttackScheduler::Create(kManifest, options);
+  ASSERT_TRUE(created.ok());
+  AttackScheduler& scheduler = *created.value();
+  // Stands in for a failed directory fsync: report-000001.json is
+  // already visible under its final name.
+  ASSERT_TRUE(
+      ArmFailpoint("sched.after_rename", FailpointAction::kError).ok());
+  SchedulerCycleResult first = scheduler.RunCycleNow();
+  DisarmAllFailpoints();
+  ASSERT_EQ(first.outcome, CycleOutcome::kOk) << first.status.ToString();
+  EXPECT_EQ(first.version, 1u);
+  EXPECT_EQ(scheduler.reports_published(), 1u);
+  EXPECT_EQ(scheduler.next_version(), 2u);
+  const std::string dir(kReports);
+  const std::string report = SlurpFile(dir + "/" +
+                                       AttackScheduler::ReportFileName(1));
+  // The next cycle publishes a new version instead of overwriting it.
+  SchedulerCycleResult second = scheduler.RunCycleNow();
+  ASSERT_EQ(second.outcome, CycleOutcome::kOk) << second.status.ToString();
+  EXPECT_EQ(second.version, 2u);
+  EXPECT_EQ(SlurpFile(dir + "/" + AttackScheduler::ReportFileName(1)), report);
+  EXPECT_NE(SlurpFile(second.report_path).find("\"prev_version\":1"),
+            std::string::npos);
 }
 
 TEST_F(AttackSchedulerTest, LatestPointerFailureIsNonFatalAndRepaired) {

@@ -10,8 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/file_io.h"
 #include "common/metrics.h"
-#include "data/file_io.h"
 #include "data/synthetic.h"
 #include "linalg/matrix_util.h"
 #include "perturb/schemes.h"
@@ -425,7 +425,7 @@ TEST_F(DegradedSweepTest, QuarantinedShardIsSkippedAndNamed) {
       data::ShardFileName(data::ShardStemForManifest(kManifestPath), 1);
   ASSERT_EQ(std::rename(
                 shard1.c_str(),
-                (shard1 + data::kQuarantineFileSuffix).c_str()),
+                (shard1 + kQuarantineFileSuffix).c_str()),
             0);
 
   auto job_set = MakePerShardJobsDegraded(kManifestPath, Prototype());
@@ -493,7 +493,7 @@ TEST_F(DegradedSweepTest, ProbeTelemetryCountsEveryShardOnce) {
       data::ShardFileName(data::ShardStemForManifest(kManifestPath), 1);
   ASSERT_EQ(std::rename(
                 shard1.c_str(),
-                (shard1 + data::kQuarantineFileSuffix).c_str()),
+                (shard1 + kQuarantineFileSuffix).c_str()),
             0);
   auto job_set = MakePerShardJobsDegraded(kManifestPath, Prototype());
   ASSERT_TRUE(job_set.ok()) << job_set.status().ToString();

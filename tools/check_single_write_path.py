@@ -1,0 +1,67 @@
+#!/usr/bin/env python3
+"""Keep one durable-write path: fail unless src/common/file_io.cc holds
+the only call to rename( and the only call to opendir( in src/.
+
+Every durable publish goes through common/file_io (fsync the temp,
+rename, fsync the directory) and every versioned-series scan through its
+FileSeries. A second call site is a second publish or scan path that
+skips that discipline. Both .cc and .h files are scanned, so an inline
+function in a header counts too. Comments and string literals do not
+count: headers and comments name rename( on purpose.
+
+Usage: python3 tools/check_single_write_path.py [repo_root]
+Exit status 0 when the invariant holds, 1 otherwise (sites listed).
+"""
+
+import pathlib
+import re
+import sys
+
+OWNER = "src/common/file_io.cc"
+CALLS = {
+    name: re.compile(r"(?<![A-Za-z0-9_])" + name + r"\s*\(")
+    for name in ("rename", "opendir")
+}
+# A // comment, a /* */ comment, or a string or character literal.
+NON_CODE = re.compile(
+    r'//[^\n]*|/\*.*?\*/|"(?:\\.|[^"\\\n])*"|\'(?:\\.|[^\'\\\n])*\'',
+    re.DOTALL)
+
+
+def code_only(text):
+    """`text` with comments and literals blanked, line numbers kept."""
+    return NON_CODE.sub(lambda match: "\n" * match.group(0).count("\n"), text)
+
+
+def call_sites(root):
+    """{call name: [(relative path, line number), ...]} over src/."""
+    sites = {name: [] for name in CALLS}
+    paths = sorted(p for p in (root / "src").rglob("*")
+                   if p.suffix in (".cc", ".h"))
+    for path in paths:
+        relative = path.relative_to(root).as_posix()
+        code = code_only(path.read_text())
+        for number, line in enumerate(code.splitlines(), 1):
+            for name, pattern in CALLS.items():
+                if pattern.search(line):
+                    sites[name].append((relative, number))
+    return sites
+
+
+def main(argv):
+    root = pathlib.Path(argv[1] if len(argv) > 1 else ".")
+    ok = True
+    for name, found in call_sites(root).items():
+        if len(found) == 1 and found[0][0] == OWNER:
+            print(f"{name}(: one call, {found[0][0]}:{found[0][1]}")
+            continue
+        ok = False
+        print(f"error: {name}( must be called exactly once, in {OWNER}; "
+              f"found {len(found)} call(s):")
+        for relative, number in found:
+            print(f"  {relative}:{number}")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
