@@ -16,6 +16,7 @@
 #include "core/privacy_evaluator.h"
 #include "data/synthetic.h"
 #include "perturb/schemes.h"
+#include "stats/rng.h"
 
 using namespace randrecon;  // NOLINT(build/namespaces): bench binary.
 

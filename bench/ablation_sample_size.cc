@@ -17,6 +17,7 @@
 #include "linalg/matrix_util.h"
 #include "perturb/schemes.h"
 #include "stats/moments.h"
+#include "stats/rng.h"
 
 using namespace randrecon;  // NOLINT(build/namespaces): bench binary.
 

@@ -14,6 +14,7 @@
 #include "data/synthetic.h"
 #include "perturb/schemes.h"
 #include "stats/moments.h"
+#include "stats/rng.h"
 
 using namespace randrecon;  // NOLINT(build/namespaces): bench binary.
 

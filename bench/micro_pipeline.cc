@@ -13,13 +13,12 @@
 //     working set is O(chunk_rows·m + m²) while the in-memory attack
 //     holds multiple n x m matrices.
 //
-// PR 3 adds the generation side: MvnRecordSource + PerturbingRecordSource
-// running on the scalar mt19937 Rng vs the Philox counter substrate
-// (vectorized fills, fixed-block parallel generation), plus the full
-// MVN -> perturb -> streaming-attack run in both modes. The exit gate
-// also re-checks the substrate's streaming contract: the batch-mode
-// disguised stream must be BITWISE identical across chunk sizes
-// {1, 7, 64, n} x thread counts {1, 4}.
+// The generation side: MvnRecordSource + PerturbingRecordSource on the
+// Philox counter substrate (vectorized fills, fixed-block parallel
+// generation), plus the full MVN -> perturb -> streaming-attack run over
+// that stream. The exit gate also re-checks the substrate's streaming
+// contract: the disguised stream must be BITWISE identical across chunk
+// sizes {1, 7, 64, n} x thread counts {1, 4}.
 //
 // Flags: --smoke=true     small sizes / single rep (CI)
 //        --seed=N         RNG seed (default 7)
@@ -120,14 +119,12 @@ void Record(std::vector<BenchResult>* results, const std::string& name,
 
 /// Builds the MVN -> perturb synthetic disguised stream used by the
 /// generation benchmarks (population seed and noise seed derived from
-/// the bench seed; both modes produce chunk-invariant streams).
+/// the bench seed; the stream is chunk-invariant).
 pipeline::PerturbingRecordSource MakeDisguisedSource(
     const linalg::Vector& mean, const Matrix& covariance, size_t n,
     uint64_t seed, const perturb::IndependentNoiseScheme* scheme,
-    pipeline::GeneratorMode mode,
     const ParallelOptions& parallel = ParallelOptions{}) {
-  auto inner = pipeline::MvnRecordSource::Create(mean, covariance, n, seed,
-                                                 mode);
+  auto inner = pipeline::MvnRecordSource::Create(mean, covariance, n, seed);
   if (!inner.ok()) {
     std::fprintf(stderr, "%s\n", inner.status().ToString().c_str());
     std::exit(1);
@@ -136,7 +133,7 @@ pipeline::PerturbingRecordSource MakeDisguisedSource(
   mvn.set_parallel_options(parallel);  // inner generation, not just noise
   pipeline::PerturbingRecordSource source(
       std::make_unique<pipeline::MvnRecordSource>(std::move(mvn)), scheme,
-      seed + 1, mode);
+      seed + 1);
   source.set_parallel_options(parallel);
   return source;
 }
@@ -216,8 +213,8 @@ int main(int argc, char** argv) {
               stats::philox_internal::ActiveEngine());
 
   // -------------------------------------------------------------------
-  // Generation: the MVN -> perturb synthetic stream on the scalar Rng vs
-  // the counter substrate, and the full streaming attack over each.
+  // Generation: the MVN -> perturb synthetic stream, and the full
+  // streaming attack over it.
   // -------------------------------------------------------------------
   for (size_t n : sizes) {
     const int reps = n <= 100000 ? 3 : 1;
@@ -237,53 +234,38 @@ int main(int argc, char** argv) {
     const uint64_t gen_seed = static_cast<uint64_t>(seed.value()) + n;
     std::printf("-- generation n=%zu m=%zu chunk=%zu\n", n, m, chunk);
 
-    struct ModeCase {
-      const char* label;
-      pipeline::GeneratorMode mode;
-    };
-    const ModeCase modes[] = {
-        {"seq", pipeline::GeneratorMode::kSequentialRng},
-        {"batch", pipeline::GeneratorMode::kCounterBatch},
-    };
-    double gen_seconds[2] = {0.0, 0.0};
-    double e2e_seconds[2] = {0.0, 0.0};
-    for (int mode_index = 0; mode_index < 2; ++mode_index) {
-      const ModeCase& mode_case = modes[mode_index];
-      // Raw generation throughput: drain the disguised stream once.
-      gen_seconds[mode_index] = bench::TimeMedian(reps, [&] {
-        auto source = bench::MakeDisguisedSource(mean, covariance, n, gen_seed,
-                                                 &scheme, mode_case.mode);
-        if (bench::DrainSource(&source, chunk, m) != n) std::exit(1);
-      });
-      // End-to-end: two-pass streaming SF attack regenerating the stream
-      // from the seed on every pass (the out-of-core story).
-      pipeline::StreamingAttackOptions options;
-      options.attack = pipeline::StreamingAttack::kSpectralFiltering;
-      options.chunk_rows = chunk;
-      e2e_seconds[mode_index] = bench::TimeMedian(reps, [&] {
-        auto source = bench::MakeDisguisedSource(mean, covariance, n, gen_seed,
-                                                 &scheme, mode_case.mode);
-        pipeline::NullChunkSink sink;
-        auto report = pipeline::StreamingAttackPipeline(options).Run(
-            &source, noise, &sink);
-        if (!report.ok()) {
-          std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
-          std::exit(1);
-        }
-      });
-    }
-    const std::string gen_stem = "generate_mvn_noise/" + std::to_string(n);
-    bench::Record(&results, gen_stem + "/seq", gen_seconds[0], records);
-    bench::Record(&results, gen_stem + "/batch", gen_seconds[1], records,
-                  {{"speedup", gen_seconds[0] / gen_seconds[1]}});
-    const std::string e2e_stem = "e2e_mvn_attack/" + std::to_string(n);
-    bench::Record(&results, e2e_stem + "/seq", e2e_seconds[0], records);
-    bench::Record(&results, e2e_stem + "/batch", e2e_seconds[1], records,
-                  {{"speedup", e2e_seconds[0] / e2e_seconds[1]}});
+    // Raw generation throughput: drain the disguised stream once.
+    const double gen_seconds = bench::TimeMedian(reps, [&] {
+      auto source =
+          bench::MakeDisguisedSource(mean, covariance, n, gen_seed, &scheme);
+      if (bench::DrainSource(&source, chunk, m) != n) std::exit(1);
+    });
+    // End-to-end: two-pass streaming SF attack regenerating the stream
+    // from the seed on every pass (the out-of-core story).
+    pipeline::StreamingAttackOptions options;
+    options.attack = pipeline::StreamingAttack::kSpectralFiltering;
+    options.chunk_rows = chunk;
+    const double e2e_seconds = bench::TimeMedian(reps, [&] {
+      auto source =
+          bench::MakeDisguisedSource(mean, covariance, n, gen_seed, &scheme);
+      pipeline::NullChunkSink sink;
+      auto report =
+          pipeline::StreamingAttackPipeline(options).Run(&source, noise, &sink);
+      if (!report.ok()) {
+        std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
+        std::exit(1);
+      }
+    });
+    // Row names keep their "/batch" suffix so they diff against the
+    // rows of earlier BENCH_pipeline.json files.
+    bench::Record(&results, "generate_mvn_noise/" + std::to_string(n) +
+                  "/batch", gen_seconds, records);
+    bench::Record(&results, "e2e_mvn_attack/" + std::to_string(n) + "/batch",
+                  e2e_seconds, records);
 
-    // Bitwise invariance of the batch-mode disguised stream across chunk
-    // sizes {1, 7, 64, n} x threads {1, 4}, at a reduced record count so
-    // the chunk=1 sweep stays cheap.
+    // Bitwise invariance of the disguised stream across chunk sizes
+    // {1, 7, 64, n} x threads {1, 4}, at a reduced record count so the
+    // chunk=1 sweep stays cheap.
     const size_t n_check = std::min<size_t>(n, 20000);
     Matrix reference;
     double invariance_diff = 0.0;
@@ -291,9 +273,8 @@ int main(int argc, char** argv) {
       for (int threads : {1, 4}) {
         ParallelOptions parallel;
         parallel.num_threads = threads;
-        auto source = bench::MakeDisguisedSource(
-            mean, covariance, n_check, gen_seed, &scheme,
-            pipeline::GeneratorMode::kCounterBatch, parallel);
+        auto source = bench::MakeDisguisedSource(mean, covariance, n_check,
+                                                 gen_seed, &scheme, parallel);
         Matrix streamed = bench::CollectSource(&source, sweep_chunk, m);
         if (reference.rows() == 0) {
           reference = std::move(streamed);

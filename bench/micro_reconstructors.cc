@@ -12,6 +12,7 @@
 #include "core/udr.h"
 #include "data/synthetic.h"
 #include "perturb/schemes.h"
+#include "stats/rng.h"
 
 namespace randrecon {
 namespace {

@@ -24,6 +24,7 @@
 #include "perturb/schemes.h"
 #include "stats/dissimilarity.h"
 #include "stats/moments.h"
+#include "stats/rng.h"
 
 int main() {
   using namespace randrecon;  // NOLINT(build/namespaces): example code.

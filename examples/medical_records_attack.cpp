@@ -19,6 +19,7 @@
 #include "data/realistic.h"
 #include "perturb/schemes.h"
 #include "stats/moments.h"
+#include "stats/rng.h"
 
 int main() {
   using namespace randrecon;  // NOLINT(build/namespaces): example code.

@@ -20,6 +20,7 @@
 #include "linalg/vector_ops.h"
 #include "perturb/schemes.h"
 #include "stats/moments.h"
+#include "stats/rng.h"
 
 int main() {
   using namespace randrecon;  // NOLINT(build/namespaces): example code.

@@ -12,6 +12,7 @@
 #include "core/attack_suite.h"
 #include "data/synthetic.h"
 #include "perturb/schemes.h"
+#include "stats/rng.h"
 
 int main() {
   using namespace randrecon;  // NOLINT(build/namespaces): example code.

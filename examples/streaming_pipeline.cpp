@@ -32,6 +32,7 @@
 #include "pipeline/record_source.h"
 #include "pipeline/source_factory.h"
 #include "pipeline/streaming_attack.h"
+#include "stats/rng.h"
 
 using namespace randrecon;
 

@@ -1,5 +1,7 @@
 #include "core/serial_reconstruction.h"
 
+#include <cmath>
+
 #include "core/be_dr.h"
 #include "data/timeseries.h"
 #include "perturb/noise_model.h"

@@ -7,7 +7,7 @@ namespace data {
 
 Result<Dataset> GenerateLatentFactorTable(const LatentFactorSpec& spec,
                                           size_t num_records,
-                                          stats::Rng* rng) {
+                                          stats::Philox* rng) {
   const size_t m = spec.loadings.rows();
   const size_t k = spec.loadings.cols();
   if (m == 0 || k == 0) {

@@ -9,7 +9,7 @@ namespace randrecon {
 namespace data {
 
 Result<SyntheticDataset> GenerateSpectrumDataset(
-    const SyntheticDatasetSpec& spec, size_t num_records, stats::Rng* rng) {
+    const SyntheticDatasetSpec& spec, size_t num_records, stats::Philox* rng) {
   const size_t m = spec.eigenvalues.size();
   if (m == 0) {
     return Status::InvalidArgument("GenerateSpectrumDataset: empty spectrum");
@@ -41,21 +41,6 @@ Result<SyntheticDataset> GenerateSpectrumDataset(
 
   SyntheticDataset out{Dataset(std::move(records)), std::move(covariance),
                        std::move(q), spec.eigenvalues, std::move(mean)};
-  return out;
-}
-
-Result<SyntheticDataset> GenerateSpectrumDataset(
-    const SyntheticDatasetSpec& spec, size_t num_records, stats::Rng* rng,
-    stats::Philox* gen) {
-  // Build the (cheap, m x m) ground truth with a zero-record call so the
-  // validation and basis logic stays in one place...
-  RR_ASSIGN_OR_RETURN(SyntheticDataset out,
-                      GenerateSpectrumDataset(spec, 0, rng));
-  // ...then draw the n x m population through the batch substrate.
-  RR_ASSIGN_OR_RETURN(
-      stats::MultivariateNormalSampler sampler,
-      stats::MultivariateNormalSampler::Create(out.mean, out.covariance));
-  out.dataset = Dataset(sampler.SampleMatrix(num_records, gen));
   return out;
 }
 
@@ -95,7 +80,7 @@ double SpectrumTrace(const linalg::Vector& eigenvalues) {
 Result<MixtureDataset> GenerateGaussianMixtureDataset(
     const linalg::Matrix& cluster_means,
     const linalg::Vector& within_cluster_eigenvalues, size_t num_records,
-    stats::Rng* rng) {
+    stats::Philox* rng) {
   const size_t num_clusters = cluster_means.rows();
   const size_t m = cluster_means.cols();
   if (num_clusters == 0 || m == 0) {

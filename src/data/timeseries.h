@@ -13,7 +13,7 @@
 
 #include "common/result.h"
 #include "linalg/matrix.h"
-#include "stats/rng.h"
+#include "stats/philox.h"
 
 namespace randrecon {
 namespace data {
@@ -41,7 +41,7 @@ double Ar1Autocovariance(const Ar1Spec& spec, size_t lag);
 /// distribution. Fails with InvalidArgument for |coefficient| >= 1,
 /// non-positive stddev or zero length.
 Result<linalg::Vector> GenerateAr1Series(const Ar1Spec& spec, size_t length,
-                                         stats::Rng* rng);
+                                         stats::Philox* rng);
 
 /// Sliding-window embedding: row i of the result is
 /// (series[i], ..., series[i + window − 1]); shape

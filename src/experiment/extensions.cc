@@ -72,7 +72,7 @@ Result<ExperimentResult> RunPartialDisclosureSweep(
     double est_sum = 0.0;
     double oracle_sum = 0.0;
     for (size_t trial = 0; trial < config.common.num_trials; ++trial) {
-      stats::Rng rng(DeriveSeed(config.common.seed, point, trial));
+      stats::Philox rng(DeriveSeed(config.common.seed, point, trial));
       data::SyntheticDatasetSpec spec;
       spec.eigenvalues = data::TwoLevelSpectrumWithTrace(
           config.num_attributes, config.num_principal,
@@ -151,7 +151,7 @@ Result<ExperimentResult> RunSerialDependencySweep(
   for (double rho : config.coefficients) {
     std::vector<double> sums(config.windows.size() + 1, 0.0);
     for (size_t trial = 0; trial < config.common.num_trials; ++trial) {
-      stats::Rng rng(DeriveSeed(config.common.seed, point, trial));
+      stats::Philox rng(DeriveSeed(config.common.seed, point, trial));
       data::Ar1Spec spec;
       spec.coefficient = rho;
       spec.innovation_stddev =

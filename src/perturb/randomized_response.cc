@@ -30,19 +30,10 @@ Result<WarnerScheme> WarnerScheme::Create(double truth_probability) {
   return WarnerScheme(truth_probability);
 }
 
-uint8_t WarnerScheme::Disguise(uint8_t true_bit, stats::Rng* rng) const {
+uint8_t WarnerScheme::Disguise(uint8_t true_bit, stats::Philox* rng) const {
   RR_CHECK(true_bit == 0 || true_bit == 1) << "bit must be 0/1";
   const bool tell_truth = rng->Uniform(0.0, 1.0) < theta_;
   return tell_truth ? true_bit : static_cast<uint8_t>(1 - true_bit);
-}
-
-BitVector WarnerScheme::DisguiseAll(const BitVector& true_bits,
-                                    stats::Rng* rng) const {
-  BitVector out(true_bits.size());
-  for (size_t i = 0; i < true_bits.size(); ++i) {
-    out[i] = Disguise(true_bits[i], rng);
-  }
-  return out;
 }
 
 BitVector WarnerScheme::DisguiseAll(const BitVector& true_bits,
@@ -94,29 +85,11 @@ Result<MaskScheme> MaskScheme::Create(double keep_probability) {
 }
 
 Result<linalg::Matrix> MaskScheme::Disguise(const linalg::Matrix& transactions,
-                                            stats::Rng* rng) const {
-  linalg::Matrix out(transactions.rows(), transactions.cols());
-  for (size_t i = 0; i < transactions.rows(); ++i) {
-    for (size_t j = 0; j < transactions.cols(); ++j) {
-      const double value = transactions(i, j);
-      if (value != 0.0 && value != 1.0) {
-        return Status::InvalidArgument(
-            "MaskScheme: transactions must be 0/1, got " +
-            std::to_string(value));
-      }
-      const bool keep = rng->Uniform(0.0, 1.0) < theta_;
-      out(i, j) = keep ? value : 1.0 - value;
-    }
-  }
-  return out;
-}
-
-Result<linalg::Matrix> MaskScheme::Disguise(const linalg::Matrix& transactions,
                                             stats::Philox* gen) const {
   const size_t total = transactions.rows() * transactions.cols();
   const double* in = transactions.data();
   // Validate before drawing so a rejected matrix leaves the generator
-  // cursor untouched, like the scalar Rng overload.
+  // cursor untouched.
   for (size_t i = 0; i < total; ++i) {
     if (in[i] != 0.0 && in[i] != 1.0) {
       return Status::InvalidArgument(

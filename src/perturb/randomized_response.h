@@ -29,7 +29,6 @@
 #include "common/result.h"
 #include "linalg/matrix.h"
 #include "stats/philox.h"
-#include "stats/rng.h"
 
 namespace randrecon {
 namespace perturb {
@@ -45,14 +44,11 @@ class WarnerScheme {
   static Result<WarnerScheme> Create(double truth_probability);
 
   /// Disguises one respondent's true bit.
-  uint8_t Disguise(uint8_t true_bit, stats::Rng* rng) const;
+  uint8_t Disguise(uint8_t true_bit, stats::Philox* rng) const;
 
-  /// Disguises a whole column.
-  BitVector DisguiseAll(const BitVector& true_bits, stats::Rng* rng) const;
-
-  /// Batch entry point: one vectorized Bernoulli(θ) fill decides every
-  /// respondent's truth coin (consumes true_bits.size() substrate draws
-  /// from gen's cursor). Bit i flips iff coin i is 0.
+  /// Disguises a whole column: one vectorized Bernoulli(θ) fill decides
+  /// every respondent's truth coin (consumes true_bits.size() substrate
+  /// draws from gen's cursor). Bit i flips iff coin i is 0.
   BitVector DisguiseAll(const BitVector& true_bits, stats::Philox* gen) const;
 
   /// Unbiased estimate of the true proportion π from the observed
@@ -83,13 +79,9 @@ class MaskScheme {
   static Result<MaskScheme> Create(double keep_probability);
 
   /// Disguises an n x m 0/1 transaction matrix entrywise (values are
-  /// validated to be 0/1).
-  Result<linalg::Matrix> Disguise(const linalg::Matrix& transactions,
-                                  stats::Rng* rng) const;
-
-  /// Batch entry point: one vectorized Bernoulli(θ) keep-mask fill for
-  /// the whole matrix (consumes rows*cols substrate draws from gen's
-  /// cursor); entry (i, j) is kept iff mask[i*m + j] is 1.
+  /// validated to be 0/1) with one vectorized Bernoulli(θ) keep-mask
+  /// fill (consumes rows*cols substrate draws from gen's cursor); entry
+  /// (i, j) is kept iff mask[i*m + j] is 1.
   Result<linalg::Matrix> Disguise(const linalg::Matrix& transactions,
                                   stats::Philox* gen) const;
 

@@ -11,17 +11,29 @@
 namespace randrecon {
 namespace perturb {
 
-void RandomizationScheme::AddNoiseAt(const stats::Philox& /*base*/,
-                                     uint64_t /*record_begin*/,
-                                     size_t /*rows*/,
-                                     linalg::Matrix* /*chunk*/,
-                                     const ParallelOptions& /*options*/) const {
-  RR_CHECK(false)
-      << "AddNoiseAt called on a scheme without batch noise support";
+void RandomizationScheme::AddNoiseAt(const stats::Philox& base,
+                                     uint64_t record_begin, size_t rows,
+                                     linalg::Matrix* chunk,
+                                     const ParallelOptions& options) const {
+  const size_t m = num_attributes();
+  RR_CHECK_EQ(chunk->cols(), m);
+  RR_CHECK_LE(rows, chunk->rows());
+  stats::ForEachBatchBlock(
+      record_begin, rows, options,
+      [&](uint64_t b, uint64_t lo, uint64_t hi) {
+        stats::Philox gen = base.Substream(b);
+        const linalg::Matrix noise =
+            GenerateNoise(stats::kBatchBlockRows, &gen);
+        const uint64_t first = lo - b * stats::kBatchBlockRows;
+        const double* in = noise.row_data(static_cast<size_t>(first));
+        double* out = chunk->row_data(static_cast<size_t>(lo - record_begin));
+        const size_t count = static_cast<size_t>(hi - lo) * m;
+        for (size_t i = 0; i < count; ++i) out[i] += in[i];
+      });
 }
 
 Result<data::Dataset> RandomizationScheme::Disguise(
-    const data::Dataset& original, stats::Rng* rng) const {
+    const data::Dataset& original, stats::Philox* rng) const {
   if (original.num_attributes() != num_attributes()) {
     return Status::InvalidArgument(
         "Disguise: dataset has " + std::to_string(original.num_attributes()) +
@@ -51,7 +63,7 @@ IndependentNoiseScheme IndependentNoiseScheme::Uniform(size_t num_attributes,
 }
 
 linalg::Matrix IndependentNoiseScheme::GenerateNoise(size_t num_records,
-                                                     stats::Rng* rng) const {
+                                                     stats::Philox* rng) const {
   const size_t m = num_attributes();
   linalg::Matrix noise(num_records, m);
   for (size_t i = 0; i < num_records; ++i) {
@@ -67,8 +79,11 @@ void IndependentNoiseScheme::AddNoiseAt(const stats::Philox& base,
                                         uint64_t record_begin, size_t rows,
                                         linalg::Matrix* chunk,
                                         const ParallelOptions& options) const {
-  RR_CHECK(SupportsBatchNoise())
-      << "IndependentNoiseScheme: marginals lack batch sampling";
+  if (!noise_model_.HasIdenticalMarginals() ||
+      !noise_model_.SupportsBatchSampling()) {
+    RandomizationScheme::AddNoiseAt(base, record_begin, rows, chunk, options);
+    return;
+  }
   const size_t m = num_attributes();
   RR_CHECK_EQ(chunk->cols(), m);
   RR_CHECK_LE(rows, chunk->rows());
@@ -129,45 +144,9 @@ Result<CorrelatedGaussianScheme> CorrelatedGaussianScheme::FromEigenstructure(
   return Create(linalg::ComposeFromEigen(noise_eigenvalues, eigenvectors));
 }
 
-linalg::Matrix CorrelatedGaussianScheme::GenerateNoise(size_t num_records,
-                                                       stats::Rng* rng) const {
-  // Deliberately record-by-record, NOT the batched SampleMatrix: the
-  // sequential-mode PerturbingRecordSource calls this once per chunk,
-  // and the blocked GEMM behind SampleMatrix picks different (equally
-  // correct, differently rounded) accumulation paths depending on the
-  // row count — which would break the documented bitwise chunk-size
-  // invariance of the disguised stream. Per-record matvecs keep every
-  // record's bytes independent of the chunking; bulk callers use the
-  // Philox batch paths instead.
-  const size_t m = num_attributes();
-  linalg::Matrix noise(num_records, m);
-  for (size_t i = 0; i < num_records; ++i) {
-    noise.SetRow(i, sampler_.SampleRecord(rng));
-  }
-  return noise;
-}
-
-void CorrelatedGaussianScheme::AddNoiseAt(const stats::Philox& base,
-                                          uint64_t record_begin, size_t rows,
-                                          linalg::Matrix* chunk,
-                                          const ParallelOptions& options) const {
-  const size_t m = num_attributes();
-  RR_CHECK_EQ(chunk->cols(), m);
-  RR_CHECK_LE(rows, chunk->rows());
-  // Jointly Gaussian noise rides the MVN block generator: noise record i
-  // is row i of the sampler's deterministic record stream over `base`.
-  stats::ForEachBatchBlock(
-      record_begin, rows, options,
-      [&](uint64_t b, uint64_t lo, uint64_t hi) {
-        const size_t count = static_cast<size_t>(hi - lo);
-        std::vector<double> noise(count * m);
-        sampler_.SampleBlockSlice(
-            base, b, static_cast<size_t>(lo - b * stats::kBatchBlockRows),
-            static_cast<size_t>(hi - b * stats::kBatchBlockRows),
-            noise.data());
-        double* out = chunk->row_data(static_cast<size_t>(lo - record_begin));
-        for (size_t i = 0; i < count * m; ++i) out[i] += noise[i];
-      });
+linalg::Matrix CorrelatedGaussianScheme::GenerateNoise(
+    size_t num_records, stats::Philox* rng) const {
+  return sampler_.SampleMatrix(num_records, rng);
 }
 
 linalg::Vector InterpolateSpectra(const linalg::Vector& from,

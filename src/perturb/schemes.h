@@ -13,7 +13,6 @@
 #include "data/dataset.h"
 #include "perturb/noise_model.h"
 #include "stats/mvn.h"
-#include "stats/rng.h"
 
 namespace randrecon {
 namespace perturb {
@@ -28,18 +27,16 @@ class RandomizationScheme {
 
   /// Draws an n x m noise matrix R.
   virtual linalg::Matrix GenerateNoise(size_t num_records,
-                                       stats::Rng* rng) const = 0;
+                                       stats::Philox* rng) const = 0;
 
-  /// True when AddNoiseAt's counter-based batch path is implemented.
-  virtual bool SupportsBatchNoise() const { return false; }
-
-  /// Batch entry point: adds the noise of the absolute records
-  /// [record_begin, record_begin + rows) of the noise stream derived
-  /// from `base` into the leading rows of `chunk`. The noise of record i
-  /// is a pure function of (base, i): draws come from fixed
-  /// stats::kBatchBlockRows record blocks with counter-derived per-block
-  /// substreams, so chunking and threading never change the stream.
-  /// RR_CHECK-fails unless SupportsBatchNoise().
+  /// Adds the noise of the absolute records [record_begin,
+  /// record_begin + rows) of the noise stream derived from `base` into
+  /// the leading rows of `chunk`. The noise of record i is a pure
+  /// function of (base, i): block b of stats::kBatchBlockRows records is
+  /// GenerateNoise(kBatchBlockRows, base.Substream(b)), sliced to the
+  /// rows asked for, so chunking and threading never change the stream.
+  /// Blocks are generated in parallel under `options`. Overrides must
+  /// keep that stream or be a pure function of (base, i) themselves.
   virtual void AddNoiseAt(const stats::Philox& base, uint64_t record_begin,
                           size_t rows, linalg::Matrix* chunk,
                           const ParallelOptions& options = {}) const;
@@ -50,7 +47,7 @@ class RandomizationScheme {
   /// Disguises a dataset: returns Y = X + R. Fails with InvalidArgument
   /// if the dataset's attribute count doesn't match the scheme's.
   Result<data::Dataset> Disguise(const data::Dataset& original,
-                                 stats::Rng* rng) const;
+                                 stats::Philox* rng) const;
 };
 
 /// Independent per-attribute noise (same scalar distribution on each
@@ -68,11 +65,10 @@ class IndependentNoiseScheme final : public RandomizationScheme {
     return noise_model_.num_attributes();
   }
   linalg::Matrix GenerateNoise(size_t num_records,
-                               stats::Rng* rng) const override;
-  bool SupportsBatchNoise() const override {
-    return noise_model_.HasIdenticalMarginals() &&
-           noise_model_.SupportsBatchSampling();
-  }
+                               stats::Philox* rng) const override;
+  /// Vectorized when every attribute shares one batch-sampling marginal
+  /// (block b is elements of that marginal's sequence over
+  /// base.Substream(b)); otherwise the base class path.
   void AddNoiseAt(const stats::Philox& base, uint64_t record_begin,
                   size_t rows, linalg::Matrix* chunk,
                   const ParallelOptions& options = {}) const override;
@@ -110,15 +106,12 @@ class CorrelatedGaussianScheme final : public RandomizationScheme {
   size_t num_attributes() const override {
     return noise_model_.num_attributes();
   }
+  /// One MultivariateNormalSampler::SampleMatrix draw. Through the base
+  /// AddNoiseAt, straddled edge blocks are regenerated in full on every
+  /// call (the price of statelessness); prefer chunk sizes >=
+  /// stats::kBatchBlockRows when streaming correlated noise.
   linalg::Matrix GenerateNoise(size_t num_records,
-                               stats::Rng* rng) const override;
-  bool SupportsBatchNoise() const override { return true; }
-  /// Straddled edge blocks are regenerated in full on every call (the
-  /// price of statelessness); prefer chunk sizes >= stats::kBatchBlockRows
-  /// when streaming correlated noise.
-  void AddNoiseAt(const stats::Philox& base, uint64_t record_begin,
-                  size_t rows, linalg::Matrix* chunk,
-                  const ParallelOptions& options = {}) const override;
+                               stats::Philox* rng) const override;
   const NoiseModel& noise_model() const override { return noise_model_; }
 
  private:

@@ -11,6 +11,18 @@ namespace stats {
 namespace {
 constexpr double kInvSqrt2Pi = 0.3989422804014326779;  // 1/sqrt(2π)
 constexpr double kInvSqrt2 = 0.7071067811865475244;    // 1/sqrt(2)
+
+// Laplace inverse CDF on a uniform u in [0, 1):
+// x = mean - b sign(t) ln(1 - 2|t|) with t = u - 1/2. The log goes
+// through the substrate's Log01 so the sequence is machine-stable like
+// the core fills; the argument is clamped away from 0 (u = 0 occurs with
+// probability 2^-53).
+double LaplaceFromUniform(double mean, double scale, double u) {
+  const double t = u - 0.5;
+  const double arg = std::max(1.0 - 2.0 * std::fabs(t), 0x1.0p-53);
+  const double pull = -scale * Log01(arg);
+  return t < 0.0 ? mean - pull : mean + pull;
+}
 }  // namespace
 
 double StandardNormalPdf(double z) {
@@ -49,7 +61,7 @@ void NormalDistribution::SampleSliceAt(const Philox& stream,
   GaussianSliceAt(stream, mean_, stddev_, elem_begin, out, n);
 }
 
-double NormalDistribution::Sample(Rng* rng) const {
+double NormalDistribution::Sample(Philox* rng) const {
   return rng->Gaussian(mean_, stddev_);
 }
 
@@ -83,7 +95,7 @@ void UniformDistribution::SampleSliceAt(const Philox& stream,
   UniformSliceAt(stream, lo_, hi_, elem_begin, out, n);
 }
 
-double UniformDistribution::Sample(Rng* rng) const {
+double UniformDistribution::Sample(Philox* rng) const {
   return rng->Uniform(lo_, hi_);
 }
 
@@ -112,25 +124,14 @@ double LaplaceDistribution::Cdf(double x) const {
 void LaplaceDistribution::SampleSliceAt(const Philox& stream,
                                         uint64_t elem_begin, double* out,
                                         size_t n) const {
-  // Inverse-CDF on a uniform u in [0, 1): x = mean - b sign(t) ln(1 - 2|t|)
-  // with t = u - 1/2. The log goes through the substrate's Log01 so the
-  // sequence is machine-stable like the core fills; the argument is
-  // clamped away from 0 (u = 0 occurs with probability 2^-53).
   UniformSliceAt(stream, elem_begin, out, n);
   for (size_t i = 0; i < n; ++i) {
-    const double t = out[i] - 0.5;
-    const double arg = std::max(1.0 - 2.0 * std::fabs(t), 0x1.0p-53);
-    const double pull = -scale_ * Log01(arg);
-    out[i] = t < 0.0 ? mean_ - pull : mean_ + pull;
+    out[i] = LaplaceFromUniform(mean_, scale_, out[i]);
   }
 }
 
-double LaplaceDistribution::Sample(Rng* rng) const {
-  // Inverse CDF on u ~ Uniform(-0.5, 0.5):
-  // x = µ − b · sgn(u) · ln(1 − 2|u|).
-  const double u = rng->Uniform(-0.5, 0.5);
-  const double sign = u >= 0.0 ? 1.0 : -1.0;
-  return mean_ - scale_ * sign * std::log(1.0 - 2.0 * std::fabs(u));
+double LaplaceDistribution::Sample(Philox* rng) const {
+  return LaplaceFromUniform(mean_, scale_, rng->NextUniform());
 }
 
 std::string LaplaceDistribution::ToString() const {
@@ -188,7 +189,7 @@ double MixtureDistribution::Cdf(double x) const {
   return sum;
 }
 
-double MixtureDistribution::Sample(Rng* rng) const {
+double MixtureDistribution::Sample(Philox* rng) const {
   double pick = rng->Uniform(0.0, 1.0);
   for (size_t i = 0; i < components_.size(); ++i) {
     pick -= weights_[i];

@@ -11,7 +11,6 @@
 
 #include "common/result.h"
 #include "stats/philox.h"
-#include "stats/rng.h"
 
 namespace randrecon {
 namespace stats {
@@ -28,7 +27,7 @@ class ScalarDistribution {
   virtual double Cdf(double x) const = 0;
 
   /// One random draw.
-  virtual double Sample(Rng* rng) const = 0;
+  virtual double Sample(Philox* rng) const = 0;
 
   /// True when SampleSliceAt is implemented — the counter-substrate
   /// batch path used by the parallel record generators.
@@ -59,7 +58,7 @@ class NormalDistribution final : public ScalarDistribution {
 
   double Pdf(double x) const override;
   double Cdf(double x) const override;
-  double Sample(Rng* rng) const override;
+  double Sample(Philox* rng) const override;
   bool SupportsBatchSampling() const override { return true; }
   void SampleSliceAt(const Philox& stream, uint64_t elem_begin, double* out,
                      size_t n) const override;
@@ -81,7 +80,7 @@ class UniformDistribution final : public ScalarDistribution {
 
   double Pdf(double x) const override;
   double Cdf(double x) const override;
-  double Sample(Rng* rng) const override;
+  double Sample(Philox* rng) const override;
   bool SupportsBatchSampling() const override { return true; }
   void SampleSliceAt(const Philox& stream, uint64_t elem_begin, double* out,
                      size_t n) const override;
@@ -107,7 +106,7 @@ class LaplaceDistribution final : public ScalarDistribution {
 
   double Pdf(double x) const override;
   double Cdf(double x) const override;
-  double Sample(Rng* rng) const override;
+  double Sample(Philox* rng) const override;
   bool SupportsBatchSampling() const override { return true; }
   void SampleSliceAt(const Philox& stream, uint64_t elem_begin, double* out,
                      size_t n) const override;
@@ -138,7 +137,7 @@ class MixtureDistribution final : public ScalarDistribution {
 
   double Pdf(double x) const override;
   double Cdf(double x) const override;
-  double Sample(Rng* rng) const override;
+  double Sample(Philox* rng) const override;
   double Mean() const override;
   double Variance() const override;
   size_t num_components() const { return components_.size(); }

@@ -58,7 +58,7 @@ Result<MultivariateNormalSampler> MultivariateNormalSampler::CreateZeroMean(
   return Create(linalg::Vector(covariance.rows(), 0.0), covariance);
 }
 
-linalg::Vector MultivariateNormalSampler::SampleRecord(Rng* rng) const {
+linalg::Vector MultivariateNormalSampler::SampleRecord(Philox* rng) const {
   const size_t m = dimension();
   linalg::Vector z(m);
   for (size_t i = 0; i < m; ++i) z[i] = rng->Gaussian();
@@ -104,17 +104,6 @@ void ForEachBatchBlock(
     const uint64_t hi = std::min<uint64_t>(r1, (b + 1) * kBatchBlockRows);
     body(b, lo, hi);
   }, options);
-}
-
-linalg::Matrix MultivariateNormalSampler::SampleMatrix(size_t n,
-                                                       Rng* rng) const {
-  const size_t m = dimension();
-  linalg::Matrix z(n, m);
-  double* zp = z.data();
-  for (size_t i = 0; i < n * m; ++i) zp[i] = rng->Gaussian();
-  linalg::Matrix out(n, m);
-  ApplyFactor(z.data(), factor_, mean_, n, out.data());
-  return out;
 }
 
 linalg::Matrix MultivariateNormalSampler::SampleMatrix(size_t n,

@@ -15,7 +15,6 @@
 #include "common/result.h"
 #include "linalg/matrix.h"
 #include "stats/philox.h"
-#include "stats/rng.h"
 
 namespace randrecon {
 namespace stats {
@@ -53,16 +52,12 @@ class MultivariateNormalSampler {
       const linalg::Matrix& covariance);
 
   /// One record of length m.
-  linalg::Vector SampleRecord(Rng* rng) const;
+  linalg::Vector SampleRecord(Philox* rng) const;
 
-  /// n records as an n x m matrix. Draws the n x m standard-normal block
-  /// Z in the same record order SampleRecord uses, then applies the
-  /// factor as ONE Z·Aᵀ product through the blocked kernels instead of
-  /// per-record matrix-vector math.
-  linalg::Matrix SampleMatrix(size_t n, Rng* rng) const;
-
-  /// Batch-substrate variant: Z comes from gen->FillGaussian (consumes
-  /// n*m Gaussian elements from the cursor), then one Z·Aᵀ.
+  /// n records as an n x m matrix: Z comes from one gen->FillGaussian
+  /// (n*m Gaussian elements from the cursor, in the record order
+  /// SampleRecord draws them), then the factor is applied as ONE Z·Aᵀ
+  /// product through the blocked kernels.
   linalg::Matrix SampleMatrix(size_t n, Philox* gen) const;
 
   /// Deterministic random access into the record stream derived from

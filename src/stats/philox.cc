@@ -615,13 +615,16 @@ Philox Philox::Substream(uint64_t substream_id) const {
                                          (substream_id + 1)));
 }
 
-uint32_t Philox::Next32() {
+void Philox::LoadGroup() {
   const uint64_t group = pos_ / kWordsPerGroup;
-  if (group != cached_group_) {
-    FillRawWith(ActiveEngines().raw, seed_, stream_, group * kWordsPerGroup,
-                group_words_, kWordsPerGroup);
-    cached_group_ = group;
-  }
+  FillRawWith(ActiveEngines().raw, seed_, stream_, group * kWordsPerGroup,
+              group_words_, kWordsPerGroup);
+  cached_group_ = group;
+}
+
+uint32_t Philox::Next32() {
+  has_spare_ = false;
+  if (pos_ / kWordsPerGroup != cached_group_) LoadGroup();
   return group_words_[pos_++ % kWordsPerGroup];
 }
 
@@ -631,37 +634,104 @@ uint64_t Philox::Next64() {
   return (hi << 32) | lo;
 }
 
-double Philox::NextUniform() {
+const uint32_t* Philox::NextPair() {
+  has_spare_ = false;
   pos_ = (pos_ + 1) & ~uint64_t{1};  // align to an element boundary
-  const uint64_t v = Next64();
+  if (pos_ / kWordsPerGroup != cached_group_) LoadGroup();
+  // An even-aligned pair never straddles a group.
+  const uint32_t* pair = group_words_ + pos_ % kWordsPerGroup;
+  pos_ += 2;
+  return pair;
+}
+
+double Philox::NextUniform() {
+  const uint32_t* pair = NextPair();
+  const uint64_t v = (uint64_t{pair[1]} << 32) | pair[0];
   return static_cast<double>(v >> 11) * 0x1.0p-53;
 }
 
+double Philox::Gaussian() {
+  if (has_spare_) {
+    has_spare_ = false;
+    return spare_;
+  }
+  const uint32_t* pair = NextPair();
+  double z0 = 0.0;
+  BoxMullerElement(pair[0], pair[1], &z0, &spare_);
+  has_spare_ = true;
+  return z0;
+}
+
+double Philox::Gaussian(double mean, double stddev) {
+  return mean + stddev * Gaussian();
+}
+
+double Philox::Uniform(double lo, double hi) {
+  return lo + NextUniform() * (hi - lo);
+}
+
+int64_t Philox::UniformInt(int64_t lo, int64_t hi) {
+  RR_CHECK_LE(lo, hi) << "UniformInt: empty range";
+  const uint64_t range = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+  if (range == ~uint64_t{0}) return static_cast<int64_t>(Next64());
+  // Lemire, "Fast Random Integer Generation in an Interval" (TOMACS 2019):
+  // the high word of x * span is uniform once the low words below
+  // 2^64 mod span are rejected.
+  const uint64_t span = range + 1;
+  unsigned __int128 product =
+      static_cast<unsigned __int128>(Next64()) * span;
+  if (static_cast<uint64_t>(product) < span) {
+    const uint64_t threshold = (0 - span) % span;
+    while (static_cast<uint64_t>(product) < threshold) {
+      product = static_cast<unsigned __int128>(Next64()) * span;
+    }
+  }
+  return static_cast<int64_t>(static_cast<uint64_t>(lo) +
+                              static_cast<uint64_t>(product >> 64));
+}
+
+linalg::Matrix Philox::GaussianMatrix(size_t rows, size_t cols) {
+  linalg::Matrix m(rows, cols);
+  FillGaussian(m.data(), m.size());
+  return m;
+}
+
+linalg::Vector Philox::GaussianVector(size_t n, double mean, double stddev) {
+  linalg::Vector v(n);
+  FillGaussian(mean, stddev, v.data(), n);
+  return v;
+}
+
 void Philox::FillUniform(double* out, size_t n) {
+  has_spare_ = false;
   pos_ = (pos_ + 1) & ~uint64_t{1};
   UniformSliceAt(*this, pos_ / 2, out, n);
   pos_ += 2 * n;
 }
 
 void Philox::FillUniform(double lo, double hi, double* out, size_t n) {
+  has_spare_ = false;
   pos_ = (pos_ + 1) & ~uint64_t{1};
   UniformSliceAt(*this, lo, hi, pos_ / 2, out, n);
   pos_ += 2 * n;
 }
 
 void Philox::FillGaussian(double* out, size_t n) {
+  has_spare_ = false;
   pos_ = (pos_ + 1) & ~uint64_t{1};
   GaussianSliceAt(*this, pos_, out, n);
   pos_ += 2 * ((n + 1) / 2);
 }
 
 void Philox::FillGaussian(double mean, double stddev, double* out, size_t n) {
+  has_spare_ = false;
   pos_ = (pos_ + 1) & ~uint64_t{1};
   GaussianSliceAt(*this, mean, stddev, pos_, out, n);
   pos_ += 2 * ((n + 1) / 2);
 }
 
 void Philox::FillBernoulli(double p, uint8_t* out, size_t n) {
+  has_spare_ = false;
   BernoulliSliceAt(*this, p, pos_, out, n);
   pos_ += n;
 }

@@ -1,13 +1,11 @@
 // Counter-based random substrate: Philox4x32-10 (Salmon et al.,
 // "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11 — the Random123 /
-// cuRAND configuration) plus batch sampling kernels.
+// cuRAND configuration) plus scalar draws and batch sampling kernels.
 //
-// Why a second generator next to stats::Rng? The scalar mt19937 path
-// serves one value per call from a 2.5KB mutable state — fine for tests
-// and small draws, but at n >= 1e6 records sample generation dominates
-// the attack pipeline. A counter-based generator has no sequential
-// state: output word w is a pure function of (seed, stream, w), which
-// buys three things the bulk paths need:
+// This is the library's only generator: every seeded population, noise
+// stream, basis draw and retry jitter comes from it (stats::Rng in
+// stats/rng.h is an alias). Output word w is a pure function of
+// (seed, stream, w), which buys what the bulk paths need:
 //
 //   * O(1) seeking — any position in any stream can be generated without
 //     producing the values before it;
@@ -20,6 +18,10 @@
 //     scalar code perform the same correctly-rounded operations in the
 //     same order; dispatch is by runtime CPU detection, so one build
 //     produces one stream on every x86-64 machine).
+//
+// Scalar draws (Gaussian(), Uniform(), UniformInt(), ...) read the same
+// canonical sequence through a 64-word group cache, so a run of scalar
+// draws equals the batch fill of the same length from the same cursor.
 //
 // Determinism contract (see README "Random substrate"):
 //   * raw words, uniforms, Bernoulli bits and Gaussians are bitwise
@@ -40,6 +42,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "linalg/matrix.h"
+
 namespace randrecon {
 namespace stats {
 
@@ -52,6 +56,7 @@ namespace stats {
 ///   Gaussian double  — 1 word (32-bit radius uniform or 2+30-bit angle;
 ///                      Box–Muller pairs, so fills round up to even)
 ///   Bernoulli draw   — 1 word (32-bit threshold compare)
+///   UniformInt       — 2 words per try (rejection is rare)
 class Philox {
  public:
   /// 32-bit output words per Philox block.
@@ -72,7 +77,10 @@ class Philox {
   uint64_t position() const { return pos_; }
 
   /// O(1) absolute repositioning (no values are generated).
-  void Seek(uint64_t word_index) { pos_ = word_index; }
+  void Seek(uint64_t word_index) {
+    pos_ = word_index;
+    has_spare_ = false;
+  }
 
   /// An independent derived stream (cursor at 0). The id is mixed
   /// through a SplitMix64 finalizer, so nested derivation is fine;
@@ -87,6 +95,27 @@ class Philox {
   /// cursor up to an even word first).
   double NextUniform();
 
+  /// Scalar draws. Gaussian() serves Box–Muller pairs: the first call
+  /// computes a pair and keeps its second value, the next call returns
+  /// it. A run of k consecutive Gaussian() calls therefore returns
+  /// exactly FillGaussian(k) from the same cursor and leaves the cursor
+  /// where that fill would. Any other draw, fill or Seek drops a kept
+  /// value (as FillGaussian of an odd count drops the last sine).
+  double Gaussian();
+  double Gaussian(double mean, double stddev);  // mean + stddev * z
+  double Uniform(double lo, double hi);         // lo + u * (hi - lo)
+  /// Unbiased uniform integer on [lo, hi] inclusive (Lemire's
+  /// multiply-and-reject over Next64; any span up to the full int64 range).
+  int64_t UniformInt(int64_t lo, int64_t hi);
+  /// A fresh seed derived from this stream (for per-trial generators).
+  uint64_t NextSeed() { return Next64(); }
+
+  /// A rows x cols matrix of i.i.d. N(0, 1) entries (one FillGaussian).
+  linalg::Matrix GaussianMatrix(size_t rows, size_t cols);
+  /// n i.i.d. N(mean, stddev²) entries (one FillGaussian).
+  linalg::Vector GaussianVector(size_t n, double mean = 0.0,
+                                double stddev = 1.0);
+
   /// Batch fills from the current cursor; each advances the cursor by
   /// the number of words consumed (after any alignment documented above).
   /// SIMD inside, bitwise equal to the scalar reference.
@@ -97,12 +126,21 @@ class Philox {
   void FillBernoulli(double p, uint8_t* out, size_t n);  // 1 w.p. p
 
  private:
+  /// Fills the group cache with the group holding pos_.
+  void LoadGroup();
+  /// Aligns the cursor to an even word and consumes the pair there,
+  /// returned from the group cache.
+  const uint32_t* NextPair();
+
   uint64_t seed_ = 0;
   uint64_t stream_ = 0;
   uint64_t pos_ = 0;
-  // Group cache for the scalar Next32 path.
+  // Group cache for the scalar draws.
   uint32_t group_words_[kWordsPerGroup];
   uint64_t cached_group_ = ~uint64_t{0};
+  // The kept second value of the last Gaussian() pair.
+  double spare_ = 0.0;
+  bool has_spare_ = false;
 };
 
 // ---------------------------------------------------------------------------

@@ -1,68 +1,15 @@
-// Seeded random number generation. Every stochastic component in the
-// library draws from an explicitly seeded Rng so that experiments, tests
-// and benchmarks are reproducible bit-for-bit.
+// The library's generator under its historical name: Rng is the Philox
+// counter substrate (stats/philox.h), seeded as Rng rng(seed).
 
 #ifndef RANDRECON_STATS_RNG_H_
 #define RANDRECON_STATS_RNG_H_
 
-#include <cstdint>
-#include <random>
-
-#include "linalg/matrix.h"
+#include "stats/philox.h"
 
 namespace randrecon {
 namespace stats {
 
-/// A deterministic pseudo-random source (mersenne twister, 64-bit).
-class Rng {
- public:
-  /// Seeds the stream. The same seed always yields the same sequence.
-  explicit Rng(uint64_t seed) : engine_(seed) {}
-
-  /// Standard normal N(0, 1) draw.
-  double Gaussian() { return normal_(engine_); }
-
-  /// Normal N(mean, stddev²) draw.
-  double Gaussian(double mean, double stddev) {
-    return mean + stddev * normal_(engine_);
-  }
-
-  /// Uniform draw on [lo, hi). The distribution object is a hoisted
-  /// member invoked with per-call params — libstdc++ evaluates the
-  /// param-call identically to a freshly constructed distribution, so
-  /// the draw sequence is unchanged (pinned by RngTest golden values)
-  /// while the per-call construction is gone.
-  double Uniform(double lo, double hi) {
-    return uniform_(engine_,
-                    std::uniform_real_distribution<double>::param_type(lo, hi));
-  }
-
-  /// Uniform integer on [lo, hi] inclusive (hoisted like Uniform).
-  int64_t UniformInt(int64_t lo, int64_t hi) {
-    return uniform_int_(
-        engine_, std::uniform_int_distribution<int64_t>::param_type(lo, hi));
-  }
-
-  /// A fresh independent seed derived from this stream (for spawning
-  /// per-trial generators).
-  uint64_t NextSeed() { return engine_(); }
-
-  /// A rows x cols matrix of i.i.d. N(0,1) entries.
-  linalg::Matrix GaussianMatrix(size_t rows, size_t cols);
-
-  /// A vector of n i.i.d. N(mean, stddev²) entries.
-  linalg::Vector GaussianVector(size_t n, double mean = 0.0,
-                                double stddev = 1.0);
-
-  /// Access to the underlying engine for std:: distributions.
-  std::mt19937_64& engine() { return engine_; }
-
- private:
-  std::mt19937_64 engine_;
-  std::normal_distribution<double> normal_{0.0, 1.0};
-  std::uniform_real_distribution<double> uniform_;
-  std::uniform_int_distribution<int64_t> uniform_int_;
-};
+using Rng = Philox;
 
 }  // namespace stats
 }  // namespace randrecon

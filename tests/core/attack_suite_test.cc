@@ -5,6 +5,7 @@
 #include "core/ndr.h"
 #include "data/synthetic.h"
 #include "perturb/schemes.h"
+#include "stats/rng.h"
 
 namespace randrecon {
 namespace core {

@@ -9,6 +9,7 @@
 #include "linalg/matrix_util.h"
 #include "perturb/schemes.h"
 #include "stats/moments.h"
+#include "stats/rng.h"
 
 namespace randrecon {
 namespace core {
@@ -186,23 +187,32 @@ class Theorem51SampleSizeSweep : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(Theorem51SampleSizeSweep, EstimateConvergesWithN) {
   // The paper: "when the number of samples becomes larger, the
-  // approximation becomes more accurate."
+  // approximation becomes more accurate." The envelope bounds the mean
+  // max-abs error over independent trials: one trial's largest entry
+  // sits ~2.6 standard errors under 200/√n, which a single draw can
+  // cross by chance.
   const size_t n = GetParam();
-  stats::Rng rng(108);
+  constexpr int kTrials = 8;
+  stats::Rng seeds(108);
   data::SyntheticDatasetSpec spec;
   spec.eigenvalues = {30.0, 10.0, 1.0};
-  auto synthetic = data::GenerateSpectrumDataset(spec, n, &rng);
-  ASSERT_TRUE(synthetic.ok());
   auto scheme = perturb::IndependentNoiseScheme::Gaussian(3, 5.0);
-  auto disguised = scheme.Disguise(synthetic.value().dataset, &rng);
-  ASSERT_TRUE(disguised.ok());
-  auto moments =
-      EstimateOriginalMoments(disguised.value().records(), scheme.noise_model());
-  ASSERT_TRUE(moments.ok());
-  const double error = linalg::MaxAbsDifference(
-      moments.value().covariance, synthetic.value().covariance);
+  double total_error = 0.0;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    stats::Rng rng(seeds.NextSeed());
+    auto synthetic = data::GenerateSpectrumDataset(spec, n, &rng);
+    ASSERT_TRUE(synthetic.ok());
+    auto disguised = scheme.Disguise(synthetic.value().dataset, &rng);
+    ASSERT_TRUE(disguised.ok());
+    auto moments = EstimateOriginalMoments(disguised.value().records(),
+                                           scheme.noise_model());
+    ASSERT_TRUE(moments.ok());
+    total_error += linalg::MaxAbsDifference(moments.value().covariance,
+                                            synthetic.value().covariance);
+  }
   // Loose O(1/√n)-style envelope: generous constant, still decreasing.
-  EXPECT_LT(error, 200.0 / std::sqrt(static_cast<double>(n))) << "n=" << n;
+  EXPECT_LT(total_error / kTrials, 200.0 / std::sqrt(static_cast<double>(n)))
+      << "n=" << n;
 }
 
 INSTANTIATE_TEST_SUITE_P(SampleSizes, Theorem51SampleSizeSweep,

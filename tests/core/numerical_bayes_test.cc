@@ -10,6 +10,7 @@
 #include "linalg/vector_ops.h"
 #include "perturb/schemes.h"
 #include "stats/moments.h"
+#include "stats/rng.h"
 
 namespace randrecon {
 namespace core {

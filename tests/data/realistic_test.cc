@@ -6,6 +6,7 @@
 
 #include "linalg/matrix_util.h"
 #include "stats/moments.h"
+#include "stats/rng.h"
 
 namespace randrecon {
 namespace data {

@@ -7,6 +7,7 @@
 #include "linalg/eigen.h"
 #include "linalg/matrix_util.h"
 #include "stats/moments.h"
+#include "stats/rng.h"
 
 namespace randrecon {
 namespace data {

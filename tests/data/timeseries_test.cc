@@ -1,4 +1,5 @@
 #include "data/timeseries.h"
+#include "stats/rng.h"
 
 #include <cmath>
 

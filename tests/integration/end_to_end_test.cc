@@ -14,6 +14,7 @@
 #include "perturb/schemes.h"
 #include "stats/dissimilarity.h"
 #include "stats/moments.h"
+#include "stats/rng.h"
 
 namespace randrecon {
 namespace {

@@ -16,6 +16,7 @@
 #include "linalg/eigen.h"
 #include "linalg/lu.h"
 #include "perturb/schemes.h"
+#include "stats/rng.h"
 
 namespace randrecon {
 namespace {

@@ -15,6 +15,7 @@
 #include "linalg/matrix_util.h"
 #include "perturb/schemes.h"
 #include "stats/moments.h"
+#include "stats/rng.h"
 
 namespace randrecon {
 namespace core {

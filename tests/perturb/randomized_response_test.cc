@@ -222,7 +222,7 @@ TEST(MaskSchemeTest, BatchDisguiseSupportsEstimation) {
   ASSERT_TRUE(support1.ok());
   EXPECT_NEAR(support0.value(), 0.25, 0.03);
   EXPECT_NEAR(support1.value(), 0.5, 0.03);
-  // Batch disguise validates input like the scalar path.
+  // Disguise validates its 0/1 input.
   linalg::Matrix bad(1, 2, 0.5);
   stats::Philox gen2(1, 0);
   EXPECT_FALSE(scheme.value().Disguise(bad, &gen2).ok());

@@ -11,6 +11,7 @@
 #include "linalg/vector_ops.h"
 #include "stats/moments.h"
 #include "stats/random_orthogonal.h"
+#include "stats/rng.h"
 
 namespace randrecon {
 namespace perturb {
@@ -190,7 +191,6 @@ TEST(Theorem82Test, DisguisedCovarianceIsSumOfParts) {
 
 TEST(SchemesTest, AddNoiseAtMatchesIndependentNoiseStatistics) {
   const auto scheme = IndependentNoiseScheme::Gaussian(3, 2.0);
-  ASSERT_TRUE(scheme.SupportsBatchNoise());
   const size_t n = 60000;
   Matrix chunk(n, 3, 0.0);
   scheme.AddNoiseAt(stats::Philox(17, 0), 0, n, &chunk);
@@ -207,7 +207,6 @@ TEST(SchemesTest, AddNoiseAtIsSplitInvariant) {
   // consecutive-range calls — the chunk-size invariance the perturbing
   // record source builds on.
   const auto scheme = IndependentNoiseScheme::Uniform(2, 1.5);
-  ASSERT_TRUE(scheme.SupportsBatchNoise());
   const stats::Philox base(3, 2);
   const size_t n = 700;
   Matrix whole(n, 2, 0.0);
@@ -227,11 +226,44 @@ TEST(SchemesTest, AddNoiseAtIsSplitInvariant) {
   }
 }
 
+TEST(SchemesTest, VectorizedOverrideKeepsTheBaseStream) {
+  // IndependentNoiseScheme's vectorized AddNoiseAt is an optimization of
+  // the base path (GenerateNoise per generation block), not a second
+  // stream: scalar draws equal the batch fills they replace.
+  const stats::Philox base(41, 0);
+  const size_t n = 600;
+  for (const auto& scheme : {IndependentNoiseScheme::Gaussian(3, 2.0),
+                             IndependentNoiseScheme::Uniform(3, 1.5)}) {
+    Matrix vectorized(n, 3, 0.0);
+    scheme.AddNoiseAt(base, 5, n, &vectorized);
+    Matrix generic(n, 3, 0.0);
+    scheme.RandomizationScheme::AddNoiseAt(base, 5, n, &generic);
+    EXPECT_EQ(linalg::MaxAbsDifference(vectorized, generic), 0.0)
+        << scheme.noise_model().Marginal(0).ToString();
+  }
+}
+
+TEST(SchemesTest, CorrelatedNoiseIsTheMvnRecordStream) {
+  // Block b of correlated noise is SampleMatrix over base.Substream(b),
+  // i.e. the sampler's own record stream over `base`.
+  const Matrix sigma_r{{4.0, 1.2}, {1.2, 2.0}};
+  auto scheme = CorrelatedGaussianScheme::Create(sigma_r);
+  ASSERT_TRUE(scheme.ok());
+  auto sampler = stats::MultivariateNormalSampler::CreateZeroMean(sigma_r);
+  ASSERT_TRUE(sampler.ok());
+  const stats::Philox base(9, 4);
+  const size_t n = 700;
+  Matrix noise(n, 2, 0.0);
+  scheme.value().AddNoiseAt(base, 100, n, &noise);
+  Matrix records(n, 2);
+  sampler.value().SampleRecordsAt(base, 100, n, &records);
+  EXPECT_EQ(linalg::MaxAbsDifference(noise, records), 0.0);
+}
+
 TEST(SchemesTest, CorrelatedAddNoiseAtReproducesCovariance) {
   Matrix sigma_r{{4.0, 1.2}, {1.2, 2.0}};
   auto scheme = CorrelatedGaussianScheme::Create(sigma_r);
   ASSERT_TRUE(scheme.ok());
-  ASSERT_TRUE(scheme.value().SupportsBatchNoise());
   const size_t n = 60000;
   Matrix chunk(n, 2, 0.0);
   scheme.value().AddNoiseAt(stats::Philox(23, 0), 0, n, &chunk);

@@ -10,6 +10,7 @@
 
 #include "data/csv.h"
 #include "linalg/matrix_util.h"
+#include "stats/distribution.h"
 #include "stats/rng.h"
 
 namespace randrecon {
@@ -127,15 +128,14 @@ Matrix DrainWithThreads(Source* source, size_t chunk_rows, int threads) {
   return Drain(source, chunk_rows);
 }
 
-TEST(MvnRecordSourceTest, BatchModeIsChunkAndThreadInvariant) {
+TEST(MvnRecordSourceTest, IsChunkAndThreadInvariant) {
   const Matrix covariance = Matrix{{2.0, 0.5, 0.1},
                                    {0.5, 1.0, 0.0},
                                    {0.1, 0.0, 3.0}};
   const size_t n = 1000;  // straddles several generation blocks
   auto make = [&] {
     auto source = MvnRecordSource::Create({0.5, 0.0, -1.0}, covariance, n,
-                                          /*seed=*/42,
-                                          GeneratorMode::kCounterBatch);
+                                          /*seed=*/42);
     EXPECT_TRUE(source.ok()) << source.status().ToString();
     return std::move(source).value();
   };
@@ -152,10 +152,9 @@ TEST(MvnRecordSourceTest, BatchModeIsChunkAndThreadInvariant) {
   }
 }
 
-TEST(MvnRecordSourceTest, BatchModeResetReplaysIdentically) {
+TEST(MvnRecordSourceTest, ResetReplaysIdentically) {
   auto source = MvnRecordSource::Create({0.0, 0.0}, Matrix::Identity(2), 517,
-                                        /*seed=*/9,
-                                        GeneratorMode::kCounterBatch);
+                                        /*seed=*/9);
   ASSERT_TRUE(source.ok());
   MvnRecordSource s = std::move(source).value();
   const Matrix first = Drain(&s, 33);
@@ -164,36 +163,15 @@ TEST(MvnRecordSourceTest, BatchModeResetReplaysIdentically) {
   EXPECT_EQ(linalg::MaxAbsDifference(first, second), 0.0);
 }
 
-TEST(MvnRecordSourceTest, SequentialModeStillStreamsRngDraws) {
-  // The legacy mt19937 path stays available (and distinct) for tests
-  // and small runs.
-  auto make = [](GeneratorMode mode) {
-    auto source = MvnRecordSource::Create({0.0, 0.0}, Matrix::Identity(2),
-                                          200, /*seed=*/4, mode);
-    EXPECT_TRUE(source.ok());
-    return std::move(source).value();
-  };
-  MvnRecordSource sequential = make(GeneratorMode::kSequentialRng);
-  const Matrix seq_a = Drain(&sequential, 13);
-  ASSERT_TRUE(sequential.Reset().ok());
-  const Matrix seq_b = Drain(&sequential, 200);
-  EXPECT_EQ(linalg::MaxAbsDifference(seq_a, seq_b), 0.0);
-  MvnRecordSource batch = make(GeneratorMode::kCounterBatch);
-  const Matrix batch_records = Drain(&batch, 200);
-  EXPECT_GT(linalg::MaxAbsDifference(seq_a, batch_records), 0.0);
-}
-
-TEST(PerturbingRecordSourceTest, BatchNoiseIsChunkAndThreadInvariant) {
+TEST(PerturbingRecordSourceTest, NoiseIsChunkAndThreadInvariant) {
   stats::Rng rng(5);
   const Matrix data = rng.GaussianMatrix(700, 3);
   const auto scheme = perturb::IndependentNoiseScheme::Gaussian(3, 1.0);
   auto make = [&] {
     return PerturbingRecordSource(std::make_unique<MatrixRecordSource>(&data),
-                                  &scheme, /*seed=*/13,
-                                  GeneratorMode::kCounterBatch);
+                                  &scheme, /*seed=*/13);
   };
   PerturbingRecordSource reference_source = make();
-  EXPECT_EQ(reference_source.mode(), GeneratorMode::kCounterBatch);
   const Matrix reference = DrainWithThreads(&reference_source, 64, 1);
   for (size_t chunk : {size_t{1}, size_t{7}, size_t{64}, size_t{700}}) {
     for (int threads : {1, 4}) {
@@ -207,23 +185,20 @@ TEST(PerturbingRecordSourceTest, BatchNoiseIsChunkAndThreadInvariant) {
   EXPECT_GT(linalg::MaxAbsDifference(reference, data), 0.0);
 }
 
-TEST(PerturbingRecordSourceTest, BatchUniformNoiseInvariance) {
+TEST(PerturbingRecordSourceTest, UniformNoiseInvariance) {
   stats::Rng rng(6);
   const Matrix data = rng.GaussianMatrix(300, 2);
   const auto scheme = perturb::IndependentNoiseScheme::Uniform(2, 2.0);
   PerturbingRecordSource a(std::make_unique<MatrixRecordSource>(&data),
-                           &scheme, /*seed=*/3,
-                           GeneratorMode::kCounterBatch);
-  EXPECT_EQ(a.mode(), GeneratorMode::kCounterBatch);
+                           &scheme, /*seed=*/3);
   const Matrix one_by_one = Drain(&a, 1);
   PerturbingRecordSource b(std::make_unique<MatrixRecordSource>(&data),
-                           &scheme, /*seed=*/3,
-                           GeneratorMode::kCounterBatch);
+                           &scheme, /*seed=*/3);
   const Matrix all_at_once = Drain(&b, 300);
   EXPECT_EQ(linalg::MaxAbsDifference(one_by_one, all_at_once), 0.0);
 }
 
-TEST(PerturbingRecordSourceTest, BatchCorrelatedNoiseInvariance) {
+TEST(PerturbingRecordSourceTest, CorrelatedNoiseInvariance) {
   stats::Rng rng(8);
   const Matrix data = rng.GaussianMatrix(600, 2);
   const Matrix noise_cov = Matrix{{1.0, 0.6}, {0.6, 1.0}};
@@ -231,23 +206,20 @@ TEST(PerturbingRecordSourceTest, BatchCorrelatedNoiseInvariance) {
   ASSERT_TRUE(scheme.ok());
   auto make = [&] {
     return PerturbingRecordSource(std::make_unique<MatrixRecordSource>(&data),
-                                  &scheme.value(), /*seed=*/21,
-                                  GeneratorMode::kCounterBatch);
+                                  &scheme.value(), /*seed=*/21);
   };
   PerturbingRecordSource a = make();
-  EXPECT_EQ(a.mode(), GeneratorMode::kCounterBatch);
   const Matrix by_17 = Drain(&a, 17);
   PerturbingRecordSource b = make();
   const Matrix by_256 = Drain(&b, 256);
   EXPECT_EQ(linalg::MaxAbsDifference(by_17, by_256), 0.0);
 }
 
-TEST(PerturbingRecordSourceTest, SequentialCorrelatedNoiseCrossesGemmCutoff) {
-  // Regression: GenerateNoise must stay record-by-record in sequential
-  // mode. Routing it through the batched SampleMatrix would flip the
-  // blocked-vs-naive GEMM path with the chunk size (cutoff at
-  // rows*m*m ~ 2^20) and silently break bitwise chunk invariance —
-  // n=2048 x m=32 puts the one-big-chunk drain past that cutoff.
+TEST(PerturbingRecordSourceTest, CorrelatedNoiseCrossesGemmCutoff) {
+  // Correlated noise is one SampleMatrix GEMM per generation block, so
+  // the blocked-vs-naive GEMM path (cutoff at rows*m*m ~ 2^20) must not
+  // follow the chunk size: n=2048 x m=32 puts a one-chunk drain past
+  // that cutoff while 64-row chunks stay below it.
   const size_t m = 32, n = 2048;
   stats::Rng cov_rng(99);
   const Matrix g = cov_rng.GaussianMatrix(m, m);
@@ -265,8 +237,7 @@ TEST(PerturbingRecordSourceTest, SequentialCorrelatedNoiseCrossesGemmCutoff) {
   const Matrix data = data_rng.GaussianMatrix(n, m);
   auto make = [&] {
     return PerturbingRecordSource(std::make_unique<MatrixRecordSource>(&data),
-                                  &scheme.value(), /*seed=*/5,
-                                  GeneratorMode::kSequentialRng);
+                                  &scheme.value(), /*seed=*/5);
   };
   PerturbingRecordSource small_chunks = make();
   const Matrix by_64 = Drain(&small_chunks, 64);
@@ -275,39 +246,63 @@ TEST(PerturbingRecordSourceTest, SequentialCorrelatedNoiseCrossesGemmCutoff) {
   EXPECT_EQ(linalg::MaxAbsDifference(by_64, at_once), 0.0);
 }
 
-TEST(PerturbingRecordSourceTest, FallsBackWhenSchemeLacksBatchNoise) {
-  // A scheme whose marginals cannot batch-sample silently downgrades to
-  // the sequential Rng mode and keeps all stream contracts.
-  class NoBatchScheme final : public perturb::RandomizationScheme {
+TEST(PerturbingRecordSourceTest, SchemeWithoutVectorizedOverrideIsInvariant) {
+  // Mixture noise has no batch sampler, so it takes the base
+  // AddNoiseAt (GenerateNoise per generation block) and must keep every
+  // stream contract on that path: chunk size, thread count and Reset().
+  class MixtureNoiseScheme final : public perturb::RandomizationScheme {
    public:
-    explicit NoBatchScheme(perturb::IndependentNoiseScheme inner)
-        : inner_(std::move(inner)) {}
-    size_t num_attributes() const override {
-      return inner_.num_attributes();
-    }
+    explicit MixtureNoiseScheme(perturb::NoiseModel model)
+        : model_(std::move(model)) {}
+    size_t num_attributes() const override { return model_.num_attributes(); }
     linalg::Matrix GenerateNoise(size_t num_records,
                                  stats::Rng* rng) const override {
-      return inner_.GenerateNoise(num_records, rng);
+      linalg::Matrix noise(num_records, num_attributes());
+      for (size_t i = 0; i < num_records; ++i) {
+        for (size_t j = 0; j < num_attributes(); ++j) {
+          noise(i, j) = model_.Marginal(j).Sample(rng);
+        }
+      }
+      return noise;
     }
-    bool SupportsBatchNoise() const override { return false; }
-    const perturb::NoiseModel& noise_model() const override {
-      return inner_.noise_model();
-    }
+    const perturb::NoiseModel& noise_model() const override { return model_; }
 
    private:
-    perturb::IndependentNoiseScheme inner_;
+    perturb::NoiseModel model_;
   };
+  std::vector<std::unique_ptr<stats::ScalarDistribution>> components;
+  components.push_back(std::make_unique<stats::NormalDistribution>(-1.0, 0.5));
+  components.push_back(std::make_unique<stats::NormalDistribution>(1.0, 0.5));
+  auto mixture =
+      stats::MixtureDistribution::Create(std::move(components), {1.0, 1.0});
+  ASSERT_TRUE(mixture.ok());
+  ASSERT_FALSE(mixture.value().SupportsBatchSampling());
+  auto model = perturb::NoiseModel::Independent(
+      std::make_unique<stats::MixtureDistribution>(std::move(mixture).value()),
+      3);
+  ASSERT_TRUE(model.ok());
+  const MixtureNoiseScheme scheme(std::move(model).value());
   stats::Rng rng(7);
-  const Matrix data = rng.GaussianMatrix(120, 2);
-  const NoBatchScheme scheme(perturb::IndependentNoiseScheme::Gaussian(2, 0.5));
-  PerturbingRecordSource source(std::make_unique<MatrixRecordSource>(&data),
-                                &scheme, /*seed=*/2,
-                                GeneratorMode::kCounterBatch);
-  EXPECT_EQ(source.mode(), GeneratorMode::kSequentialRng);
-  const Matrix first = Drain(&source, 11);
-  ASSERT_TRUE(source.Reset().ok());
-  const Matrix second = Drain(&source, 120);
-  EXPECT_EQ(linalg::MaxAbsDifference(first, second), 0.0);
+  const size_t n = 600;  // straddles three generation blocks
+  const Matrix data = rng.GaussianMatrix(n, 3);
+  auto make = [&] {
+    return PerturbingRecordSource(std::make_unique<MatrixRecordSource>(&data),
+                                  &scheme, /*seed=*/2);
+  };
+  PerturbingRecordSource reference_source = make();
+  const Matrix reference = DrainWithThreads(&reference_source, 64, 1);
+  EXPECT_GT(linalg::MaxAbsDifference(reference, data), 0.0);
+  for (size_t chunk : {size_t{1}, size_t{7}, size_t{64}, n}) {
+    for (int threads : {1, 4}) {
+      PerturbingRecordSource source = make();
+      const Matrix streamed = DrainWithThreads(&source, chunk, threads);
+      EXPECT_EQ(linalg::MaxAbsDifference(streamed, reference), 0.0)
+          << "chunk " << chunk << " threads " << threads;
+    }
+  }
+  ASSERT_TRUE(reference_source.Reset().ok());
+  EXPECT_EQ(
+      linalg::MaxAbsDifference(Drain(&reference_source, 11), reference), 0.0);
 }
 
 TEST(PerturbingRecordSourceTest, MvnPlusNoiseEndToEndInvariance) {
@@ -317,12 +312,11 @@ TEST(PerturbingRecordSourceTest, MvnPlusNoiseEndToEndInvariance) {
   const auto scheme = perturb::IndependentNoiseScheme::Gaussian(2, 0.5);
   auto make = [&] {
     auto inner = MvnRecordSource::Create({0.0, 0.0}, covariance, 555,
-                                         /*seed=*/31,
-                                         GeneratorMode::kCounterBatch);
+                                         /*seed=*/31);
     EXPECT_TRUE(inner.ok());
     return PerturbingRecordSource(
         std::make_unique<MvnRecordSource>(std::move(inner).value()), &scheme,
-        /*seed=*/32, GeneratorMode::kCounterBatch);
+        /*seed=*/32);
   };
   PerturbingRecordSource a = make();
   const Matrix ref = Drain(&a, 64);

@@ -1,4 +1,5 @@
 #include "stats/distribution.h"
+#include "stats/rng.h"
 
 #include <cmath>
 #include <vector>
@@ -264,6 +265,26 @@ TEST(DistributionBatchTest, SlicesAreElementIndexed) {
   laplace.SampleSliceAt(stream, 123, window.data(), window.size());
   for (size_t i = 0; i < window.size(); ++i) {
     ASSERT_EQ(window[i], whole[123 + i]) << i;
+  }
+}
+
+TEST(DistributionBatchTest, ScalarSamplesAreTheSliceSequence) {
+  // Sample() over a fresh generator walks the same canonical sequence as
+  // SampleSliceAt from element 0, so a scheme's scalar GenerateNoise and
+  // its vectorized batch path agree bit for bit.
+  const NormalDistribution normal(1.0, 2.0);
+  const UniformDistribution uniform(-3.0, 1.0);
+  const LaplaceDistribution laplace(0.5, 1.5);
+  for (const ScalarDistribution* d :
+       {static_cast<const ScalarDistribution*>(&normal),
+        static_cast<const ScalarDistribution*>(&uniform),
+        static_cast<const ScalarDistribution*>(&laplace)}) {
+    std::vector<double> slice(101);
+    d->SampleSliceAt(Philox(6, 2), 0, slice.data(), slice.size());
+    Philox gen(6, 2);
+    for (size_t i = 0; i < slice.size(); ++i) {
+      ASSERT_EQ(d->Sample(&gen), slice[i]) << d->ToString() << " " << i;
+    }
   }
 }
 

@@ -8,6 +8,7 @@
 #include "linalg/matrix_util.h"
 #include "stats/moments.h"
 #include "stats/random_orthogonal.h"
+#include "stats/rng.h"
 
 namespace randrecon {
 namespace stats {

@@ -4,9 +4,11 @@
 Usage: check_timeseries.py --series DIR [--report report.json]
        check_timeseries.py metrics-000001.jsonl [more.jsonl ...]
 
-A series is a directory of metrics-NNNNNN.jsonl files: one JSON object
-per line, {"seq":N,"t_nanos":T,"counters":{...},"gauges":{...},
-"histograms":{...}} — the metrics members being exactly what
+A series is a directory of metrics-NNNNNN.jsonl files (the index is
+zero-padded to 6 digits and grows wider past 999999; names parse like
+FileSeries::ParseName: 1-20 ASCII digits, value in [1, 2^64 - 2]), one
+JSON object per line, {"seq":N,"t_nanos":T,"counters":{...},
+"gauges":{...},"histograms":{...}} — the metrics members being exactly what
 metrics::SnapshotJson() renders (and what run reports embed, so this
 tool and check_report.py parse the same shapes). Checks:
 
@@ -15,7 +17,9 @@ tool and check_report.py parse the same shapes). Checks:
   * per-sample schema — exact key set, value types, the histogram
     percentile ordering min <= p50 <= p95 <= p99 <= max;
   * run boundaries — seq restarts at 1 when a new recorder takes over
-    the series, and increments by exactly 1 within a run;
+    the series, and increments by exactly 1 within a run; only the
+    first sample of the whole series may start mid-run (retention
+    dropped the files holding that run's head);
   * monotone time — t_nanos never decreases within a run (runs may
     restart the clock: fake-clock harnesses start at 0);
   * counter monotonicity — counters never decrease within a run;
@@ -41,6 +45,8 @@ import re
 import sys
 
 SAMPLE_KEYS = {"seq", "t_nanos", "counters", "gauges", "histograms"}
+SERIES_NAME = re.compile(r"metrics-([0-9]{1,20})\.jsonl")
+MAX_INDEX = 2**64 - 2  # every index keeps a successor
 HISTOGRAM_KEYS = {"count", "sum", "min", "max", "p50", "p95", "p99"}
 
 
@@ -142,11 +148,13 @@ def check_files(paths):
     samples = load_samples(paths)
     runs = 0
     prev = None
-    for where, sample in samples:
-        if sample["seq"] == 1:
-            runs += 1       # A new recorder took over: a run boundary.
+    for position, (where, sample) in enumerate(samples):
+        # seq 1 marks a new recorder taking over: a run boundary. The
+        # very first sample may be a retained run's mid-run head.
+        if sample["seq"] == 1 or position == 0:
+            runs += 1
             prev = None
-        require(prev is not None or sample["seq"] == 1,
+        require(prev is not None or sample["seq"] == 1 or position == 0,
                 f"{where}: a run must start at seq 1, got {sample['seq']}")
         if prev is not None:
             check_progression(prev, sample, where)
@@ -159,8 +167,8 @@ def check_series(directory, report_path=None):
     reconciliation when --report names the daemon's run report."""
     indices = {}
     for name in sorted(os.listdir(directory)):
-        match = re.fullmatch(r"metrics-(\d{6})\.jsonl", name)
-        if not match:
+        match = SERIES_NAME.fullmatch(name)
+        if not match or not 1 <= int(match.group(1)) <= MAX_INDEX:
             continue
         indices[int(match.group(1))] = os.path.join(directory, name)
     require(indices, f"{directory}: no metrics-NNNNNN.jsonl files")
