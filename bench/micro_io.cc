@@ -22,8 +22,8 @@
 //   * every backend must stream bitwise-identical records (CSV, store,
 //     sharded manifest), and the SF attack over the store AND over the
 //     manifest must report bitwise-identical eigenvalues/mean/RMSE to
-//     the CSV path (which also pins the columnar pass-1 fast path, used
-//     by the store-backed sources, against the row-major CSV path);
+//     the CSV path (pass 1 reads the stores' own column blocks and the
+//     CSV's chunks through the row-major adapter);
 //   * ingest_store must beat ingest_csv by >= 10x at n = 1e6
 //     (>= 4x in smoke, where fixed overheads weigh more);
 //   * the parallel sharded drain (8 shards, 4 threads) vs the

@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <vector>
 
 #include "common/check.h"
 #include "common/failpoint.h"
@@ -16,6 +17,7 @@
 #include "common/metrics.h"
 #include "data/csv.h"
 #include "data/shard_store.h"
+#include "linalg/kernels.h"
 
 // The format is little-endian on disk and the reader/writer serialize
 // integers and doubles with memcpy, so a little-endian host is required
@@ -286,11 +288,9 @@ Status ColumnStoreWriter::Append(const double* rows, size_t num_rows) {
     const size_t take =
         std::min(block_rows_ - rows_in_block_, num_rows - consumed);
     // Row-major rows scatter into block-local columns (FORMAT.md §3).
-    for (size_t j = 0; j < m; ++j) {
-      double* column = block_.data() + j * block_rows_ + rows_in_block_;
-      const double* source = rows + consumed * m + j;
-      for (size_t r = 0; r < take; ++r) column[r] = source[r * m];
-    }
+    linalg::kernels::RowsToColumns(rows + consumed * m, m, take, m,
+                                   block_.data() + rows_in_block_,
+                                   block_rows_);
     rows_in_block_ += take;
     consumed += take;
     if (rows_in_block_ == block_rows_) RR_RETURN_NOT_OK(FlushBlock());
@@ -668,6 +668,7 @@ Status ColumnStoreReader::ReadRowsInto(size_t row_begin, size_t num_rows,
   ParallelFor(
       block_begin, block_end,
       [&](size_t begin, size_t end) {
+        std::vector<const double*> columns(m);
         for (size_t block = begin; block < end; ++block) {
           const size_t first_row = std::max(row_begin, block * block_rows_);
           const size_t local = first_row - block * block_rows_;
@@ -678,12 +679,13 @@ Status ColumnStoreReader::ReadRowsInto(size_t row_begin, size_t num_rows,
           const double* payload =
               reinterpret_cast<const double*>(block_payload(block));
           // Mapped block-local columns gather into the caller's row-major
-          // rows: contiguous reads, m-strided writes.
+          // rows.
           for (size_t j = 0; j < m; ++j) {
-            const double* column = payload + j * block_rows_ + local;
-            double* destination = rows + out_row * m + j;
-            for (size_t r = 0; r < take; ++r) destination[r * m] = column[r];
+            columns[j] = payload + j * block_rows_;
           }
+          linalg::kernels::ColumnsToRows(columns.data(), local, take, m,
+                                         /*offset=*/nullptr,
+                                         rows + out_row * m, m);
         }
       },
       options_.parallel);

@@ -247,11 +247,10 @@ class RollingStoreSnapshotReader {
     return reader_.ReadRows(row_begin, num_rows, buffer);
   }
 
-  /// The pinned underlying reader — for consumers (the pipeline's
-  /// snapshot record source) that iterate shard blocks zero-copy.
-  /// Every shard is already open and validated; shard(s) cannot fail
-  /// on an open.
-  ShardedStoreReader& store_reader() { return reader_; }
+  /// Hands the pinned reader to its consumer (the attack scheduler wraps
+  /// it in a pipeline::ShardedRecordSource). Every shard is already open
+  /// and validated, so the reader's shard(s) cannot fail on an open.
+  ShardedStoreReader ReleaseReader() && { return std::move(reader_); }
 
  private:
   explicit RollingStoreSnapshotReader(ShardedStoreReader reader)

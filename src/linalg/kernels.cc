@@ -45,6 +45,12 @@ constexpr size_t kNc = 2048;
 // Below this many multiply-adds the packed path costs more than it saves
 // (measured cutover on AVX-512 is near 110^3); run the plain loops.
 constexpr size_t kBlockedFlopCutoff = size_t{1} << 20;
+// The same cutoff per row of a full kGramChunkRows chunk. A kernel whose
+// plain loop rounds differently from the micro-kernel chooses its path
+// from this per-row cost alone, so a row's bits never depend on how many
+// rows share the call (a streamed chunk of 100 rows or of 4096).
+constexpr size_t kBlockedFlopsPerRowCutoff =
+    kBlockedFlopCutoff / kGramChunkRows;
 // Engage the thread pool only when there is enough work to amortize it.
 constexpr size_t kParallelFlopCutoff = size_t{8} << 20;
 
@@ -184,6 +190,28 @@ void GemmBlocked(const double* a, size_t lda, const double* b, size_t ldb,
   }
 }
 
+// Rows per transpose tile: the strided side of a tile is 16 rows x m
+// doubles (16 KiB at m = 128), which stays in L1 while the tile's m
+// contiguous column runs stream past it.
+constexpr size_t kTransposeTileRows = 16;
+
+template <bool kShift>
+void ColumnsToRowsTiled(const double* const* columns, size_t first_row,
+                        size_t num_rows, size_t m, const double* offset,
+                        double* rows, size_t ld_rows) {
+  for (size_t r0 = 0; r0 < num_rows; r0 += kTransposeTileRows) {
+    const size_t tile = std::min(kTransposeTileRows, num_rows - r0);
+    double* out = rows + r0 * ld_rows;
+    for (size_t j = 0; j < m; ++j) {
+      const double* in = columns[j] + first_row + r0;
+      const double shift = kShift ? offset[j] : 0.0;
+      for (size_t r = 0; r < tile; ++r) {
+        out[r * ld_rows + j] = kShift ? in[r] - shift : in[r];
+      }
+    }
+  }
+}
+
 }  // namespace
 
 void MatMul(const double* a, const double* b, double* c, size_t m, size_t k,
@@ -191,7 +219,11 @@ void MatMul(const double* a, const double* b, double* c, size_t m, size_t k,
   if (m == 0 || n == 0) return;
   std::memset(c, 0, m * n * sizeof(double));
   if (k == 0) return;
-  if (m * k * n < kBlockedFlopCutoff) {
+  // The plain loop's per-element update is the micro-kernel's (one
+  // multiply-add chain from zero) while k fits one kKc depth block; beyond
+  // that the blocked path sums per-block partials, so deeper products
+  // always take it and the path never depends on the row count.
+  if (k <= kKc && m * k * n < kBlockedFlopCutoff) {
     // The plain i-k-j loop the kernel layer replaced; still the fastest
     // shape for small operands. No zero-skip (the old loop had one): a
     // 0.0 factor must multiply — and so propagate — a NaN/Inf partner,
@@ -216,7 +248,10 @@ void MatMulABt(const double* a, const double* b, double* c, size_t m, size_t k,
   if (m == 0 || n == 0) return;
   std::memset(c, 0, m * n * sizeof(double));
   if (k == 0) return;
-  if (m * k * n < kBlockedFlopCutoff) {
+  // The dot-product loop below does not always round like the
+  // micro-kernel's multiply-add chain (at k = 4 it does not), so the path
+  // is a function of k·n only: every row takes the same one.
+  if (k * n < kBlockedFlopsPerRowCutoff) {
     // Row-by-row dot products: both operands are walked contiguously.
     for (size_t i = 0; i < m; ++i) {
       const double* a_row = a + i * k;
@@ -316,25 +351,34 @@ void GramAtA(const double* a, size_t n, size_t m, double* c,
   }
 }
 
+void RowsToColumns(const double* rows, size_t ld_rows, size_t num_rows,
+                   size_t m, double* columns, size_t ld_columns) {
+  for (size_t r0 = 0; r0 < num_rows; r0 += kTransposeTileRows) {
+    const size_t tile = std::min(kTransposeTileRows, num_rows - r0);
+    const double* in = rows + r0 * ld_rows;
+    for (size_t j = 0; j < m; ++j) {
+      double* out = columns + j * ld_columns + r0;
+      for (size_t r = 0; r < tile; ++r) out[r] = in[r * ld_rows + j];
+    }
+  }
+}
+
+void ColumnsToRows(const double* const* columns, size_t first_row,
+                   size_t num_rows, size_t m, const double* offset,
+                   double* rows, size_t ld_rows) {
+  // The shift is a template branch, not a subtraction of 0.0, so the
+  // copy form preserves every bit pattern (NaN payloads included).
+  if (offset != nullptr) {
+    ColumnsToRowsTiled<true>(columns, first_row, num_rows, m, offset, rows,
+                             ld_rows);
+  } else {
+    ColumnsToRowsTiled<false>(columns, first_row, num_rows, m, nullptr, rows,
+                              ld_rows);
+  }
+}
+
 void TransposeInto(const double* in, size_t rows, size_t cols, double* out) {
-  constexpr size_t kTile = 32;  // 32x32 doubles = 8 KiB working set.
-  if (rows * cols < kTile * kTile) {
-    for (size_t i = 0; i < rows; ++i) {
-      const double* src = in + i * cols;
-      for (size_t j = 0; j < cols; ++j) out[j * rows + i] = src[j];
-    }
-    return;
-  }
-  for (size_t i0 = 0; i0 < rows; i0 += kTile) {
-    const size_t i1 = std::min(i0 + kTile, rows);
-    for (size_t j0 = 0; j0 < cols; j0 += kTile) {
-      const size_t j1 = std::min(j0 + kTile, cols);
-      for (size_t i = i0; i < i1; ++i) {
-        const double* src = in + i * cols;
-        for (size_t j = j0; j < j1; ++j) out[j * rows + i] = src[j];
-      }
-    }
-  }
+  RowsToColumns(in, cols, rows, cols, out, rows);
 }
 
 Matrix MatMul(const Matrix& a, const Matrix& b, const ParallelOptions& options) {

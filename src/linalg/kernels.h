@@ -8,10 +8,10 @@
 // common/parallel.h once the operand sizes justify waking the pool.
 //
 // Layout of the layer:
-//   * Pointer kernels (MatMul, MatMulABt, GramAtA, TransposeInto): the
-//     actual blocked implementations. Small problems fall through to the
-//     plain loops the kernels replaced, so tiny matrices never pay
-//     packing overhead.
+//   * Pointer kernels (MatMul, MatMulABt, GramAtA, RowsToColumns,
+//     ColumnsToRows): the actual blocked implementations. Small problems
+//     fall through to the plain loops the kernels replaced, so tiny
+//     matrices never pay packing overhead.
 //   * Matrix-level wrappers (MatMul, MatMulTransposed, ProjectOntoBasis,
 //     GramMatrix): shape-checked conveniences used by Matrix::operator*,
 //     stats::SampleCovariance and the reconstruction hot paths.
@@ -70,7 +70,29 @@ void GramAtAChunk(const double* a, size_t rows, size_t m, double* partial,
 void GramAtA(const double* a, size_t n, size_t m, double* c,
              const ParallelOptions& options = {});
 
-/// out(cols x rows) = in(rows x cols)ᵀ, cache-blocked.
+/// The two directions of the row↔column copy every columnar layer makes
+/// (column-store append and gather, the row-major pass-1 adapter, the
+/// centered Gram staging, Matrix::Transpose). Both walk the rows in
+/// fixed tiles, so the strided side of each copy stays cache-resident
+/// across the tile's m columns. Every value is copied (or shifted by one
+/// subtraction) exactly once, so the output bytes are those of the naive
+/// element loop.
+
+/// columns[j * ld_columns + r] = rows[r * ld_rows + j] for r < num_rows,
+/// j < m.
+void RowsToColumns(const double* rows, size_t ld_rows, size_t num_rows,
+                   size_t m, double* columns, size_t ld_columns);
+
+/// rows[r * ld_rows + j] = columns[j][first_row + r] − offset[j] for
+/// r < num_rows, j < m; a plain copy when `offset` is null. Column j may
+/// live anywhere (`columns` holds one pointer per attribute, as a
+/// pipeline::ColumnarBlockStream serves them).
+void ColumnsToRows(const double* const* columns, size_t first_row,
+                   size_t num_rows, size_t m, const double* offset,
+                   double* rows, size_t ld_rows);
+
+/// out(cols x rows) = in(rows x cols)ᵀ (RowsToColumns over dense
+/// operands).
 void TransposeInto(const double* in, size_t rows, size_t cols, double* out);
 
 /// Shape-checked Matrix products routed through the pointer kernels.

@@ -318,7 +318,7 @@ SchedulerCycleResult AttackScheduler::RunCycleLocked() {
       pinned->shards = snapshot.manifest().shards.size();
     }
     return std::unique_ptr<RecordSource>(
-        new SnapshotRecordSource(std::move(snapshot)));
+        new ShardedRecordSource(std::move(snapshot).ReleaseReader()));
   };
 
   PipelineRunnerOptions runner_options;

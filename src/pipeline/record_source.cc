@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "common/failpoint.h"
+#include "linalg/kernels.h"
 
 namespace randrecon {
 namespace pipeline {
@@ -16,7 +17,40 @@ namespace {
 /// on its Nth chunk without corrupting any file.
 Failpoint fp_next_chunk("source.next_chunk");
 
+/// Points `columns` at every attribute of one mapped store block and
+/// returns its record count. The first column's fetch verifies the block
+/// checksum; the rest hit the verified bitmap.
+Result<size_t> ServeBlock(data::ColumnStoreReader* reader, size_t block,
+                          std::vector<const double*>* columns) {
+  const size_t m = reader->num_attributes();
+  columns->resize(m);
+  for (size_t j = 0; j < m; ++j) {
+    RR_ASSIGN_OR_RETURN((*columns)[j], reader->BlockColumn(block, j));
+  }
+  return reader->rows_in_block(block);
+}
+
 }  // namespace
+
+TransposingBlockStream::TransposingBlockStream(RecordSource* source,
+                                               size_t chunk_rows)
+    : source_(source),
+      chunk_(chunk_rows, source->num_attributes()),
+      columns_(chunk_rows * source->num_attributes()) {
+  RR_CHECK_GT(chunk_rows, 0u) << "TransposingBlockStream: zero chunk_rows";
+}
+
+Result<size_t> TransposingBlockStream::NextBlockColumns(
+    std::vector<const double*>* columns) {
+  RR_ASSIGN_OR_RETURN(const size_t rows, source_->NextChunk(&chunk_));
+  const size_t m = chunk_.cols();
+  const size_t stride = chunk_.rows();
+  linalg::kernels::RowsToColumns(chunk_.data(), m, rows, m, columns_.data(),
+                                 stride);
+  columns->resize(m);
+  for (size_t j = 0; j < m; ++j) (*columns)[j] = columns_.data() + j * stride;
+  return rows;
+}
 
 Result<size_t> MatrixRecordSource::NextChunk(linalg::Matrix* buffer) {
   RR_CHECK_EQ(buffer->cols(), records_->cols())
@@ -66,14 +100,8 @@ Result<size_t> ColumnStoreRecordSource::NextChunk(linalg::Matrix* buffer) {
 Result<size_t> ColumnStoreRecordSource::NextBlockColumns(
     std::vector<const double*>* columns) {
   if (next_block_ == reader_.num_blocks()) return size_t{0};
-  const size_t m = reader_.num_attributes();
-  columns->resize(m);
-  for (size_t j = 0; j < m; ++j) {
-    // The first column's fetch verifies the block checksum; the rest hit
-    // the verified bitmap.
-    RR_ASSIGN_OR_RETURN((*columns)[j], reader_.BlockColumn(next_block_, j));
-  }
-  const size_t rows = reader_.rows_in_block(next_block_);
+  RR_ASSIGN_OR_RETURN(const size_t rows,
+                      ServeBlock(&reader_, next_block_, columns));
   ++next_block_;
   return rows;
 }
@@ -115,54 +143,8 @@ Result<size_t> ShardedRecordSource::NextBlockColumns(
       block_in_shard_ = 0;
       continue;
     }
-    const size_t m = shard->num_attributes();
-    columns->resize(m);
-    for (size_t j = 0; j < m; ++j) {
-      RR_ASSIGN_OR_RETURN((*columns)[j],
-                          shard->BlockColumn(block_in_shard_, j));
-    }
-    const size_t rows = shard->rows_in_block(block_in_shard_);
-    ++block_in_shard_;
-    return rows;
-  }
-}
-
-Result<size_t> SnapshotRecordSource::NextChunk(linalg::Matrix* buffer) {
-  RR_CHECK_EQ(buffer->cols(), snapshot_.num_attributes())
-      << "SnapshotRecordSource: chunk buffer width mismatch";
-  RR_FAILPOINT(fp_next_chunk);
-  const size_t rows =
-      std::min(buffer->rows(), snapshot_.num_records() - next_row_);
-  if (rows > 0) {
-    RR_RETURN_NOT_OK(snapshot_.ReadRows(next_row_, rows, buffer));
-    next_row_ += rows;
-  }
-  return rows;
-}
-
-Result<size_t> SnapshotRecordSource::NextBlockColumns(
-    std::vector<const double*>* columns) {
-  // Identical enumeration to ShardedRecordSource::NextBlockColumns —
-  // the bitwise contract between a scheduled snapshot attack and an
-  // offline sweep over the same manifest depends on the two sources
-  // serving the same ragged block sequence.
-  data::ShardedStoreReader& reader = snapshot_.store_reader();
-  for (;;) {
-    if (block_shard_ == reader.num_shards()) return size_t{0};
-    RR_ASSIGN_OR_RETURN(data::ColumnStoreReader * shard,
-                        reader.shard(block_shard_));
-    if (block_in_shard_ == shard->num_blocks()) {
-      ++block_shard_;
-      block_in_shard_ = 0;
-      continue;
-    }
-    const size_t m = shard->num_attributes();
-    columns->resize(m);
-    for (size_t j = 0; j < m; ++j) {
-      RR_ASSIGN_OR_RETURN((*columns)[j],
-                          shard->BlockColumn(block_in_shard_, j));
-    }
-    const size_t rows = shard->rows_in_block(block_in_shard_);
+    RR_ASSIGN_OR_RETURN(const size_t rows,
+                        ServeBlock(shard, block_in_shard_, columns));
     ++block_in_shard_;
     return rows;
   }

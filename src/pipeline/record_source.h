@@ -14,10 +14,18 @@
 //   * ColumnStoreRecordSource — a memory-mapped binary column store via
 //                               data::ColumnStoreReader (docs/FORMAT.md);
 //                               the native backend, ~10-100x CSV ingest.
+//   * ShardedRecordSource     — a sharded store (manifest + shards), opened
+//                               from a path or handed an already-pinned
+//                               rolling-store snapshot.
 //   * MvnRecordSource         — a seeded synthetic N(µ, Σ) population of
 //                               fixed size, regenerated per pass.
 //   * PerturbingRecordSource  — decorator turning any source X into the
 //                               attacker-visible stream Y = X + R.
+//
+// Column blocks (ColumnarBlockStream) are how the attack's pass 1 reads
+// every source: the two store-backed sources serve their mapped blocks
+// zero-copy, and every other source reaches the same interface through
+// TransposingBlockStream, which transposes each row-major chunk once.
 //
 // source_factory.h opens a path as whichever file-backed source its
 // leading bytes identify.
@@ -36,7 +44,6 @@
 #include "common/result.h"
 #include "data/column_store.h"
 #include "data/csv.h"
-#include "data/rolling_store.h"
 #include "data/shard_store.h"
 #include "linalg/matrix.h"
 #include "perturb/schemes.h"
@@ -46,12 +53,13 @@
 namespace randrecon {
 namespace pipeline {
 
-/// Zero-copy columnar block access — the capability mmap'd store-backed
-/// sources expose so columnar consumers (pass-1 moment accumulation) can
-/// skip the columnar→row-major gather entirely. Blocks partition the
-/// stream in record order; NextBlockColumns serves every attribute of
-/// one block as a contiguous slice straight out of the mapping. The
-/// block cursor is independent of the row-major NextChunk cursor.
+/// Columnar block access — the one interface the attack's moment sweeps
+/// iterate. Blocks partition the stream in record order; NextBlockColumns
+/// serves every attribute of one block as a contiguous slice. Store-backed
+/// sources serve slices straight out of the mapping; any other source is
+/// adapted by TransposingBlockStream. A source's block cursor is
+/// independent of its row-major NextChunk cursor unless the source is the
+/// adapter itself.
 class ColumnarBlockStream {
  public:
   virtual ~ColumnarBlockStream() = default;
@@ -61,9 +69,9 @@ class ColumnarBlockStream {
 
   /// Fills `columns` (resized to m) with one pointer per attribute into
   /// the next block and returns its record count; 0 means exhausted.
-  /// Pointers stay valid until the owning source is destroyed. Fails
-  /// like the backing reader (e.g. a block checksum mismatch naming the
-  /// block).
+  /// Pointers stay valid until the next NextBlockColumns or ResetBlocks
+  /// call. Fails like the backing reader (e.g. a block checksum mismatch
+  /// naming the block).
   virtual Result<size_t> NextBlockColumns(
       std::vector<const double*>* columns) = 0;
 };
@@ -85,10 +93,31 @@ class RecordSource {
   /// is exhausted.
   virtual Result<size_t> NextChunk(linalg::Matrix* buffer) = 0;
 
-  /// The columnar fast-path capability, or null for sources that only
-  /// serve row-major chunks. The returned stream serves the SAME records
-  /// in the same order as NextChunk.
+  /// The source's own zero-copy column blocks, or null for sources that
+  /// only serve row-major chunks (wrap those in TransposingBlockStream).
+  /// The returned stream serves the SAME records in the same order as
+  /// NextChunk.
   virtual ColumnarBlockStream* columnar_blocks() { return nullptr; }
+};
+
+/// Serves a row-major source as column blocks: each block is one
+/// NextChunk of up to `chunk_rows` records, transposed into m contiguous
+/// column slices (kernels::RowsToColumns). The values are copied, never
+/// computed, so a consumer sees the same bits as the row-major chunk.
+/// ResetBlocks rewinds the wrapped source itself. The source is borrowed
+/// and must outlive the adapter.
+class TransposingBlockStream final : public ColumnarBlockStream {
+ public:
+  TransposingBlockStream(RecordSource* source, size_t chunk_rows);
+
+  Status ResetBlocks() override { return source_->Reset(); }
+  Result<size_t> NextBlockColumns(
+      std::vector<const double*>* columns) override;
+
+ private:
+  RecordSource* source_;
+  linalg::Matrix chunk_;         ///< chunk_rows x m, row-major.
+  std::vector<double> columns_;  ///< m x chunk_rows, one slice per column.
 };
 
 /// Streams an in-memory record matrix. Owns its copy when constructed by
@@ -157,8 +186,8 @@ class CsvRecordSource final : public RecordSource {
 /// record n's bytes are at a closed-form offset, so chunking is a strided
 /// gather out of the page cache and Reset() is free. Block checksums are
 /// verified on first touch; a corrupt block surfaces as the reader's
-/// InvalidArgument naming the block, never a crash. Also serves the
-/// columnar fast path (zero-copy BlockColumn slices).
+/// InvalidArgument naming the block, never a crash. Also serves its
+/// blocks as zero-copy column slices (BlockColumn).
 class ColumnStoreRecordSource final : public RecordSource,
                                       public ColumnarBlockStream {
  public:
@@ -202,8 +231,15 @@ class ColumnStoreRecordSource final : public RecordSource,
 /// is bitwise identical to the attack over the equivalent single file.
 /// Shards open lazily; every shard-level failure (missing/truncated/
 /// swapped/resealed shard, schema mismatch) surfaces as a Status naming
-/// the shard. Serves the columnar fast path across shards (each shard's
+/// the shard. Serves its column blocks across shards (each shard's
 /// blocks in order).
+///
+/// The attack scheduler constructs one over a pinned rolling-store
+/// snapshot (data::RollingStoreSnapshotReader::ReleaseReader): every shard
+/// is then open up front, so a concurrent writer's rotations and
+/// retention can never fail a read mid-attack, and a scheduled cycle runs
+/// the same class, hence the same record order and block geometry, as an
+/// offline sweep over the same manifest.
 class ShardedRecordSource final : public RecordSource,
                                   public ColumnarBlockStream {
  public:
@@ -212,6 +248,10 @@ class ShardedRecordSource final : public RecordSource,
   static Result<ShardedRecordSource> Open(
       const std::string& manifest_path,
       data::ColumnStoreReadOptions store_options = {});
+
+  /// Streams an already-opened reader (e.g. a pinned snapshot's).
+  explicit ShardedRecordSource(data::ShardedStoreReader reader)
+      : reader_(std::move(reader)) {}
 
   const std::vector<std::string>& attribute_names() const {
     return reader_.attribute_names();
@@ -235,56 +275,7 @@ class ShardedRecordSource final : public RecordSource,
       std::vector<const double*>* columns) override;
 
  private:
-  explicit ShardedRecordSource(data::ShardedStoreReader reader)
-      : reader_(std::move(reader)) {}
-
   data::ShardedStoreReader reader_;
-  size_t next_row_ = 0;
-  size_t block_shard_ = 0;
-  size_t block_in_shard_ = 0;
-};
-
-/// Streams a PINNED rolling-store snapshot
-/// (data::RollingStoreSnapshotReader) — the attack scheduler's input.
-/// Serves the exact record order and block geometry ShardedRecordSource
-/// serves over the same manifest, so an attack through this source is
-/// bitwise identical to one through ShardedRecordSource::Open on the
-/// same published snapshot — but because every shard is pinned up
-/// front, a concurrent writer's rotations and retention can never fail
-/// a read mid-attack. Construct from RollingStoreSnapshotReader::Open
-/// (or ::Pin); takes ownership of the snapshot.
-class SnapshotRecordSource final : public RecordSource,
-                                   public ColumnarBlockStream {
- public:
-  explicit SnapshotRecordSource(data::RollingStoreSnapshotReader snapshot)
-      : snapshot_(std::move(snapshot)) {}
-
-  const std::vector<std::string>& attribute_names() const {
-    return snapshot_.attribute_names();
-  }
-  size_t num_records() const { return snapshot_.num_records(); }
-  size_t num_shards() const { return snapshot_.num_shards(); }
-  const data::ShardManifest& manifest() const { return snapshot_.manifest(); }
-  size_t num_attributes() const override {
-    return snapshot_.num_attributes();
-  }
-  Status Reset() override {
-    next_row_ = 0;
-    return Status::OK();
-  }
-  Result<size_t> NextChunk(linalg::Matrix* buffer) override;
-
-  ColumnarBlockStream* columnar_blocks() override { return this; }
-  Status ResetBlocks() override {
-    block_shard_ = 0;
-    block_in_shard_ = 0;
-    return Status::OK();
-  }
-  Result<size_t> NextBlockColumns(
-      std::vector<const double*>* columns) override;
-
- private:
-  data::RollingStoreSnapshotReader snapshot_;
   size_t next_row_ = 0;
   size_t block_shard_ = 0;
   size_t block_in_shard_ = 0;

@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <utility>
+#include <vector>
 
 #include "common/metrics.h"
 #include "common/trace.h"
@@ -110,45 +112,43 @@ Result<StreamingAttackReport> StreamingAttackPipeline::Run(
         "StreamingAttackPipeline: reference stream width mismatch");
   }
 
-  linalg::Matrix chunk(options_.chunk_rows, m);
-
   // ---- Pass 1: moments (two sweeps) + one eigendecomposition. ---------
-  // Store-backed sources expose zero-copy columnar block slices; the
-  // moment sweeps then run straight over the mapping, skipping the
-  // columnar→row-major gather entirely. The columnar accumulators are
-  // bitwise identical to the row-major ones (stats/streaming_moments.h),
-  // so which path runs never changes the covariance.
+  // Both sweeps read column blocks: store-backed sources serve their
+  // mapped blocks zero-copy, and any other source is transposed chunk by
+  // chunk. The accumulators fold each column in record order and stage
+  // the Gram at fixed global record indices, so the block geometry never
+  // changes the covariance.
   m_attack_runs.Add(1);
   const uint64_t run_start_nanos = trace::NowNanos();
   stats::StreamingMoments moments(m, options_.parallel);
-  ColumnarBlockStream* columnar = disguised->columnar_blocks();
-  std::vector<const double*> block_columns;
+  std::optional<TransposingBlockStream> transposed;
+  ColumnarBlockStream* blocks = disguised->columnar_blocks();
+  if (blocks == nullptr) {
+    transposed.emplace(disguised, options_.chunk_rows);
+    blocks = &*transposed;
+  }
+  std::vector<const double*> columns;
+  // One sweep over every block; returns the records it saw.
+  auto sweep = [&](auto accumulate) -> Result<size_t> {
+    RR_RETURN_NOT_OK(blocks->ResetBlocks());
+    size_t records = 0;
+    for (;;) {
+      const uint64_t chunk_start = trace::NowNanos();
+      RR_ASSIGN_OR_RETURN(const size_t rows,
+                          blocks->NextBlockColumns(&columns));
+      if (rows == 0) return records;
+      accumulate(rows);
+      records += rows;
+      m_pass1_chunk_nanos.Record(NanosSince(chunk_start));
+      m_chunks_pass1.Add(1);
+    }
+  };
   {
     trace::TraceSpan means_span("attack.pass1_means");
-    if (columnar != nullptr) {
-      RR_RETURN_NOT_OK(columnar->ResetBlocks());
-      for (;;) {
-        const uint64_t chunk_start = trace::NowNanos();
-        RR_ASSIGN_OR_RETURN(const size_t rows,
-                            columnar->NextBlockColumns(&block_columns));
-        if (rows == 0) break;
-        moments.AccumulateMeansColumns(block_columns.data(), rows);
-        m_pass1_chunk_nanos.Record(NanosSince(chunk_start));
-        m_chunks_pass1.Add(1);
-        m_records_pass1.Add(rows);
-      }
-    } else {
-      RR_RETURN_NOT_OK(disguised->Reset());
-      for (;;) {
-        const uint64_t chunk_start = trace::NowNanos();
-        RR_ASSIGN_OR_RETURN(const size_t rows, disguised->NextChunk(&chunk));
-        if (rows == 0) break;
-        moments.AccumulateMeans(chunk, rows);
-        m_pass1_chunk_nanos.Record(NanosSince(chunk_start));
-        m_chunks_pass1.Add(1);
-        m_records_pass1.Add(rows);
-      }
-    }
+    RR_ASSIGN_OR_RETURN(const size_t records, sweep([&](size_t rows) {
+      moments.AccumulateMeansColumns(columns.data(), rows);
+    }));
+    m_records_pass1.Add(records);
   }
   const size_t n = moments.num_records();
   if (n < 2) {
@@ -160,31 +160,11 @@ Result<StreamingAttackReport> StreamingAttackPipeline::Run(
   size_t scatter_records = 0;
   {
     trace::TraceSpan scatter_span("attack.pass1_scatter");
-    if (columnar != nullptr) {
-      RR_RETURN_NOT_OK(columnar->ResetBlocks());
-      for (;;) {
-        const uint64_t chunk_start = trace::NowNanos();
-        RR_ASSIGN_OR_RETURN(const size_t rows,
-                            columnar->NextBlockColumns(&block_columns));
-        if (rows == 0) break;
-        moments.AccumulateScatterColumns(block_columns.data(), rows);
-        scatter_records += rows;
-        m_pass1_chunk_nanos.Record(NanosSince(chunk_start));
-        m_chunks_pass1.Add(1);
-      }
-    } else {
-      RR_RETURN_NOT_OK(disguised->Reset());
-      for (;;) {
-        const uint64_t chunk_start = trace::NowNanos();
-        RR_ASSIGN_OR_RETURN(const size_t rows, disguised->NextChunk(&chunk));
-        if (rows == 0) break;
-        moments.AccumulateScatter(chunk, rows);
-        scatter_records += rows;
-        m_pass1_chunk_nanos.Record(NanosSince(chunk_start));
-        m_chunks_pass1.Add(1);
-      }
-    }
+    RR_ASSIGN_OR_RETURN(scatter_records, sweep([&](size_t rows) {
+      moments.AccumulateScatterColumns(columns.data(), rows);
+    }));
   }
+  transposed.reset();  // Pass 2 allocates its own chunk buffers.
   // A drifting source (records appended/lost between sweeps) is a data
   // error, not a programming error: fail the job before the accumulator's
   // own count RR_CHECK would abort the process.
@@ -206,6 +186,7 @@ Result<StreamingAttackReport> StreamingAttackPipeline::Run(
 
   // ---- Pass 2: project every chunk through the basis. -----------------
   RR_RETURN_NOT_OK(disguised->Reset());
+  linalg::Matrix chunk(options_.chunk_rows, m);
   if (reference != nullptr) RR_RETURN_NOT_OK(reference->Reset());
   linalg::Matrix reference_chunk(reference != nullptr ? options_.chunk_rows : 0,
                                  reference != nullptr ? m : 0);

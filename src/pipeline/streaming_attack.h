@@ -9,8 +9,9 @@
 // moment accumulator's fixed 4096-row staging block, which dominates if
 // chunk_rows is shrunk below it:
 //
-//   Pass 1 — moments: stream Y through stats::StreamingMoments (two
-//     sweeps: means, then centered scatter), eigendecompose ONCE:
+//   Pass 1 — moments: stream Y as column blocks (ColumnarBlockStream,
+//     record_source.h) through stats::StreamingMoments (two sweeps:
+//     means, then centered scatter), eigendecompose ONCE:
 //       SF      — eigenvectors of Cov(Y), p from the Marchenko–Pastur
 //                 bound (core::SelectSfComponents);
 //       PCA-DR  — Theorem 5.1/8.2 estimate Σ̂x = Cov(Y) − Σr
@@ -25,7 +26,8 @@
 // covariance is BITWISE equal to the in-memory stats::SampleCovariance,
 // so the eigenbasis and component count match the in-memory attack
 // exactly; the chunked projection agrees with core::PcaReconstructor /
-// SpectralFilteringReconstructor to <= 1e-10 per entry.
+// SpectralFilteringReconstructor to <= 1e-10 per entry, and is bitwise
+// the same for every chunk_rows.
 
 #ifndef RANDRECON_PIPELINE_STREAMING_ATTACK_H_
 #define RANDRECON_PIPELINE_STREAMING_ATTACK_H_

@@ -18,36 +18,35 @@ StreamingMoments::StreamingMoments(size_t num_attributes,
   RR_CHECK_GT(num_attributes, 0u) << "StreamingMoments: zero attributes";
 }
 
-void StreamingMoments::AccumulateMeans(const double* rows, size_t num_rows) {
-  RR_CHECK(phase_ == Phase::kMeans)
-      << "StreamingMoments: AccumulateMeans after FinalizeMeans";
-  // Strictly record-ordered accumulation: the exact summation order of
-  // stats::ColumnMeans, independent of how the stream is chunked.
-  const size_t m = num_attributes_;
-  for (size_t i = 0; i < num_rows; ++i) {
-    const double* row = rows + i * m;
-    for (size_t j = 0; j < m; ++j) sums_[j] += row[j];
-  }
-  mean_count_ += num_rows;
-}
-
-void StreamingMoments::AccumulateMeans(const linalg::Matrix& chunk,
-                                       size_t num_rows) {
-  RR_CHECK_EQ(chunk.cols(), num_attributes_) << "chunk width mismatch";
-  RR_CHECK_LE(num_rows, chunk.rows()) << "more rows than the chunk holds";
-  AccumulateMeans(chunk.data(), num_rows);
-}
-
 void StreamingMoments::AccumulateMeansColumns(const double* const* columns,
                                               size_t num_rows) {
   RR_CHECK(phase_ == Phase::kMeans)
       << "StreamingMoments: AccumulateMeansColumns after FinalizeMeans";
-  // sums_[j] folds only column j's values, in record order — exactly the
-  // additions the row-major loop performs on it, so the two forms are
-  // bitwise interchangeable. Iterating per column turns the strided
-  // row-major reads into contiguous ones (the fast path for mmap'd
-  // BlockColumn slices).
-  for (size_t j = 0; j < num_attributes_; ++j) {
+  // sums_[j] folds only column j's values, in record order: the exact
+  // summation order of stats::ColumnMeans. Four columns advance together
+  // so their independent add chains overlap; each column's order is
+  // untouched.
+  const size_t m = num_attributes_;
+  size_t j = 0;
+  for (; j + 4 <= m; j += 4) {
+    const double* c0 = columns[j];
+    const double* c1 = columns[j + 1];
+    const double* c2 = columns[j + 2];
+    const double* c3 = columns[j + 3];
+    double s0 = sums_[j], s1 = sums_[j + 1], s2 = sums_[j + 2],
+           s3 = sums_[j + 3];
+    for (size_t i = 0; i < num_rows; ++i) {
+      s0 += c0[i];
+      s1 += c1[i];
+      s2 += c2[i];
+      s3 += c3[i];
+    }
+    sums_[j] = s0;
+    sums_[j + 1] = s1;
+    sums_[j + 2] = s2;
+    sums_[j + 3] = s3;
+  }
+  for (; j < m; ++j) {
     const double* column = columns[j];
     double sum = sums_[j];
     for (size_t i = 0; i < num_rows; ++i) sum += column[i];
@@ -70,11 +69,10 @@ const linalg::Vector& StreamingMoments::means() const {
   return means_;
 }
 
-void StreamingMoments::AccumulateScatterSpans(
-    size_t num_rows,
-    const std::function<void(size_t, size_t, double*)>& stage) {
+void StreamingMoments::AccumulateScatterColumns(const double* const* columns,
+                                                size_t num_rows) {
   RR_CHECK(phase_ == Phase::kScatter)
-      << "StreamingMoments: AccumulateScatter outside the scatter phase";
+      << "StreamingMoments: AccumulateScatterColumns outside the scatter phase";
   const size_t m = num_attributes_;
   if (staging_.empty() && num_rows > 0) {
     staging_.resize(kGramChunkRows * m);
@@ -85,54 +83,17 @@ void StreamingMoments::AccumulateScatterSpans(
   while (consumed < num_rows) {
     const size_t span = std::min(num_rows - consumed,
                                  kGramChunkRows - staging_rows_);
-    stage(consumed, span, staging_.data() + staging_rows_ * m);
+    // Centered rows x_ij − µ_j: the element-wise op CenterColumns applies.
+    linalg::kernels::ColumnsToRows(columns, consumed, span, m, means_.data(),
+                                   staging_.data() + staging_rows_ * m, m);
     staging_rows_ += span;
     consumed += span;
     // Flushes happen exactly every kGramChunkRows records, so block
     // boundaries sit at global record indices that are multiples of the
-    // constant — invariant to the caller's chunk sizes AND to which
-    // entry point (row-major or columnar) staged each span.
+    // constant — invariant to the caller's block sizes.
     if (staging_rows_ == kGramChunkRows) FlushStagingBlock();
   }
   scatter_count_ += num_rows;
-}
-
-void StreamingMoments::AccumulateScatter(const double* rows, size_t num_rows) {
-  const size_t m = num_attributes_;
-  AccumulateScatterSpans(
-      num_rows, [&](size_t consumed, size_t span, double* staged) {
-        const double* source = rows + consumed * m;
-        for (size_t i = 0; i < span; ++i) {
-          for (size_t j = 0; j < m; ++j) {
-            // The same centering op CenterColumns applies element-wise.
-            staged[i * m + j] = source[i * m + j] - means_[j];
-          }
-        }
-      });
-}
-
-void StreamingMoments::AccumulateScatter(const linalg::Matrix& chunk,
-                                         size_t num_rows) {
-  RR_CHECK_EQ(chunk.cols(), num_attributes_) << "chunk width mismatch";
-  RR_CHECK_LE(num_rows, chunk.rows()) << "more rows than the chunk holds";
-  AccumulateScatter(chunk.data(), num_rows);
-}
-
-void StreamingMoments::AccumulateScatterColumns(const double* const* columns,
-                                                size_t num_rows) {
-  // Center straight from the contiguous column slices into the staging
-  // block: the same value lands at the same staging offset as in the
-  // row-major form, so the bits match.
-  const size_t m = num_attributes_;
-  AccumulateScatterSpans(
-      num_rows, [&](size_t consumed, size_t span, double* staged) {
-        for (size_t j = 0; j < m; ++j) {
-          const double* column = columns[j] + consumed;
-          const double mean = means_[j];
-          double* out = staged + j;
-          for (size_t i = 0; i < span; ++i) out[i * m] = column[i] - mean;
-        }
-      });
 }
 
 void StreamingMoments::FlushStagingBlock() {

@@ -20,20 +20,22 @@
 //       the accumulation structure kernels::GramAtA pins for the
 //       in-memory path.
 //
+// Records arrive as column blocks: `columns[j]` points at `num_rows`
+// contiguous values of attribute j (a mapped store block served zero-copy,
+// or a row-major chunk transposed once by pipeline::TransposingBlockStream).
 // Usage is two-phase because exact centering needs the means first (the
 // one-pass raw-moment formula Σxxᵀ/n − µµᵀ is neither bitwise compatible
 // nor numerically safe for data with large means):
 //
 //   StreamingMoments moments(m);
-//   for (chunk : stream) moments.AccumulateMeans(chunk, rows);
+//   for (block : stream) moments.AccumulateMeansColumns(block, rows);
 //   moments.FinalizeMeans();
-//   for (chunk : re-streamed) moments.AccumulateScatter(chunk, rows);
+//   for (block : re-streamed) moments.AccumulateScatterColumns(block, rows);
 //   linalg::Matrix cov = moments.FinalizeCovariance();
 
 #ifndef RANDRECON_STATS_STREAMING_MOMENTS_H_
 #define RANDRECON_STATS_STREAMING_MOMENTS_H_
 
-#include <functional>
 #include <vector>
 
 #include "common/parallel.h"
@@ -53,18 +55,10 @@ class StreamingMoments {
   explicit StreamingMoments(size_t num_attributes,
                             const ParallelOptions& options = {});
 
-  /// Phase 1: feeds `num_rows` records (row-major, num_attributes wide).
-  void AccumulateMeans(const double* rows, size_t num_rows);
-
-  /// Phase 1 convenience over a chunk buffer's leading rows.
-  void AccumulateMeans(const linalg::Matrix& chunk, size_t num_rows);
-
-  /// Phase 1, columnar form: `columns[j]` points at `num_rows` contiguous
-  /// values of attribute j (e.g. a ColumnStoreReader::BlockColumn slice),
-  /// so mmap'd stores feed the accumulator zero-copy. BITWISE identical
-  /// to the row-major form: sums_[j] folds only column j's values, in
-  /// record order, under either iteration — the forms are interchangeable
-  /// mid-stream.
+  /// Phase 1: feeds `num_rows` records as column slices — `columns[j]`
+  /// points at `num_rows` contiguous values of attribute j. sums_[j] folds
+  /// only column j's values, in record order, so any split of the stream
+  /// into blocks gives the same bits.
   void AccumulateMeansColumns(const double* const* columns, size_t num_rows);
 
   /// Ends phase 1 (requires at least one record) and fixes the means.
@@ -74,15 +68,9 @@ class StreamingMoments {
   const linalg::Vector& means() const;
 
   /// Phase 2: feeds the SAME record stream again, in the same order.
-  void AccumulateScatter(const double* rows, size_t num_rows);
-
-  /// Phase 2 convenience over a chunk buffer's leading rows.
-  void AccumulateScatter(const linalg::Matrix& chunk, size_t num_rows);
-
-  /// Phase 2, columnar form. Centers straight from the column slices into
-  /// the same staging block (identical values at identical staging
-  /// offsets, flushed at the same global record indices), so the
-  /// covariance is bitwise identical to the row-major form.
+  /// Centered rows are staged into fixed kGramChunkRows blocks (one tiled
+  /// kernels::ColumnsToRows per span), flushed at the same global record
+  /// indices whatever the block sizes.
   void AccumulateScatterColumns(const double* const* columns, size_t num_rows);
 
   /// Ends phase 2 and returns the m x m sample covariance (ddof = 0:
@@ -96,16 +84,6 @@ class StreamingMoments {
   size_t num_attributes() const { return num_attributes_; }
 
  private:
-  /// The one copy of the scatter staging skeleton (lazy buffer init,
-  /// span loop, flush exactly at kGramChunkRows boundaries) that the
-  /// bitwise contract depends on. `stage(consumed, span, staged)`
-  /// centers records [consumed, consumed + span) of the caller's input
-  /// into the staging rows at `staged` — the only part that differs
-  /// between the row-major and columnar entry points.
-  void AccumulateScatterSpans(
-      size_t num_rows,
-      const std::function<void(size_t, size_t, double*)>& stage);
-
   void FlushStagingBlock();
 
   enum class Phase { kMeans, kScatter, kDone };

@@ -5,7 +5,11 @@
 
 #include "linalg/kernels.h"
 
+#include <algorithm>
 #include <cstdlib>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -194,6 +198,120 @@ TEST(KernelsTest, OperatorStarRoutesThroughKernels) {
   const Matrix a = rng.GaussianMatrix(140, 140);
   const Matrix b = rng.GaussianMatrix(140, 140);
   EXPECT_EQ(MaxAbsDifference(a * b, kernels::MatMul(a, b)), 0.0);
+}
+
+// A row's product must not depend on how many rows share the call: the
+// streamed projection runs the same rows in chunks of any size. The shapes
+// are pass 2's (scores · Q̂ᵀ with p = 4 at m = 128, and centered · Q̂ at
+// m > kKc) plus the MVN factor product at m = 32.
+TEST(KernelsTest, RowsDoNotDependOnHowManyShareTheCall) {
+  stats::Rng rng(53);
+  struct Shape {
+    bool abt;
+    size_t k, n;
+  };
+  for (const Shape shape : {Shape{true, 4, 128}, Shape{true, 4, 64},
+                            Shape{true, 32, 32}, Shape{false, 128, 4},
+                            Shape{false, 300, 4}}) {
+    const size_t rows = kernels::kGramChunkRows;
+    const Matrix a = rng.GaussianMatrix(rows, shape.k);
+    const Matrix b = shape.abt ? rng.GaussianMatrix(shape.n, shape.k)
+                               : rng.GaussianMatrix(shape.k, shape.n);
+    auto product = [&](size_t row0, size_t count, double* out) {
+      if (shape.abt) {
+        kernels::MatMulABt(a.row_data(row0), b.data(), out, count, shape.k,
+                           shape.n);
+      } else {
+        kernels::MatMul(a.row_data(row0), b.data(), out, count, shape.k,
+                        shape.n);
+      }
+    };
+    std::vector<double> whole(rows * shape.n);
+    std::vector<double> pieces(rows * shape.n);
+    product(0, rows, whole.data());
+    for (size_t row0 = 0; row0 < rows; row0 += 100) {
+      product(row0, std::min<size_t>(100, rows - row0),
+              pieces.data() + row0 * shape.n);
+    }
+    EXPECT_EQ(std::memcmp(whole.data(), pieces.data(),
+                          whole.size() * sizeof(double)),
+              0)
+        << (shape.abt ? "MatMulABt" : "MatMul") << " k=" << shape.k
+        << " n=" << shape.n;
+  }
+}
+
+/// The naive element loops the tiled transposes replace.
+void NaiveRowsToColumns(const double* rows, size_t ld_rows, size_t num_rows,
+                        size_t m, double* columns, size_t ld_columns) {
+  for (size_t j = 0; j < m; ++j) {
+    for (size_t r = 0; r < num_rows; ++r) {
+      columns[j * ld_columns + r] = rows[r * ld_rows + j];
+    }
+  }
+}
+
+void NaiveColumnsToRows(const double* const* columns, size_t first_row,
+                        size_t num_rows, size_t m, const double* offset,
+                        double* rows, size_t ld_rows) {
+  for (size_t j = 0; j < m; ++j) {
+    for (size_t r = 0; r < num_rows; ++r) {
+      const double value = columns[j][first_row + r];
+      rows[r * ld_rows + j] = offset != nullptr ? value - offset[j] : value;
+    }
+  }
+}
+
+// Both directions, with leading dimensions wider than the copied block and
+// a row offset into the columns, memcmp-equal to the naive loops on shapes
+// at and across the row-tile edges. Untouched padding must stay untouched.
+TEST(KernelsTest, TiledTransposesAreBitwiseTheNaiveLoops) {
+  stats::Rng rng(54);
+  struct Shape {
+    size_t rows, m;
+  };
+  for (const Shape shape : {Shape{1, 1}, Shape{31, 33}, Shape{4096, 128}}) {
+    const size_t ld_rows = shape.m + 3;
+    const size_t ld_columns = shape.rows + 5;
+    const size_t first_row = 2;
+    const Matrix source = rng.GaussianMatrix(shape.rows + first_row, ld_rows);
+    const Matrix offset_source = rng.GaussianMatrix(1, shape.m);
+    const std::string where =
+        std::to_string(shape.rows) + "x" + std::to_string(shape.m);
+
+    std::vector<double> tiled(shape.m * ld_columns, -1.0);
+    std::vector<double> naive(shape.m * ld_columns, -1.0);
+    kernels::RowsToColumns(source.data(), ld_rows, shape.rows, shape.m,
+                           tiled.data(), ld_columns);
+    NaiveRowsToColumns(source.data(), ld_rows, shape.rows, shape.m,
+                       naive.data(), ld_columns);
+    EXPECT_EQ(std::memcmp(tiled.data(), naive.data(),
+                          tiled.size() * sizeof(double)),
+              0)
+        << "rows->columns " << where;
+
+    // Columns anywhere: slices of one pool in reverse order, with gaps.
+    const size_t slice = shape.rows + first_row + 3;
+    const Matrix pool = rng.GaussianMatrix(shape.m, slice);
+    std::vector<const double*> columns(shape.m);
+    for (size_t j = 0; j < shape.m; ++j) {
+      columns[j] = pool.row_data(shape.m - 1 - j);
+    }
+    for (const double* offset : {static_cast<const double*>(nullptr),
+                                 offset_source.data()}) {
+      std::vector<double> tiled_rows(shape.rows * ld_rows, -1.0);
+      std::vector<double> naive_rows(shape.rows * ld_rows, -1.0);
+      kernels::ColumnsToRows(columns.data(), first_row, shape.rows, shape.m,
+                             offset, tiled_rows.data(), ld_rows);
+      NaiveColumnsToRows(columns.data(), first_row, shape.rows, shape.m,
+                         offset, naive_rows.data(), ld_rows);
+      EXPECT_EQ(std::memcmp(tiled_rows.data(), naive_rows.data(),
+                            tiled_rows.size() * sizeof(double)),
+                0)
+          << "columns->rows " << where
+          << (offset != nullptr ? " with offset" : "");
+    }
+  }
 }
 
 TEST(KernelsTest, EmptyAndDegenerateShapes) {

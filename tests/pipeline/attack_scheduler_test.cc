@@ -72,6 +72,34 @@ void PublishShards(const std::string& manifest_path, size_t shards,
   ASSERT_TRUE(writer.Close().ok());
 }
 
+/// Publishes shards of 40, 13, 40 and 27 rows (block_rows 7, so every
+/// shard ends in a partial block): a snapshot whose shard and block
+/// boundaries are both ragged.
+void PublishRaggedShards(const std::string& manifest_path) {
+  data::RollingStoreOptions options;
+  options.shard_rows = kShardRows;
+  options.block_rows = 7;
+  auto created = data::RollingShardedStoreWriter::Create(manifest_path,
+                                                         Names(), options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  data::RollingShardedStoreWriter writer = std::move(created).value();
+  for (size_t s = 0; s < 2; ++s) {
+    const Matrix records = ShardRecords(s);
+    ASSERT_TRUE(writer.Append(records, kShardRows).ok());
+    const size_t tail = s == 0 ? 13 : 27;
+    ASSERT_TRUE(writer.Append(ShardRecords(10 + s), tail).ok());
+    ASSERT_TRUE(writer.Rotate().ok());
+  }
+  ASSERT_TRUE(writer.Close().ok());
+  auto manifest = data::ReadShardManifest(manifest_path);
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  std::vector<uint64_t> rows;
+  for (const data::ShardManifestEntry& shard : manifest.value().shards) {
+    rows.push_back(shard.row_count);
+  }
+  EXPECT_EQ(rows, (std::vector<uint64_t>{40, 13, 40, 27}));
+}
+
 bool FileExists(const std::string& path) {
   struct stat st;
   return ::stat(path.c_str(), &st) == 0;
@@ -220,10 +248,12 @@ TEST_F(AttackSchedulerTest, RowsTriggerFiresOnPublishedGrowth) {
   ASSERT_TRUE(writer.Close().ok());
 }
 
-TEST_F(AttackSchedulerTest, CycleOutputIsBitwiseEqualToADirectPipelineRun) {
-  PublishShards(kManifest, 3);
-  AttackSchedulerOptions options = BaseOptions(kReports);
-  auto created = AttackScheduler::Create(kManifest, options);
+// The scheduled cycle over the published snapshot and a direct pipeline
+// run over the same manifest must agree bitwise.
+void ExpectCycleMatchesADirectRun(const std::string& manifest_path,
+                                  const std::string& report_dir) {
+  AttackSchedulerOptions options = BaseOptions(report_dir);
+  auto created = AttackScheduler::Create(manifest_path, options);
   ASSERT_TRUE(created.ok()) << created.status().ToString();
   SchedulerCycleResult result = created.value()->RunCycleNow();
   ASSERT_EQ(result.outcome, CycleOutcome::kOk) << result.status.ToString();
@@ -231,7 +261,7 @@ TEST_F(AttackSchedulerTest, CycleOutputIsBitwiseEqualToADirectPipelineRun) {
   // The same attack, run directly over the same manifest with the same
   // noise model — the scheduler's scheduling must be invisible in the
   // numbers.
-  auto opened = ShardedRecordSource::Open(kManifest, SerialReadOptions());
+  auto opened = ShardedRecordSource::Open(manifest_path, SerialReadOptions());
   ASSERT_TRUE(opened.ok());
   ShardedRecordSource source = std::move(opened).value();
   const perturb::NoiseModel noise =
@@ -261,13 +291,27 @@ TEST_F(AttackSchedulerTest, CycleOutputIsBitwiseEqualToADirectPipelineRun) {
 
   // And the published report names the snapshot it attacked: the
   // manifest's own trailing hash.
-  auto manifest = data::ReadShardManifest(kManifest);
+  auto manifest = data::ReadShardManifest(manifest_path);
   ASSERT_TRUE(manifest.ok());
   EXPECT_EQ(result.manifest_hash, manifest.value().manifest_hash);
   const std::string report = SlurpFile(result.report_path);
   EXPECT_NE(report.find("\"manifest_hash\":\"" +
                         data::ManifestHashHex(result.manifest_hash) + "\""),
             std::string::npos);
+}
+
+TEST_F(AttackSchedulerTest, CycleOutputIsBitwiseEqualToADirectPipelineRun) {
+  for (const bool ragged : {false, true}) {
+    SCOPED_TRACE(ragged ? "ragged shards" : "even shards");
+    data::RemoveShardedStoreFiles(kManifest);
+    RemoveReportDir(kReports);
+    if (ragged) {
+      PublishRaggedShards(kManifest);
+    } else {
+      PublishShards(kManifest, 3);
+    }
+    ExpectCycleMatchesADirectRun(kManifest, kReports);
+  }
 }
 
 TEST_F(AttackSchedulerTest, SeriesStateSurvivesARestart) {

@@ -1,9 +1,10 @@
 // ColumnStoreRecordSource / ColumnStoreChunkSink / source-factory tests,
-// including the ISSUE 4 acceptance sweep: streaming SF and PCA-DR
-// attacks over a memory-mapped column store must produce BITWISE
-// identical covariance and reconstruction output to the CsvRecordSource
-// path on round-tripped data, for chunk sizes {1, 7, 64, n} x thread
-// counts {1, 4}.
+// including the acceptance sweep: streaming SF and PCA-DR attacks over a
+// memory-mapped column store (its own zero-copy blocks) must produce
+// BITWISE identical covariance and reconstruction output to the
+// CsvRecordSource path (row-major chunks through TransposingBlockStream)
+// on round-tripped data, for store block sizes {7, 4096} x chunk sizes
+// {1, 7, 4096} x thread counts {1, 4}.
 
 #include <cstdio>
 #include <fstream>
@@ -83,10 +84,16 @@ class ColumnStoreSourceTest : public ::testing::Test {
     round_tripped_ = parsed.value().records();
     ASSERT_TRUE(
         data::WriteColumnStore(parsed.value(), store_.path()).ok());
+    data::ColumnStoreOptions small_blocks;
+    small_blocks.block_rows = 7;  // 600 = 85 x 7 + 5: a ragged last block.
+    ASSERT_TRUE(data::WriteColumnStore(parsed.value(), store7_.path(),
+                                       small_blocks)
+                    .ok());
   }
 
   ScratchFile csv_{"disguised.csv"};
   ScratchFile store_{"disguised.rrcs"};
+  ScratchFile store7_{"disguised_b7.rrcs"};
   Matrix round_tripped_;
 };
 
@@ -110,74 +117,96 @@ TEST_F(ColumnStoreSourceTest, ChunkSizeDoesNotChangeTheStream) {
   }
 }
 
+/// The streamed means and covariance over `source`, read the way the
+/// pipeline's pass 1 reads it: the source's own column blocks, else the
+/// row-major adapter at `chunk_rows`.
+Matrix StreamedCovariance(RecordSource* source, size_t chunk_rows,
+                          int threads, linalg::Vector* means) {
+  const size_t m = source->num_attributes();
+  ParallelOptions parallel;
+  parallel.num_threads = threads;
+  stats::StreamingMoments moments(m, parallel);
+  TransposingBlockStream transposed(source, chunk_rows);
+  ColumnarBlockStream* blocks = source->columnar_blocks();
+  if (blocks == nullptr) blocks = &transposed;
+  std::vector<const double*> columns;
+  for (int sweep = 0; sweep < 2; ++sweep) {
+    EXPECT_TRUE(blocks->ResetBlocks().ok());
+    for (;;) {
+      auto rows = blocks->NextBlockColumns(&columns);
+      EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+      if (!rows.ok() || rows.value() == 0) break;
+      if (sweep == 0) {
+        moments.AccumulateMeansColumns(columns.data(), rows.value());
+      } else {
+        moments.AccumulateScatterColumns(columns.data(), rows.value());
+      }
+    }
+    if (sweep == 0) moments.FinalizeMeans();
+  }
+  *means = moments.means();
+  return moments.FinalizeCovariance();
+}
+
 // The acceptance sweep: covariance and reconstruction from the mmap'd
-// store must match the CSV path BITWISE for every chunk size and thread
-// count (and therefore match each other across the whole sweep, since
-// the CSV path is already chunk/thread invariant).
+// store must match the CSV path BITWISE for every store block size,
+// chunk size and thread count (and therefore match each other across the
+// whole sweep, since the CSV path is already chunk/thread invariant).
 TEST_F(ColumnStoreSourceTest, AttacksOverStoreMatchCsvBitwise) {
   const perturb::NoiseModel noise =
       perturb::NoiseModel::IndependentGaussian(kAttributes, kSigma);
 
-  for (const size_t chunk : {size_t{1}, size_t{7}, size_t{64}, kRecords}) {
-    for (const int threads : {1, 4}) {
-      // Covariance: streamed moments over both sources, bitwise equal.
-      Matrix covariance[2];
-      for (int which = 0; which < 2; ++which) {
-        auto opened = OpenRecordSource(which == 0 ? csv_.path()
-                                                  : store_.path());
-        ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-        stats::StreamingMoments moments(kAttributes);
-        Matrix buffer(chunk, kAttributes);
-        for (;;) {
-          auto rows = opened.value().source->NextChunk(&buffer);
-          ASSERT_TRUE(rows.ok());
-          if (rows.value() == 0) break;
-          moments.AccumulateMeans(buffer, rows.value());
-        }
-        moments.FinalizeMeans();
-        ASSERT_TRUE(opened.value().source->Reset().ok());
-        for (;;) {
-          auto rows = opened.value().source->NextChunk(&buffer);
-          ASSERT_TRUE(rows.ok());
-          if (rows.value() == 0) break;
-          moments.AccumulateScatter(buffer, rows.value());
-        }
-        covariance[which] = moments.FinalizeCovariance();
-      }
-      EXPECT_TRUE(covariance[0] == covariance[1])
-          << "covariance diverged at chunk=" << chunk
-          << " threads=" << threads;
-
-      // Full attacks: reconstruction streams, bitwise equal.
-      for (const StreamingAttack attack :
-           {StreamingAttack::kSpectralFiltering, StreamingAttack::kPcaDr}) {
-        StreamingAttackOptions options;
-        options.attack = attack;
-        options.chunk_rows = chunk;
-        options.parallel.num_threads = threads;
-
-        Matrix reconstruction[2];
-        StreamingAttackReport reports[2];
+  for (const std::string* store : {&store7_.path(), &store_.path()}) {
+    for (const size_t chunk : {size_t{1}, size_t{7}, size_t{4096}}) {
+      for (const int threads : {1, 4}) {
+        const std::string where = *store + " chunk=" + std::to_string(chunk) +
+                                  " threads=" + std::to_string(threads);
+        // Covariance: streamed moments over both sources, bitwise equal.
+        Matrix covariance[2];
+        linalg::Vector means[2];
         for (int which = 0; which < 2; ++which) {
-          auto opened = OpenRecordSource(which == 0 ? csv_.path()
-                                                    : store_.path());
-          ASSERT_TRUE(opened.ok());
-          CollectChunkSink sink(kAttributes);
-          auto report = StreamingAttackPipeline(options).Run(
-              opened.value().source.get(), noise, &sink);
-          ASSERT_TRUE(report.ok()) << report.status().ToString();
-          reconstruction[which] = sink.ToMatrix();
-          reports[which] = report.value();
+          auto opened = OpenRecordSource(which == 0 ? csv_.path() : *store);
+          ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+          covariance[which] = StreamedCovariance(opened.value().source.get(),
+                                                 chunk, threads, &means[which]);
         }
-        EXPECT_TRUE(reconstruction[0] == reconstruction[1])
-            << "reconstruction diverged: attack="
-            << (attack == StreamingAttack::kPcaDr ? "pca" : "sf")
-            << " chunk=" << chunk << " threads=" << threads << " max diff "
-            << linalg::MaxAbsDifference(reconstruction[0], reconstruction[1]);
-        EXPECT_EQ(reports[0].num_components, reports[1].num_components);
-        EXPECT_EQ(reports[0].eigenvalues, reports[1].eigenvalues);
-        EXPECT_EQ(reports[0].mean, reports[1].mean);
-        EXPECT_EQ(reports[0].rmse_vs_disguised, reports[1].rmse_vs_disguised);
+        EXPECT_TRUE(covariance[0] == covariance[1])
+            << "covariance diverged at " << where;
+        EXPECT_EQ(means[0], means[1]) << where;
+
+        // Full attacks: reconstruction streams, bitwise equal.
+        for (const StreamingAttack attack :
+             {StreamingAttack::kSpectralFiltering, StreamingAttack::kPcaDr}) {
+          StreamingAttackOptions options;
+          options.attack = attack;
+          options.chunk_rows = chunk;
+          options.parallel.num_threads = threads;
+
+          Matrix reconstruction[2];
+          StreamingAttackReport reports[2];
+          for (int which = 0; which < 2; ++which) {
+            auto opened = OpenRecordSource(which == 0 ? csv_.path() : *store);
+            ASSERT_TRUE(opened.ok());
+            CollectChunkSink sink(kAttributes);
+            auto report = StreamingAttackPipeline(options).Run(
+                opened.value().source.get(), noise, &sink);
+            ASSERT_TRUE(report.ok()) << report.status().ToString();
+            reconstruction[which] = sink.ToMatrix();
+            reports[which] = report.value();
+          }
+          EXPECT_TRUE(reconstruction[0] == reconstruction[1])
+              << "reconstruction diverged: attack="
+              << (attack == StreamingAttack::kPcaDr ? "pca" : "sf") << " "
+              << where << " max diff "
+              << linalg::MaxAbsDifference(reconstruction[0],
+                                          reconstruction[1]);
+          EXPECT_EQ(reports[0].num_components, reports[1].num_components);
+          EXPECT_EQ(reports[0].eigenvalues, reports[1].eigenvalues);
+          EXPECT_EQ(reports[0].mean, reports[1].mean);
+          EXPECT_EQ(reports[0].mean, means[0]) << where;
+          EXPECT_EQ(reports[0].rmse_vs_disguised,
+                    reports[1].rmse_vs_disguised);
+        }
       }
     }
   }

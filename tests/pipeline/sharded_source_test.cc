@@ -1,15 +1,18 @@
 // ShardedRecordSource / ShardedChunkSink / job-per-shard tests,
-// including the ISSUE 5 acceptance sweep: streaming SF and PCA-DR
-// attacks over a manifest of N shards must produce BITWISE identical
-// covariance, reconstruction and report to the single-file `.rrcs` path,
-// for shard row counts {one block, misaligned, n} x threads {1, 4}.
-// Also pins the columnar pass-1 fast path (both store-backed sources
-// expose zero-copy block columns) against the row-major CSV path.
+// including the acceptance sweep: streaming SF and PCA-DR attacks over a
+// manifest of N shards must produce BITWISE identical reconstruction and
+// report to the single-file `.rrcs` path, for block sizes {7, 64, 4096},
+// shard row counts {one block, misaligned, n}, chunk sizes {1, 7, 4096}
+// and threads {1, 4}; and attaching a reference stream must leave every
+// other report field bitwise unchanged.
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -24,7 +27,6 @@
 #include "pipeline/source_factory.h"
 #include "pipeline/streaming_attack.h"
 #include "stats/rng.h"
-#include "stats/streaming_moments.h"
 
 namespace randrecon {
 namespace pipeline {
@@ -155,17 +157,42 @@ TEST_F(ShardedSourceTest, FactorySniffsManifests) {
       VerifyStreamsBitwiseEqual(store_.path(), one_block_.path()).ok());
 }
 
+/// Memcmp equality of two doubles / double vectors.
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+bool SameBits(const linalg::Vector& a, const linalg::Vector& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
 // The acceptance sweep: streaming SF and PCA-DR over every manifest
-// geometry must match the single-file store path BITWISE — covariance,
-// reconstruction stream, and report — for chunk sizes and thread counts.
+// geometry must match the single-file store path BITWISE — reconstruction
+// stream and report — for every block size, chunk size and thread count.
+// Shard rows of 97 are a multiple of neither block size, so every shard
+// ends in a ragged block.
 TEST_F(ShardedSourceTest, AttacksOverManifestsMatchSingleFileBitwise) {
   const perturb::NoiseModel noise =
       perturb::NoiseModel::IndependentGaussian(kAttributes, kSigma);
+  auto parsed = data::ReadCsv(csv_.path());
+  ASSERT_TRUE(parsed.ok());
+  ScratchShardedStore b7_misaligned{"b7_misaligned.rrcm"};
+  ScratchShardedStore b7_single{"b7_single.rrcm"};
+  ScratchShardedStore b4096_misaligned{"b4096_misaligned.rrcm"};
+  for (const auto& [path, block_rows, shard_rows] :
+       {std::tuple<const std::string*, size_t, size_t>{&b7_misaligned.path(),
+                                                       7, 97},
+        {&b7_single.path(), 7, kRecords},
+        {&b4096_misaligned.path(), 4096, 97}}) {
+    data::ShardedStoreOptions options;
+    options.shard_rows = shard_rows;
+    options.block_rows = block_rows;
+    ASSERT_TRUE(data::WriteShardedStore(parsed.value(), *path, options).ok());
+  }
   const std::vector<const std::string*> manifests = {
-      &one_block_.path(), &misaligned_.path(), &single_.path()};
+      &one_block_.path(),     &misaligned_.path(), &single_.path(),
+      &b7_misaligned.path(),  &b7_single.path(),   &b4096_misaligned.path()};
 
   for (const int threads : {1, 4}) {
-    for (const size_t chunk : {size_t{64}, kRecords}) {
+    for (const size_t chunk : {size_t{1}, size_t{7}, size_t{4096}}) {
       for (const StreamingAttack attack :
            {StreamingAttack::kSpectralFiltering, StreamingAttack::kPcaDr}) {
         StreamingAttackOptions options;
@@ -192,71 +219,79 @@ TEST_F(ShardedSourceTest, AttacksOverManifestsMatchSingleFileBitwise) {
           Matrix reconstruction;
           StreamingAttackReport report;
           run(*manifest, &reconstruction, &report);
-          EXPECT_TRUE(reconstruction == base_reconstruction)
-              << *manifest << " chunk=" << chunk << " threads=" << threads;
+          const std::string where = *manifest + " chunk=" +
+                                    std::to_string(chunk) +
+                                    " threads=" + std::to_string(threads);
+          EXPECT_TRUE(reconstruction == base_reconstruction) << where;
           EXPECT_EQ(report.num_components, base_report.num_components);
-          EXPECT_EQ(report.eigenvalues, base_report.eigenvalues);
-          EXPECT_EQ(report.mean, base_report.mean);
-          EXPECT_EQ(report.rmse_vs_disguised, base_report.rmse_vs_disguised);
+          EXPECT_TRUE(SameBits(report.eigenvalues, base_report.eigenvalues))
+              << where;
+          EXPECT_TRUE(SameBits(report.mean, base_report.mean)) << where;
+          EXPECT_TRUE(SameBits(report.rmse_vs_disguised,
+                               base_report.rmse_vs_disguised))
+              << where;
         }
       }
     }
   }
 }
 
-// The columnar pass-1 fast path (used automatically by store-backed
-// sources) must be bitwise identical to the row-major path the CSV
-// source takes — covariance AND means.
-TEST_F(ShardedSourceTest, ColumnarMomentsMatchRowMajorBitwise) {
-  stats::StreamingMoments row_major(kAttributes);
-  {
-    auto opened = OpenRecordSource(csv_.path());
-    ASSERT_TRUE(opened.ok());
-    Matrix buffer(64, kAttributes);
-    for (;;) {
-      auto rows = opened.value().source->NextChunk(&buffer);
-      ASSERT_TRUE(rows.ok());
-      if (rows.value() == 0) break;
-      row_major.AccumulateMeans(buffer, rows.value());
+// An aligned reference stream feeds rmse_vs_reference and nothing else:
+// every other report field, and the reconstruction, stay bitwise the
+// reference-free run's — over an in-memory source (row-major, through the
+// adapter) and over a sharded store (its own column blocks).
+TEST_F(ShardedSourceTest, AttachingAReferenceLeavesTheOtherReportFieldsBitwise) {
+  const perturb::NoiseModel noise =
+      perturb::NoiseModel::IndependentGaussian(kAttributes, kSigma);
+  const Matrix truth = round_tripped_ * 0.5;
+  for (const StreamingAttack attack :
+       {StreamingAttack::kSpectralFiltering, StreamingAttack::kPcaDr}) {
+    for (const bool sharded : {false, true}) {
+      StreamingAttackOptions options;
+      options.attack = attack;
+      options.chunk_rows = 64;
+      Matrix reconstruction[2];
+      StreamingAttackReport reports[2];
+      for (int with_reference = 0; with_reference < 2; ++with_reference) {
+        std::unique_ptr<RecordSource> source;
+        if (sharded) {
+          auto opened = ShardedRecordSource::Open(misaligned_.path());
+          ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+          source = std::make_unique<ShardedRecordSource>(
+              std::move(opened).value());
+        } else {
+          source = std::make_unique<MatrixRecordSource>(&round_tripped_);
+        }
+        MatrixRecordSource reference(&truth);
+        CollectChunkSink sink(kAttributes);
+        auto report = StreamingAttackPipeline(options).Run(
+            source.get(), noise, &sink,
+            with_reference == 1 ? &reference : nullptr);
+        ASSERT_TRUE(report.ok()) << report.status().ToString();
+        reconstruction[with_reference] = sink.ToMatrix();
+        reports[with_reference] = report.value();
+      }
+      const std::string where = sharded ? "sharded" : "matrix";
+      const Matrix& plain = reconstruction[0];
+      const Matrix& referenced = reconstruction[1];
+      ASSERT_EQ(plain.size(), referenced.size()) << where;
+      EXPECT_EQ(std::memcmp(plain.data(), referenced.data(),
+                            plain.size() * sizeof(double)),
+                0)
+          << where;
+      EXPECT_FALSE(reports[0].has_reference);
+      EXPECT_TRUE(reports[1].has_reference);
+      EXPECT_GT(reports[1].rmse_vs_reference, 0.0);
+      EXPECT_EQ(reports[1].num_records, reports[0].num_records) << where;
+      EXPECT_EQ(reports[1].num_attributes, reports[0].num_attributes);
+      EXPECT_EQ(reports[1].num_components, reports[0].num_components);
+      EXPECT_TRUE(SameBits(reports[1].eigenvalues, reports[0].eigenvalues))
+          << where;
+      EXPECT_TRUE(SameBits(reports[1].mean, reports[0].mean)) << where;
+      EXPECT_TRUE(SameBits(reports[1].rmse_vs_disguised,
+                           reports[0].rmse_vs_disguised))
+          << where;
     }
-    row_major.FinalizeMeans();
-    ASSERT_TRUE(opened.value().source->Reset().ok());
-    for (;;) {
-      auto rows = opened.value().source->NextChunk(&buffer);
-      ASSERT_TRUE(rows.ok());
-      if (rows.value() == 0) break;
-      row_major.AccumulateScatter(buffer, rows.value());
-    }
-  }
-  const Matrix expected_cov = row_major.FinalizeCovariance();
-
-  for (const std::string* path : {&store_.path(), &misaligned_.path()}) {
-    auto opened = OpenRecordSource(*path);
-    ASSERT_TRUE(opened.ok());
-    ColumnarBlockStream* columnar = opened.value().source->columnar_blocks();
-    ASSERT_NE(columnar, nullptr) << *path;
-    stats::StreamingMoments moments(kAttributes);
-    std::vector<const double*> columns;
-    ASSERT_TRUE(columnar->ResetBlocks().ok());
-    size_t total = 0;
-    for (;;) {
-      auto rows = columnar->NextBlockColumns(&columns);
-      ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-      if (rows.value() == 0) break;
-      moments.AccumulateMeansColumns(columns.data(), rows.value());
-      total += rows.value();
-    }
-    EXPECT_EQ(total, kRecords);
-    moments.FinalizeMeans();
-    EXPECT_EQ(moments.means(), row_major.means()) << *path;
-    ASSERT_TRUE(columnar->ResetBlocks().ok());
-    for (;;) {
-      auto rows = columnar->NextBlockColumns(&columns);
-      ASSERT_TRUE(rows.ok());
-      if (rows.value() == 0) break;
-      moments.AccumulateScatterColumns(columns.data(), rows.value());
-    }
-    EXPECT_TRUE(moments.FinalizeCovariance() == expected_cov) << *path;
   }
 }
 

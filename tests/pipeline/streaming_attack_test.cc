@@ -6,6 +6,7 @@
 #include "pipeline/streaming_attack.h"
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -36,10 +37,11 @@ struct Fixture {
   perturb::NoiseModel noise = perturb::NoiseModel::IndependentGaussian(1, 1.0);
 };
 
-Fixture MakeFixture(size_t n = 600, size_t m = 12, double sigma = 0.4) {
+Fixture MakeFixture(size_t n = 600, size_t m = 12, double sigma = 0.4,
+                    size_t principal = 3) {
   stats::Rng rng(29);
   data::SyntheticDatasetSpec spec;
-  spec.eigenvalues = data::TwoLevelSpectrum(m, 3, 8.0, 0.1);
+  spec.eigenvalues = data::TwoLevelSpectrum(m, principal, 8.0, 0.1);
   auto generated = data::GenerateSpectrumDataset(spec, n, &rng);
   Fixture fixture;
   fixture.original = generated.value().dataset.records();
@@ -105,6 +107,26 @@ TEST(StreamingAttackTest, ReconstructionIsChunkSizeInsensitive) {
   const Matrix one_chunk =
       RunStreaming(fixture, StreamingAttack::kPcaDr, 500, nullptr);
   EXPECT_LE(linalg::MaxAbsDifference(tiny_chunks, one_chunk), kTol);
+}
+
+// Results are never a function of chunk size: at m = 128 and p = 4 (the
+// paper's population) the projection's kernels must give each row the
+// same bits whether it shares a call with 99 other rows or with 4095.
+TEST(StreamingAttackTest, ReconstructionIsBitwiseChunkInvariantAtWideM) {
+  const Fixture fixture = MakeFixture(5000, 128, 0.4, /*principal=*/4);
+  StreamingAttackReport reports[2];
+  const Matrix small =
+      RunStreaming(fixture, StreamingAttack::kPcaDr, 100, &reports[0]);
+  const Matrix full =
+      RunStreaming(fixture, StreamingAttack::kPcaDr, 4096, &reports[1]);
+  ASSERT_EQ(small.size(), full.size());
+  ASSERT_EQ(reports[0].num_components, 4u);
+  EXPECT_EQ(std::memcmp(small.data(), full.data(),
+                        small.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(std::memcmp(&reports[0].rmse_vs_disguised,
+                        &reports[1].rmse_vs_disguised, sizeof(double)),
+            0);
 }
 
 TEST(StreamingAttackTest, EstimatedMeanIsBitwiseInMemoryMean) {

@@ -22,21 +22,32 @@ namespace {
 
 using linalg::Matrix;
 
-/// Streams `data` into a StreamingMoments in chunks of `chunk_rows` and
-/// returns the finalized covariance.
+/// Column slices of `transposed` (the records, one row per attribute)
+/// starting at record `row` — the shape a ColumnarBlockStream serves.
+std::vector<const double*> ColumnsAt(const Matrix& transposed, size_t row) {
+  std::vector<const double*> columns(transposed.rows());
+  for (size_t j = 0; j < columns.size(); ++j) {
+    columns[j] = transposed.row_data(j) + row;
+  }
+  return columns;
+}
+
+/// Streams `data` into a StreamingMoments in column blocks of
+/// `chunk_rows` records and returns the finalized covariance.
 Matrix StreamCovariance(const Matrix& data, size_t chunk_rows, int num_threads,
                         int ddof = 0, linalg::Vector* means_out = nullptr) {
   ParallelOptions options;
   options.num_threads = num_threads;
+  const Matrix transposed = data.Transpose();
   StreamingMoments moments(data.cols(), options);
   for (size_t row = 0; row < data.rows(); row += chunk_rows) {
     const size_t rows = std::min(chunk_rows, data.rows() - row);
-    moments.AccumulateMeans(data.row_data(row), rows);
+    moments.AccumulateMeansColumns(ColumnsAt(transposed, row).data(), rows);
   }
   moments.FinalizeMeans();
   for (size_t row = 0; row < data.rows(); row += chunk_rows) {
     const size_t rows = std::min(chunk_rows, data.rows() - row);
-    moments.AccumulateScatter(data.row_data(row), rows);
+    moments.AccumulateScatterColumns(ColumnsAt(transposed, row).data(), rows);
   }
   if (means_out != nullptr) *means_out = moments.means();
   return moments.FinalizeCovariance(ddof);
@@ -81,19 +92,20 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(StreamingMomentsTest, UnevenChunkSequenceStillBitwise) {
   stats::Rng rng(11);
   const Matrix data = rng.GaussianMatrix(1000, 6);
+  const Matrix transposed = data.Transpose();
   StreamingMoments moments(6);
   // Deliberately irregular chunking, including empty chunks.
   const std::vector<size_t> spans = {1, 0, 499, 3, 497};
   size_t row = 0;
   for (size_t span : spans) {
-    moments.AccumulateMeans(data.row_data(row), span);
+    moments.AccumulateMeansColumns(ColumnsAt(transposed, row).data(), span);
     row += span;
   }
   ASSERT_EQ(row, data.rows());
   moments.FinalizeMeans();
   row = 0;
   for (size_t span : spans) {
-    moments.AccumulateScatter(data.row_data(row), span);
+    moments.AccumulateScatterColumns(ColumnsAt(transposed, row).data(), span);
     row += span;
   }
   EXPECT_EQ(linalg::MaxAbsDifference(moments.FinalizeCovariance(),
@@ -119,69 +131,11 @@ TEST(StreamingMomentsTest, MultiBlockStreamMatchesInMemory) {
             0.0);
 }
 
-TEST(StreamingMomentsTest, ColumnarFormIsBitwiseTheRowMajorForm) {
-  // The columnar entry points (fed by mmap'd BlockColumn slices in
-  // production) must produce bitwise-identical means and covariance to
-  // the row-major ones — including when the two forms are interleaved
-  // mid-stream and when spans straddle the staging block.
-  stats::Rng rng(35);
-  const size_t n = 3 * linalg::kernels::kGramChunkRows / 2 + 37;
-  const size_t m = 5;
-  const Matrix data = rng.GaussianMatrix(n, m);
-
-  const Matrix expected = [&] {
-    StreamingMoments moments(m);
-    moments.AccumulateMeans(data, n);
-    moments.FinalizeMeans();
-    moments.AccumulateScatter(data, n);
-    return moments.FinalizeCovariance();
-  }();
-
-  // Columnar spans of uneven sizes over a transposed copy of the data.
-  Matrix transposed(m, n);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < m; ++j) transposed.row_data(j)[i] = data(i, j);
-  }
-  auto columns_at = [&](size_t row) {
-    std::vector<const double*> columns(m);
-    for (size_t j = 0; j < m; ++j) columns[j] = transposed.row_data(j) + row;
-    return columns;
-  };
-
-  StreamingMoments columnar(m);
-  size_t row = 0;
-  size_t span = 1;
-  while (row < n) {
-    const size_t take = std::min(span, n - row);
-    if (span % 3 == 0) {  // Interleave the row-major form mid-stream.
-      columnar.AccumulateMeans(data.row_data(row), take);
-    } else {
-      columnar.AccumulateMeansColumns(columns_at(row).data(), take);
-    }
-    row += take;
-    span = span * 2 + 1;
-  }
-  columnar.FinalizeMeans();
-  row = 0;
-  span = 1;
-  while (row < n) {
-    const size_t take = std::min(span, n - row);
-    if (span % 3 == 0) {
-      columnar.AccumulateScatter(data.row_data(row), take);
-    } else {
-      columnar.AccumulateScatterColumns(columns_at(row).data(), take);
-    }
-    row += take;
-    span = span * 2 + 1;
-  }
-  EXPECT_TRUE(columnar.FinalizeCovariance() == expected);
-}
-
 TEST(StreamingMomentsTest, CountsRecords) {
   stats::Rng rng(19);
   const Matrix data = rng.GaussianMatrix(42, 3);
   StreamingMoments moments(3);
-  moments.AccumulateMeans(data, 42);
+  moments.AccumulateMeansColumns(ColumnsAt(data.Transpose(), 0).data(), 42);
   EXPECT_EQ(moments.num_records(), 42u);
   EXPECT_EQ(moments.num_attributes(), 3u);
 }
