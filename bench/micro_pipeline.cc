@@ -10,8 +10,8 @@
 //     the in-memory reconstructors (acceptance criterion), measured by a
 //     comparing sink that never materializes the streamed reconstruction;
 //   * resident_bytes_stream vs resident_bytes_inmem — the pipeline's
-//     working set is O(chunk_rows·m + m²) while the in-memory attack
-//     holds multiple n x m matrices.
+//     working set is O((chunk_rows + T·4096)·m + T·m²) for T threads while
+//     the in-memory attack holds multiple n x m matrices.
 //
 // The generation side: MvnRecordSource + PerturbingRecordSource on the
 // Philox counter substrate (vectorized fills, fixed-block parallel
@@ -393,12 +393,17 @@ int main(int argc, char** argv) {
       worst_recon_diff = std::max(worst_recon_diff, recon_diff);
 
       // Working sets: the pipeline holds 4 chunk buffers (read, centered,
-      // scores, reconstructed), the staging block, and O(m²) accumulators;
-      // the in-memory attack holds the disguised matrix, its centered
-      // copy, and the reconstruction, all n x m.
+      // scores, reconstructed), T staging blocks with their T Gram
+      // partials, and O(m²) accumulators; the in-memory attack holds the
+      // disguised matrix, its centered copy, and the reconstruction, all
+      // n x m.
+      const size_t gram_rows = linalg::kernels::kGramChunkRows;
+      const double staging_blocks = static_cast<double>(EffectiveThreadCount(
+          options.parallel, (n + gram_rows - 1) / gram_rows));
       const double stream_bytes =
           8.0 * (4.0 * static_cast<double>(chunk) * m +
-                 static_cast<double>(linalg::kernels::kGramChunkRows) * m +
+                 staging_blocks * (static_cast<double>(gram_rows) * m +
+                                   static_cast<double>(m) * m) +
                  4.0 * static_cast<double>(m) * m);
       const double inmem_bytes = 8.0 * 3.0 * records * m;
       const std::string stem =

@@ -220,6 +220,11 @@ class ColumnStoreReader {
   /// Verifies the block's checksum on first touch.
   Result<const double*> BlockColumn(size_t block, size_t column);
 
+  /// Verifies every unverified block in [block_begin, block_end) —
+  /// block-parallel; on failure returns the LOWEST failing block's error
+  /// so the diagnostic is deterministic across thread counts.
+  Status VerifyBlocksInRange(size_t block_begin, size_t block_end);
+
   /// Valid records in `block` (block_rows() except for a final partial).
   size_t rows_in_block(size_t block) const;
 
@@ -238,11 +243,6 @@ class ColumnStoreReader {
 
   /// Lazily verifies block `block`'s checksum (docs/FORMAT.md §3).
   Status VerifyBlock(size_t block);
-
-  /// Verifies every unverified block in [block_begin, block_end) —
-  /// block-parallel; on failure returns the LOWEST failing block's error
-  /// so the diagnostic is deterministic across thread counts.
-  Status VerifyBlocksInRange(size_t block_begin, size_t block_end);
 
   /// Unmaps and closes, leaving the reader empty (moves, destructor).
   void ReleaseMapping();

@@ -1,9 +1,11 @@
 // ChunkSink: the output side of the out-of-core attack pipeline.
 //
 // The projection pass emits reconstructed records chunk by chunk, in
-// stream order; a sink decides what happens to them — discard (metrics
-// only), collect in memory (tests, small runs), or append to a CSV file
-// (bounded-memory end to end).
+// stream order; a sink decides what happens to them — collect in memory
+// (tests, small runs), or append to a CSV file or store (bounded-memory
+// end to end). A sink that reads no rows (NullChunkSink) says so through
+// wants_rows(), and a metrics-only attack then skips the projection pass
+// altogether.
 
 #ifndef RANDRECON_PIPELINE_CHUNK_SINK_H_
 #define RANDRECON_PIPELINE_CHUNK_SINK_H_
@@ -34,14 +36,23 @@ class ChunkSink {
   /// the last Consume. The default is a no-op for sinks with nothing to
   /// flush (null, collect).
   virtual Status Close() { return Status::OK(); }
+
+  /// Whether the sink reads the reconstructed rows at all. A sink that
+  /// returns false receives no Consume call when no reference stream is
+  /// attached: the pipeline then skips its projection pass, since every
+  /// report field comes from pass 1's moments.
+  virtual bool wants_rows() const { return true; }
 };
 
-/// Discards every chunk (the caller only wants the report's metrics).
+/// Metrics only: reads no rows, so an attack without a reference stream
+/// never projects (wants_rows() is false); any chunk it is handed anyway
+/// is discarded.
 class NullChunkSink final : public ChunkSink {
  public:
   Status Consume(size_t, const linalg::Matrix&, size_t) override {
     return Status::OK();
   }
+  bool wants_rows() const override { return false; }
 };
 
 /// Materializes the reconstructed stream — for tests and small runs

@@ -12,16 +12,23 @@ namespace pipeline {
 
 namespace {
 
-/// Fires in every store-backed NextChunk — the seam retry tests and the
-/// CI fault-injection matrix use to make a read-side stage fail or crash
-/// on its Nth chunk without corrupting any file.
+/// Fires on every store-backed read, row-major (NextChunk) or columnar
+/// (each served block) — the seam retry tests and the CI fault-injection
+/// matrix use to make a read-side stage fail or crash on its Nth read
+/// without corrupting any file.
 Failpoint fp_next_chunk("source.next_chunk");
 
 /// Points `columns` at every attribute of one mapped store block and
-/// returns its record count. The first column's fetch verifies the block
-/// checksum; the rest hit the verified bitmap.
+/// returns its record count. A sweep entering a store (block 0) first
+/// verifies every block's checksum in parallel, so the first touch of
+/// each file is one block-parallel pass that reports its lowest failing
+/// block; the fetches below then hit the verified bitmap.
 Result<size_t> ServeBlock(data::ColumnStoreReader* reader, size_t block,
                           std::vector<const double*>* columns) {
+  RR_FAILPOINT(fp_next_chunk);
+  if (block == 0) {
+    RR_RETURN_NOT_OK(reader->VerifyBlocksInRange(0, reader->num_blocks()));
+  }
   const size_t m = reader->num_attributes();
   columns->resize(m);
   for (size_t j = 0; j < m; ++j) {

@@ -2,10 +2,11 @@
 //
 // A source serves an ordered stream of n records (m attributes each) in
 // caller-sized chunks, and can be rewound. Rewindability is the load-
-// bearing contract: the covariance attacks need two passes over Y (means
-// + centered scatter, then projection), and every pass must observe the
-// byte-identical record sequence — RAPPOR-style report logs, CSV exports
-// and seeded synthetic populations all satisfy it naturally.
+// bearing contract: the covariance attacks sweep Y at least twice (means,
+// centered scatter, and a projection when rows are wanted), and every
+// pass must observe the byte-identical record sequence — RAPPOR-style
+// report logs, CSV exports and seeded synthetic populations all satisfy
+// it naturally.
 //
 // Adapters provided here:
 //   * MatrixRecordSource      — an in-memory record matrix, chunked.
@@ -185,9 +186,11 @@ class CsvRecordSource final : public RecordSource {
 /// Streams a memory-mapped column-store file (data::ColumnStoreReader):
 /// record n's bytes are at a closed-form offset, so chunking is a strided
 /// gather out of the page cache and Reset() is free. Block checksums are
-/// verified on first touch; a corrupt block surfaces as the reader's
-/// InvalidArgument naming the block, never a crash. Also serves its
-/// blocks as zero-copy column slices (BlockColumn).
+/// verified on first touch — a column-block sweep entering the file
+/// verifies all of its blocks at once, block-parallel; a corrupt block
+/// surfaces as the reader's InvalidArgument naming the lowest failing
+/// block, never a crash. Also serves its blocks as zero-copy column
+/// slices (BlockColumn).
 class ColumnStoreRecordSource final : public RecordSource,
                                       public ColumnarBlockStream {
  public:
@@ -232,7 +235,8 @@ class ColumnStoreRecordSource final : public RecordSource,
 /// Shards open lazily; every shard-level failure (missing/truncated/
 /// swapped/resealed shard, schema mismatch) surfaces as a Status naming
 /// the shard. Serves its column blocks across shards (each shard's
-/// blocks in order).
+/// blocks in order), verifying each shard's blocks block-parallel as the
+/// sweep enters it.
 ///
 /// The attack scheduler constructs one over a pinned rolling-store
 /// snapshot (data::RollingStoreSnapshotReader::ReleaseReader): every shard

@@ -1,5 +1,6 @@
 #include "pipeline/streaming_attack.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <optional>
@@ -31,7 +32,9 @@ metrics::Histogram m_pass2_chunk_nanos("attack.pass2_chunk_nanos");
 
 /// The eigenbasis and diagnostics pass 2 projects through.
 struct AttackBasis {
-  linalg::Matrix q_hat;  ///< m x p principal eigenvectors.
+  /// m x m orthonormal eigenvectors, descending: the first p columns are
+  /// Q̂, the rest the dropped directions V_d.
+  linalg::Matrix eigenvectors;
   linalg::Vector eigenvalues;
   size_t num_components = 0;
 };
@@ -50,7 +53,7 @@ Result<AttackBasis> SelectBasis(const StreamingAttackOptions& options,
       basis.num_components = core::SelectSfComponents(
           eig.eigenvalues, noise, num_records, options.sf);
       basis.eigenvalues = std::move(eig.eigenvalues);
-      basis.q_hat = eig.eigenvectors.LeftColumns(basis.num_components);
+      basis.eigenvectors = std::move(eig.eigenvectors);
       return basis;
     }
     case StreamingAttack::kPcaDr: {
@@ -73,11 +76,34 @@ Result<AttackBasis> SelectBasis(const StreamingAttackOptions& options,
       basis.num_components =
           core::SelectNumComponents(eig.eigenvalues, options.pca);
       basis.eigenvalues = std::move(eig.eigenvalues);
-      basis.q_hat = eig.eigenvectors.LeftColumns(basis.num_components);
+      basis.eigenvectors = std::move(eig.eigenvectors);
       return basis;
     }
   }
   return Status::InvalidArgument("StreamingAttackPipeline: unknown attack");
+}
+
+/// rmse_vs_disguised without another pass. With Q̂ the leading p columns
+/// of the orthonormal `eigenvectors`, X̂ − y = −V_d V_dᵀ (y − µ̂) for the
+/// dropped columns V_d, so the mean squared difference over all n·m
+/// entries is Σ_{k ≥ p} v_kᵀ S v_k / m with S the ddof-0 covariance. S is
+/// PSD, so only rounding could push the sum below 0; it is clamped.
+/// Costs O(m²(m − p)).
+double ClosedFormRmseVsDisguised(const linalg::Matrix& eigenvectors, size_t p,
+                                 const linalg::Matrix& cov_y) {
+  const size_t m = cov_y.rows();
+  std::vector<double> v(m);
+  double energy = 0.0;
+  for (size_t k = p; k < m; ++k) {
+    for (size_t i = 0; i < m; ++i) v[i] = eigenvectors(i, k);
+    for (size_t i = 0; i < m; ++i) {
+      const double* s_row = cov_y.row_data(i);
+      double s_v = 0.0;
+      for (size_t j = 0; j < m; ++j) s_v += s_row[j] * v[j];
+      energy += v[i] * s_v;
+    }
+  }
+  return std::sqrt(std::max(energy, 0.0) / static_cast<double>(m));
 }
 
 /// Elapsed nanos since `start`, saturating at 0 (a test's FakeClockGuard
@@ -85,6 +111,103 @@ Result<AttackBasis> SelectBasis(const StreamingAttackOptions& options,
 uint64_t NanosSince(uint64_t start) {
   const uint64_t now = trace::NowNanos();
   return now >= start ? now - start : 0;
+}
+
+/// Pass 2: re-streams `disguised`, reconstructs each chunk as
+/// X̂ = Ȳ Q̂ Q̂ᵀ + µ̂, emits it to `sink`, and returns Σ‖x̂ − x‖² against
+/// the aligned `reference` stream (0 without one).
+Result<double> ProjectionPass(const StreamingAttackOptions& options,
+                              RecordSource* disguised, RecordSource* reference,
+                              ChunkSink* sink, const linalg::Vector& mean,
+                              const linalg::Matrix& q_hat, size_t n) {
+  const size_t m = q_hat.rows();
+  const size_t p = q_hat.cols();
+  RR_RETURN_NOT_OK(disguised->Reset());
+  linalg::Matrix chunk(options.chunk_rows, m);
+  if (reference != nullptr) RR_RETURN_NOT_OK(reference->Reset());
+  linalg::Matrix reference_chunk(reference != nullptr ? options.chunk_rows : 0,
+                                 reference != nullptr ? m : 0);
+  linalg::Matrix centered(options.chunk_rows, m);
+  linalg::Matrix scores(options.chunk_rows, m);  // p <= m columns used.
+  linalg::Matrix reconstructed(options.chunk_rows, m);
+  double squared_vs_reference = 0.0;
+  size_t row_offset = 0;
+  trace::TraceSpan pass2_span("attack.pass2");
+  for (;;) {
+    const uint64_t chunk_start = trace::NowNanos();
+    RR_ASSIGN_OR_RETURN(const size_t rows, disguised->NextChunk(&chunk));
+    if (rows == 0) break;
+    // X̂ = Ȳ Q̂ Q̂ᵀ + µ̂, chunk-wise through the pointer kernels (no
+    // per-chunk allocation): scores = Ȳ Q̂, then X̂ = scores Q̂ᵀ.
+    for (size_t i = 0; i < rows; ++i) {
+      const double* in_row = chunk.row_data(i);
+      double* out_row = centered.row_data(i);
+      for (size_t j = 0; j < m; ++j) out_row[j] = in_row[j] - mean[j];
+    }
+    linalg::kernels::MatMul(centered.data(), q_hat.data(), scores.data(),
+                            rows, m, p, options.parallel);
+    linalg::kernels::MatMulABt(scores.data(), q_hat.data(),
+                               reconstructed.data(), rows, p, m,
+                               options.parallel);
+    for (size_t i = 0; i < rows; ++i) {
+      double* row = reconstructed.row_data(i);
+      for (size_t j = 0; j < m; ++j) row[j] += mean[j];
+    }
+    if (reference != nullptr) {
+      // Gather exactly `rows` reference records. A source may legally
+      // under-fill its buffer (NextChunk only promises "how many were
+      // written"), so drain it until this chunk is covered; only true
+      // exhaustion is a misalignment. Asking for the full buffer directly
+      // is safe only when the targets coincide — requesting more than
+      // `rows` could consume records belonging to the next chunk.
+      size_t gathered = 0;
+      if (rows == reference_chunk.rows()) {
+        RR_ASSIGN_OR_RETURN(gathered, reference->NextChunk(&reference_chunk));
+      }
+      while (gathered < rows) {  // Under-filled or ragged final chunk.
+        linalg::Matrix window(rows - gathered, m);
+        RR_ASSIGN_OR_RETURN(const size_t got, reference->NextChunk(&window));
+        if (got == 0) {
+          return Status::InvalidArgument(
+              "StreamingAttackPipeline: reference stream ended at record " +
+              std::to_string(row_offset + gathered) + ", input has more");
+        }
+        std::memcpy(reference_chunk.row_data(gathered), window.data(),
+                    got * m * sizeof(double));
+        gathered += got;
+      }
+      // The error folds element-by-element in record order, so it is
+      // independent of the chunking too.
+      for (size_t i = 0; i < rows; ++i) {
+        const double* recon_row = reconstructed.row_data(i);
+        const double* reference_row = reference_chunk.row_data(i);
+        for (size_t j = 0; j < m; ++j) {
+          const double d = recon_row[j] - reference_row[j];
+          squared_vs_reference += d * d;
+        }
+      }
+    }
+    RR_RETURN_NOT_OK(sink->Consume(row_offset, reconstructed, rows));
+    row_offset += rows;
+    m_pass2_chunk_nanos.Record(NanosSince(chunk_start));
+    m_chunks_pass2.Add(1);
+    m_records_pass2.Add(rows);
+  }
+  pass2_span.Finish();
+  if (row_offset != n) {
+    return Status::InvalidArgument(
+        "StreamingAttackPipeline: source served " + std::to_string(row_offset) +
+        " records on pass 2 but " + std::to_string(n) + " on pass 1");
+  }
+  if (reference != nullptr) {
+    RR_ASSIGN_OR_RETURN(const size_t extra,
+                        reference->NextChunk(&reference_chunk));
+    if (extra != 0) {
+      return Status::InvalidArgument(
+          "StreamingAttackPipeline: reference stream longer than the input");
+    }
+  }
+  return squared_vs_reference;
 }
 
 }  // namespace
@@ -157,25 +280,26 @@ Result<StreamingAttackReport> StreamingAttackPipeline::Run(
         std::to_string(n));
   }
   moments.FinalizeMeans();
-  size_t scatter_records = 0;
+  linalg::Matrix cov_y;
   {
     trace::TraceSpan scatter_span("attack.pass1_scatter");
-    RR_ASSIGN_OR_RETURN(scatter_records, sweep([&](size_t rows) {
+    RR_ASSIGN_OR_RETURN(const size_t scatter_records, sweep([&](size_t rows) {
       moments.AccumulateScatterColumns(columns.data(), rows);
     }));
+    // A drifting source (records appended/lost between sweeps) is a data
+    // error, not a programming error: fail the job before the
+    // accumulator's own count RR_CHECK would abort the process.
+    if (scatter_records != n) {
+      return Status::InvalidArgument(
+          "StreamingAttackPipeline: source served " +
+          std::to_string(scatter_records) +
+          " records on the scatter sweep but " + std::to_string(n) +
+          " on the means sweep");
+    }
+    cov_y = moments.FinalizeCovariance();  // Flushes the last group.
   }
-  transposed.reset();  // Pass 2 allocates its own chunk buffers.
-  // A drifting source (records appended/lost between sweeps) is a data
-  // error, not a programming error: fail the job before the accumulator's
-  // own count RR_CHECK would abort the process.
-  if (scatter_records != n) {
-    return Status::InvalidArgument(
-        "StreamingAttackPipeline: source served " +
-        std::to_string(scatter_records) + " records on the scatter sweep but " +
-        std::to_string(n) + " on the means sweep");
-  }
-  const linalg::Vector mean = moments.means();
-  const linalg::Matrix cov_y = moments.FinalizeCovariance();
+  transposed.reset();  // Pass 2, if it runs, allocates its own buffers.
+  const linalg::Vector& mean = moments.means();
 
   AttackBasis basis;
   {
@@ -184,113 +308,29 @@ Result<StreamingAttackReport> StreamingAttackPipeline::Run(
   }
   const size_t p = basis.num_components;
 
-  // ---- Pass 2: project every chunk through the basis. -----------------
-  RR_RETURN_NOT_OK(disguised->Reset());
-  linalg::Matrix chunk(options_.chunk_rows, m);
-  if (reference != nullptr) RR_RETURN_NOT_OK(reference->Reset());
-  linalg::Matrix reference_chunk(reference != nullptr ? options_.chunk_rows : 0,
-                                 reference != nullptr ? m : 0);
-  linalg::Matrix centered(options_.chunk_rows, m);
-  linalg::Matrix scores(options_.chunk_rows, m);  // p <= m columns used.
-  linalg::Matrix reconstructed(options_.chunk_rows, m);
-  double squared_vs_disguised = 0.0;
-  double squared_vs_reference = 0.0;
-  size_t row_offset = 0;
-  trace::TraceSpan pass2_span("attack.pass2");
-  for (;;) {
-    const uint64_t chunk_start = trace::NowNanos();
-    RR_ASSIGN_OR_RETURN(const size_t rows, disguised->NextChunk(&chunk));
-    if (rows == 0) break;
-    // X̂ = Ȳ Q̂ Q̂ᵀ + µ̂, chunk-wise through the pointer kernels (no
-    // per-chunk allocation): scores = Ȳ Q̂, then X̂ = scores Q̂ᵀ.
-    for (size_t i = 0; i < rows; ++i) {
-      const double* in_row = chunk.row_data(i);
-      double* out_row = centered.row_data(i);
-      for (size_t j = 0; j < m; ++j) out_row[j] = in_row[j] - mean[j];
-    }
-    linalg::kernels::MatMul(centered.data(), basis.q_hat.data(), scores.data(),
-                            rows, m, p, options_.parallel);
-    linalg::kernels::MatMulABt(scores.data(), basis.q_hat.data(),
-                               reconstructed.data(), rows, p, m,
-                               options_.parallel);
-    for (size_t i = 0; i < rows; ++i) {
-      double* row = reconstructed.row_data(i);
-      for (size_t j = 0; j < m; ++j) row[j] += mean[j];
-    }
-    // Running metrics fold element-by-element in record order, so they
-    // are independent of the chunking too.
-    for (size_t i = 0; i < rows; ++i) {
-      const double* recon_row = reconstructed.row_data(i);
-      const double* disguised_row = chunk.row_data(i);
-      for (size_t j = 0; j < m; ++j) {
-        const double d = recon_row[j] - disguised_row[j];
-        squared_vs_disguised += d * d;
-      }
-    }
-    if (reference != nullptr) {
-      // Gather exactly `rows` reference records. A source may legally
-      // under-fill its buffer (NextChunk only promises "how many were
-      // written"), so drain it until this chunk is covered; only true
-      // exhaustion is a misalignment. Asking for the full buffer directly
-      // is safe only when the targets coincide — requesting more than
-      // `rows` could consume records belonging to the next chunk.
-      size_t gathered = 0;
-      if (rows == reference_chunk.rows()) {
-        RR_ASSIGN_OR_RETURN(gathered, reference->NextChunk(&reference_chunk));
-      }
-      while (gathered < rows) {  // Under-filled or ragged final chunk.
-        linalg::Matrix window(rows - gathered, m);
-        RR_ASSIGN_OR_RETURN(const size_t got, reference->NextChunk(&window));
-        if (got == 0) {
-          return Status::InvalidArgument(
-              "StreamingAttackPipeline: reference stream ended at record " +
-              std::to_string(row_offset + gathered) + ", input has more");
-        }
-        std::memcpy(reference_chunk.row_data(gathered), window.data(),
-                    got * m * sizeof(double));
-        gathered += got;
-      }
-      for (size_t i = 0; i < rows; ++i) {
-        const double* recon_row = reconstructed.row_data(i);
-        const double* reference_row = reference_chunk.row_data(i);
-        for (size_t j = 0; j < m; ++j) {
-          const double d = recon_row[j] - reference_row[j];
-          squared_vs_reference += d * d;
-        }
-      }
-    }
-    RR_RETURN_NOT_OK(sink->Consume(row_offset, reconstructed, rows));
-    row_offset += rows;
-    m_pass2_chunk_nanos.Record(NanosSince(chunk_start));
-    m_chunks_pass2.Add(1);
-    m_records_pass2.Add(rows);
-  }
-  pass2_span.Finish();
-  if (row_offset != n) {
-    return Status::InvalidArgument(
-        "StreamingAttackPipeline: source served " + std::to_string(row_offset) +
-        " records on pass 2 but " + std::to_string(n) + " on pass 1");
-  }
-  if (reference != nullptr) {
-    RR_ASSIGN_OR_RETURN(const size_t extra, reference->NextChunk(&reference_chunk));
-    if (extra != 0) {
-      return Status::InvalidArgument(
-          "StreamingAttackPipeline: reference stream longer than the input");
-    }
-  }
-
   StreamingAttackReport report;
   report.num_records = n;
   report.num_attributes = m;
   report.num_components = p;
-  report.eigenvalues = std::move(basis.eigenvalues);
   report.mean = mean;
-  const double denom = static_cast<double>(n) * static_cast<double>(m);
-  report.rmse_vs_disguised = std::sqrt(squared_vs_disguised / denom);
+  report.rmse_vs_disguised =
+      ClosedFormRmseVsDisguised(basis.eigenvectors, p, cov_y);
+  // ---- Pass 2, only when something reads the projected rows. ----------
+  // rmse_vs_disguised above comes from the covariance either way, so a
+  // sink or a reference never changes the other report fields.
   report.has_reference = reference != nullptr;
-  if (report.has_reference) {
-    report.rmse_vs_reference = std::sqrt(squared_vs_reference / denom);
+  if (sink->wants_rows() || report.has_reference) {
+    RR_ASSIGN_OR_RETURN(
+        const double squared_vs_reference,
+        ProjectionPass(options_, disguised, reference, sink, mean,
+                       basis.eigenvectors.LeftColumns(p), n));
+    if (report.has_reference) {
+      report.rmse_vs_reference = std::sqrt(
+          squared_vs_reference /
+          (static_cast<double>(n) * static_cast<double>(m)));
+    }
   }
+  report.eigenvalues = std::move(basis.eigenvalues);
   const uint64_t run_nanos = NanosSince(run_start_nanos);
   if (run_nanos > 0) {
     m_last_rows_per_second.Set(static_cast<int64_t>(

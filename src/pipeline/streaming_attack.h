@@ -2,32 +2,43 @@
 // PCA-DR) run out-of-core over a chunked record stream.
 //
 // Everything those attacks need from the n x m disguised matrix Y is its
-// column means, its m x m sample covariance, and one more look at every
-// record to project it — all streamable. The pipeline therefore runs in
-// two logical passes with peak resident data
-// O((chunk_rows + kGramChunkRows)·m + m²) — the second term is the
-// moment accumulator's fixed 4096-row staging block, which dominates if
-// chunk_rows is shrunk below it:
+// column means and its m x m sample covariance S — both streamable — plus,
+// only when a caller reads the reconstruction, one more look at every
+// record to project it. Peak resident data is
+// O((chunk_rows + T·kGramChunkRows)·m + T·m²) for T worker threads — the
+// moment accumulator stages T fixed 4096-row blocks and their Gram
+// partials, which dominate if chunk_rows is shrunk below them:
 //
 //   Pass 1 — moments: stream Y as column blocks (ColumnarBlockStream,
 //     record_source.h) through stats::StreamingMoments (two sweeps:
-//     means, then centered scatter), eigendecompose ONCE:
+//     means, then centered scatter, flushed block-parallel),
+//     eigendecompose ONCE:
 //       SF      — eigenvectors of Cov(Y), p from the Marchenko–Pastur
 //                 bound (core::SelectSfComponents);
 //       PCA-DR  — Theorem 5.1/8.2 estimate Σ̂x = Cov(Y) − Σr
 //                 (core::EstimateOriginalCovariance), p from the
 //                 eigengap rule (core::SelectNumComponents).
-//   Pass 2 — projection: stream Y again, reconstruct each chunk as
-//     X̂ = Ȳ Q̂ Q̂ᵀ + µ̂, emit it to a ChunkSink, and fold running error
-//     metrics (vs. the disguised input, and vs. an optional aligned
-//     ground-truth stream).
+//   Pass 2 — projection, ONLY when the sink wants rows
+//     (ChunkSink::wants_rows) or a reference stream is attached: stream
+//     Y again, reconstruct each chunk as X̂ = Ȳ Q̂ Q̂ᵀ + µ̂, emit it to the
+//     ChunkSink, and fold the error against the aligned ground truth.
+//     A metrics-only run (NullChunkSink, no reference) reads Y twice.
+//
+// rmse_vs_disguised never needs pass 2. The eigenvectors form an
+// orthonormal basis [Q̂ V_d], so X̂ − y = −V_d V_dᵀ (y − µ̂) and
+//   rmse_vs_disguised = sqrt(Σ_{k ≥ p} v_kᵀ S v_k / m),
+// with v_k the dropped eigenvectors of the matrix the basis came from
+// (Cov(Y) for SF, Σ̂x for PCA-DR) and S the ddof-0 covariance. It is
+// computed this way in every run, so attaching a sink or a reference
+// never changes a report field other than rmse_vs_reference.
 //
 // Fidelity contract (tested in streaming_attack_test): the streamed
 // covariance is BITWISE equal to the in-memory stats::SampleCovariance,
 // so the eigenbasis and component count match the in-memory attack
 // exactly; the chunked projection agrees with core::PcaReconstructor /
 // SpectralFilteringReconstructor to <= 1e-10 per entry, and is bitwise
-// the same for every chunk_rows.
+// the same for every chunk_rows; the closed-form rmse_vs_disguised agrees
+// with the RMSE summed over the projected rows to 1e-12.
 
 #ifndef RANDRECON_PIPELINE_STREAMING_ATTACK_H_
 #define RANDRECON_PIPELINE_STREAMING_ATTACK_H_
@@ -75,7 +86,8 @@ struct StreamingAttackReport {
   /// Estimated mean µ̂ (column means of the disguised stream).
   linalg::Vector mean;
   /// RMSE between the reconstruction and the disguised input — how much
-  /// the attack moved the data (≈ removed noise energy).
+  /// the attack moved the data (≈ removed noise energy). Closed form over
+  /// the covariance (see the file comment); 0 when p = m.
   double rmse_vs_disguised = 0.0;
   /// RMSE against the aligned ground-truth stream, when one was given —
   /// the paper's privacy measure.
@@ -91,7 +103,8 @@ class StreamingAttackPipeline {
       : options_(std::move(options)) {}
 
   /// Attacks the `disguised` stream, emitting reconstructed chunks to
-  /// `sink` (pass NullChunkSink to keep metrics only). `reference`, when
+  /// `sink` (pass NullChunkSink to keep metrics only: with no reference,
+  /// the projection pass is skipped). `reference`, when
   /// non-null, must be an aligned stream of the original records (same
   /// n, same order) and feeds rmse_vs_reference. Fails with
   /// InvalidArgument on shape mismatches or misaligned streams and

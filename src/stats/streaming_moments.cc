@@ -10,6 +10,13 @@ namespace stats {
 
 using linalg::kernels::kGramChunkRows;
 
+namespace {
+
+/// Rows per staging task: a span shorter than two tiles stages inline.
+constexpr size_t kStageTileRows = 256;
+
+}  // namespace
+
 StreamingMoments::StreamingMoments(size_t num_attributes,
                                    const ParallelOptions& options)
     : num_attributes_(num_attributes),
@@ -60,6 +67,9 @@ void StreamingMoments::FinalizeMeans() {
   RR_CHECK_GT(mean_count_, 0u) << "StreamingMoments: no records accumulated";
   means_ = sums_;
   for (double& value : means_) value /= static_cast<double>(mean_count_);
+  // No more staging blocks than the scatter phase will fill.
+  group_blocks_ = EffectiveThreadCount(
+      options_, (mean_count_ + kGramChunkRows - 1) / kGramChunkRows);
   phase_ = Phase::kScatter;
 }
 
@@ -74,38 +84,64 @@ void StreamingMoments::AccumulateScatterColumns(const double* const* columns,
   RR_CHECK(phase_ == Phase::kScatter)
       << "StreamingMoments: AccumulateScatterColumns outside the scatter phase";
   const size_t m = num_attributes_;
+  const size_t group_rows = group_blocks_ * kGramChunkRows;
   if (staging_.empty() && num_rows > 0) {
-    staging_.resize(kGramChunkRows * m);
-    partial_.resize(m * m);
+    staging_.resize(group_rows * m);
+    partials_.resize(group_blocks_ * m * m);
     scatter_.assign(m * m, 0.0);
   }
   size_t consumed = 0;
   while (consumed < num_rows) {
-    const size_t span = std::min(num_rows - consumed,
-                                 kGramChunkRows - staging_rows_);
+    const size_t span =
+        std::min(num_rows - consumed, group_rows - staging_rows_);
     // Centered rows x_ij − µ_j: the element-wise op CenterColumns applies.
-    linalg::kernels::ColumnsToRows(columns, consumed, span, m, means_.data(),
-                                   staging_.data() + staging_rows_ * m, m);
+    // Each tile writes its own rows, so the split never changes a byte.
+    double* staged = staging_.data() + staging_rows_ * m;
+    ParallelFor(
+        0, (span + kStageTileRows - 1) / kStageTileRows,
+        [&](size_t tile_begin, size_t tile_end) {
+          const size_t first = tile_begin * kStageTileRows;
+          const size_t last = std::min(span, tile_end * kStageTileRows);
+          linalg::kernels::ColumnsToRows(columns, consumed + first,
+                                         last - first, m, means_.data(),
+                                         staged + first * m, m);
+        },
+        options_);
     staging_rows_ += span;
     consumed += span;
-    // Flushes happen exactly every kGramChunkRows records, so block
-    // boundaries sit at global record indices that are multiples of the
-    // constant — invariant to the caller's block sizes.
-    if (staging_rows_ == kGramChunkRows) FlushStagingBlock();
+    // Groups fill exactly every group_blocks_·kGramChunkRows records, so
+    // block boundaries sit at global record indices that are multiples
+    // of the constant — invariant to the caller's block sizes.
+    if (staging_rows_ == group_rows) FlushStagingGroup();
   }
   scatter_count_ += num_rows;
 }
 
-void StreamingMoments::FlushStagingBlock() {
+void StreamingMoments::FlushStagingGroup() {
   const size_t m = num_attributes_;
-  linalg::kernels::GramAtAChunk(staging_.data(), staging_rows_, m,
-                                partial_.data(), options_);
-  // Fold the block partial in block order — the same ordered merge
+  const size_t blocks = (staging_rows_ + kGramChunkRows - 1) / kGramChunkRows;
+  // One task per block. A lone block runs on the caller and keeps the
+  // kernel's own output-tile parallelism; several run one per worker,
+  // where the kernel's nested parallel calls run inline.
+  ParallelForEach(
+      0, blocks,
+      [&](size_t block) {
+        const size_t first = block * kGramChunkRows;
+        linalg::kernels::GramAtAChunk(
+            staging_.data() + first * m,
+            std::min(kGramChunkRows, staging_rows_ - first), m,
+            partials_.data() + block * m * m, options_);
+      },
+      options_);
+  // Fold the block partials in block order — the same ordered merge
   // kernels::GramAtA performs, so the bits match the in-memory path.
-  for (size_t p = 0; p < m; ++p) {
-    double* scatter_row = scatter_.data() + p * m;
-    const double* partial_row = partial_.data() + p * m;
-    for (size_t q = p; q < m; ++q) scatter_row[q] += partial_row[q];
+  for (size_t block = 0; block < blocks; ++block) {
+    const double* partial = partials_.data() + block * m * m;
+    for (size_t p = 0; p < m; ++p) {
+      double* scatter_row = scatter_.data() + p * m;
+      const double* partial_row = partial + p * m;
+      for (size_t q = p; q < m; ++q) scatter_row[q] += partial_row[q];
+    }
   }
   staging_rows_ = 0;
 }
@@ -117,7 +153,7 @@ linalg::Matrix StreamingMoments::FinalizeCovariance(int ddof) {
   RR_CHECK_EQ(scatter_count_, mean_count_)
       << "StreamingMoments: scatter pass saw a different record count";
   RR_CHECK_GT(mean_count_, static_cast<size_t>(ddof)) << "not enough records";
-  if (staging_rows_ > 0) FlushStagingBlock();
+  if (staging_rows_ > 0) FlushStagingGroup();
   phase_ = Phase::kDone;
 
   const size_t m = num_attributes_;

@@ -1,5 +1,6 @@
 // StreamingMoments: out-of-core mean and sample-covariance accumulation
-// over record chunks of ANY size, in O(kGramChunkRows·m + m²) memory.
+// over record chunks of ANY size, in O(T·(kGramChunkRows·m + m²)) memory
+// for T worker threads.
 //
 // The covariance-driven attacks (PCA-DR, SF) need exactly two things from
 // the n x m record matrix: the column means and the centered scatter
@@ -15,10 +16,19 @@
 //     * scatter accumulation stages centered rows into fixed blocks of
 //       kernels::kGramChunkRows records — block boundaries fall at global
 //       record indices that are multiples of the constant, no matter how
-//       the caller chunks its input — and flushes each block through
-//       kernels::GramAtAChunk, folding partials in block order: exactly
-//       the accumulation structure kernels::GramAtA pins for the
+//       the caller chunks its input — takes each block's partial through
+//       kernels::GramAtAChunk, and folds the partials in block order:
+//       exactly the accumulation structure kernels::GramAtA pins for the
 //       in-memory path.
+//
+// Block-parallel flush: the accumulator keeps T = EffectiveThreadCount
+// staging blocks (fewer when n is small). Each span is staged with
+// kernels::ColumnsToRows split across row tiles; when all T blocks are
+// full, one ParallelForEach computes their T partials at once, and
+// FinalizeCovariance flushes the last, partly filled group. A block's
+// partial depends only on its rows and m (contract 1), and the partials
+// still fold in block order on the calling thread, so T changes the
+// speed and never the bits.
 //
 // Records arrive as column blocks: `columns[j]` points at `num_rows`
 // contiguous values of attribute j (a mapped store block served zero-copy,
@@ -27,11 +37,11 @@
 // one-pass raw-moment formula Σxxᵀ/n − µµᵀ is neither bitwise compatible
 // nor numerically safe for data with large means):
 //
-//   StreamingMoments moments(m);
+//   StreamingMoments moments(m, parallel);  // T from `parallel`.
 //   for (block : stream) moments.AccumulateMeansColumns(block, rows);
-//   moments.FinalizeMeans();
+//   moments.FinalizeMeans();                // Fixes n, hence the group size.
 //   for (block : re-streamed) moments.AccumulateScatterColumns(block, rows);
-//   linalg::Matrix cov = moments.FinalizeCovariance();
+//   linalg::Matrix cov = moments.FinalizeCovariance();  // Last group.
 
 #ifndef RANDRECON_STATS_STREAMING_MOMENTS_H_
 #define RANDRECON_STATS_STREAMING_MOMENTS_H_
@@ -50,8 +60,8 @@ namespace stats {
 /// RR_CHECK, mirroring the preconditions of stats::SampleCovariance.
 class StreamingMoments {
  public:
-  /// `options` parallelizes the per-block Gram kernel; results are
-  /// bitwise identical for any setting.
+  /// `options` sets T, the staging blocks whose Gram partials run in
+  /// parallel; results are bitwise identical for any setting.
   explicit StreamingMoments(size_t num_attributes,
                             const ParallelOptions& options = {});
 
@@ -68,14 +78,16 @@ class StreamingMoments {
   const linalg::Vector& means() const;
 
   /// Phase 2: feeds the SAME record stream again, in the same order.
-  /// Centered rows are staged into fixed kGramChunkRows blocks (one tiled
-  /// kernels::ColumnsToRows per span), flushed at the same global record
-  /// indices whatever the block sizes.
+  /// Centered rows are staged into fixed kGramChunkRows blocks (the span
+  /// split across row tiles, one kernels::ColumnsToRows each) whose
+  /// boundaries sit at the same global record indices whatever the block
+  /// sizes; each full group of staging blocks is flushed block-parallel.
   void AccumulateScatterColumns(const double* const* columns, size_t num_rows);
 
-  /// Ends phase 2 and returns the m x m sample covariance (ddof = 0:
-  /// divide by n; ddof = 1: divide by n−1). Requires the phase-2 record
-  /// count to equal the phase-1 count, and n > ddof.
+  /// Ends phase 2 — flushing the last, partly filled group — and returns
+  /// the m x m sample covariance (ddof = 0: divide by n; ddof = 1: divide
+  /// by n−1). Requires the phase-2 record count to equal the phase-1
+  /// count, and n > ddof.
   linalg::Matrix FinalizeCovariance(int ddof = 0);
 
   /// Records accumulated in phase 1 so far.
@@ -84,7 +96,9 @@ class StreamingMoments {
   size_t num_attributes() const { return num_attributes_; }
 
  private:
-  void FlushStagingBlock();
+  /// Computes the Gram partial of every staged block (block-parallel)
+  /// and folds them into scatter_ in block order.
+  void FlushStagingGroup();
 
   enum class Phase { kMeans, kScatter, kDone };
 
@@ -95,10 +109,11 @@ class StreamingMoments {
   size_t scatter_count_ = 0;
   linalg::Vector sums_;
   linalg::Vector means_;
-  std::vector<double> staging_;  ///< kGramChunkRows x m centered rows.
-  size_t staging_rows_ = 0;
-  std::vector<double> partial_;  ///< m x m per-block Gram partial.
-  std::vector<double> scatter_;  ///< m x m upper-triangle accumulation.
+  size_t group_blocks_ = 0;       ///< T: staging blocks per flush.
+  std::vector<double> staging_;  ///< T·kGramChunkRows x m centered rows.
+  size_t staging_rows_ = 0;      ///< Rows staged in the current group.
+  std::vector<double> partials_;  ///< T x (m x m) per-block Gram partials.
+  std::vector<double> scatter_;   ///< m x m upper-triangle accumulation.
 };
 
 }  // namespace stats

@@ -5,9 +5,12 @@
 
 #include "pipeline/streaming_attack.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -15,6 +18,7 @@
 #include "common/trace.h"
 #include "core/pca_dr.h"
 #include "core/spectral_filtering.h"
+#include "data/column_store.h"
 #include "data/csv.h"
 #include "data/synthetic.h"
 #include "linalg/matrix_util.h"
@@ -375,6 +379,189 @@ TEST(StreamingAttackTest, TracingDoesNotPerturbTheNumbers) {
     EXPECT_EQ(plain_report.eigenvalues[j], traced_report.eigenvalues[j])
         << "eigenvalue " << j;
   }
+}
+
+// ---------------------------------------------------------------------------
+// rmse_vs_disguised comes from the covariance, so it matches the projected
+// rows, no sink or reference changes the report, and a metrics-only run
+// never projects.
+// ---------------------------------------------------------------------------
+
+/// Runs the attack over `disguised` into `sink` and returns the report.
+StreamingAttackReport RunInto(const Matrix& disguised,
+                              const perturb::NoiseModel& noise,
+                              const StreamingAttackOptions& options,
+                              ChunkSink* sink,
+                              RecordSource* reference = nullptr) {
+  MatrixRecordSource source(&disguised);
+  auto report =
+      StreamingAttackPipeline(options).Run(&source, noise, sink, reference);
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  return report.ok() ? report.value() : StreamingAttackReport{};
+}
+
+/// The closed form against Σ‖x̂ − y‖² summed over the collected rows;
+/// returns the component count the run kept.
+size_t ExpectClosedFormMatchesRows(const Matrix& disguised,
+                                   const perturb::NoiseModel& noise,
+                                   const StreamingAttackOptions& options,
+                                   const std::string& label) {
+  CollectChunkSink sink(disguised.cols());
+  const StreamingAttackReport report =
+      RunInto(disguised, noise, options, &sink);
+  const double summed = stats::RootMeanSquareError(sink.ToMatrix(), disguised);
+  EXPECT_FALSE(std::isnan(report.rmse_vs_disguised)) << label;
+  EXPECT_NEAR(report.rmse_vs_disguised, summed,
+              1e-12 * std::max(1.0, summed))
+      << label << " (p = " << report.num_components << ")";
+  return report.num_components;
+}
+
+TEST(StreamingAttackTest, ClosedFormRmseVsDisguisedMatchesTheProjectedRows) {
+  const Fixture fixture = MakeFixture(2000, 12);
+  StreamingAttackOptions options;
+  options.chunk_rows = 300;
+  EXPECT_LT(ExpectClosedFormMatchesRows(fixture.disguised, fixture.noise,
+                                        options, "PCA-DR, independent noise"),
+            12u);
+  // At σ = 1 the minor eigenvalues sit under the Marchenko–Pastur edge,
+  // so SF drops them too.
+  const Fixture noisy = MakeFixture(2000, 12, /*sigma=*/1.0);
+  options.attack = StreamingAttack::kSpectralFiltering;
+  EXPECT_LT(ExpectClosedFormMatchesRows(noisy.disguised, noisy.noise, options,
+                                        "SF"),
+            12u);
+
+  // Correlated noise: Q̂ are eigenvectors of Σ̂x = Cov(Y) − Σr, not of
+  // Cov(Y), so the closed form must use the dropped directions, not the
+  // dropped eigenvalues.
+  Matrix noise_covariance(12, 12, 0.06);
+  for (size_t j = 0; j < 12; ++j) noise_covariance(j, j) = 0.16;
+  auto scheme = perturb::CorrelatedGaussianScheme::Create(noise_covariance);
+  ASSERT_TRUE(scheme.ok()) << scheme.status().ToString();
+  stats::Rng rng(31);
+  const Matrix correlated =
+      fixture.original + scheme.value().GenerateNoise(2000, &rng);
+  options.attack = StreamingAttack::kPcaDr;
+  EXPECT_LT(ExpectClosedFormMatchesRows(correlated,
+                                        scheme.value().noise_model(), options,
+                                        "PCA-DR, correlated noise"),
+            12u);
+
+  // p = m drops nothing: exactly 0, never NaN.
+  options.pca.selection = core::PcSelection::kFixedCount;
+  options.pca.fixed_count = 12;
+  ExpectClosedFormMatchesRows(fixture.disguised, fixture.noise, options,
+                              "PCA-DR, p = m");
+  NullChunkSink sink;
+  const StreamingAttackReport all_kept =
+      RunInto(fixture.disguised, fixture.noise, options, &sink);
+  EXPECT_EQ(all_kept.num_components, 12u);
+  EXPECT_EQ(all_kept.rmse_vs_disguised, 0.0);
+}
+
+bool SameBits(const linalg::Vector& a, const linalg::Vector& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(StreamingAttackTest, SinksAndReferenceNeverChangeTheReport) {
+  const Fixture fixture = MakeFixture(900, 8);
+  for (const StreamingAttack attack :
+       {StreamingAttack::kPcaDr, StreamingAttack::kSpectralFiltering}) {
+    StreamingAttackOptions options;
+    options.attack = attack;
+    options.chunk_rows = 64;
+    NullChunkSink null_sink;
+    CollectChunkSink collect_sink(8);
+    NullChunkSink reference_sink;
+    MatrixRecordSource reference(&fixture.original);
+    const StreamingAttackReport reports[3] = {
+        RunInto(fixture.disguised, fixture.noise, options, &null_sink),
+        RunInto(fixture.disguised, fixture.noise, options, &collect_sink),
+        RunInto(fixture.disguised, fixture.noise, options, &reference_sink,
+                &reference)};
+    EXPECT_EQ(collect_sink.num_records(), 900u);
+    EXPECT_FALSE(reports[0].has_reference);
+    EXPECT_FALSE(reports[1].has_reference);
+    EXPECT_TRUE(reports[2].has_reference);
+    for (const StreamingAttackReport& report : {reports[1], reports[2]}) {
+      EXPECT_EQ(report.num_records, reports[0].num_records);
+      EXPECT_EQ(report.num_attributes, reports[0].num_attributes);
+      EXPECT_EQ(report.num_components, reports[0].num_components);
+      EXPECT_TRUE(SameBits(report.eigenvalues, reports[0].eigenvalues));
+      EXPECT_TRUE(SameBits(report.mean, reports[0].mean));
+      EXPECT_EQ(std::memcmp(&report.rmse_vs_disguised,
+                            &reports[0].rmse_vs_disguised, sizeof(double)),
+                0);
+    }
+  }
+}
+
+/// Forwards a column store and counts what it serves through each
+/// interface.
+class CountingStoreSource final : public RecordSource,
+                                  public ColumnarBlockStream {
+ public:
+  explicit CountingStoreSource(ColumnStoreRecordSource* inner)
+      : inner_(inner) {}
+  size_t num_attributes() const override { return inner_->num_attributes(); }
+  Status Reset() override { return inner_->Reset(); }
+  Result<size_t> NextChunk(Matrix* buffer) override {
+    ++next_chunk_calls_;
+    return inner_->NextChunk(buffer);
+  }
+  ColumnarBlockStream* columnar_blocks() override { return this; }
+  Status ResetBlocks() override { return inner_->ResetBlocks(); }
+  Result<size_t> NextBlockColumns(
+      std::vector<const double*>* columns) override {
+    Result<size_t> rows = inner_->NextBlockColumns(columns);
+    if (rows.ok()) records_served_ += rows.value();
+    return rows;
+  }
+  size_t next_chunk_calls() const { return next_chunk_calls_; }
+  size_t records_served() const { return records_served_; }
+
+ private:
+  ColumnStoreRecordSource* inner_;
+  size_t next_chunk_calls_ = 0;
+  size_t records_served_ = 0;
+};
+
+TEST(StreamingAttackTest, MetricsOnlyRunSkipsTheProjectionPass) {
+  const Fixture fixture = MakeFixture(1000, 6);
+  const std::string path = "streaming_attack_test_metrics_only.rrcs";
+  data::ColumnStoreOptions store_options;
+  store_options.block_rows = 128;
+  ASSERT_TRUE(data::WriteColumnStore(data::Dataset(fixture.disguised), path,
+                                     store_options)
+                  .ok());
+  auto opened = ColumnStoreRecordSource::Open(path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  ColumnStoreRecordSource store = std::move(opened).value();
+  CountingStoreSource counting(&store);
+
+  metrics::ResetAllMetrics();
+  trace::StartTracing();
+  NullChunkSink sink;
+  const auto report =
+      StreamingAttackPipeline().Run(&counting, fixture.noise, &sink);
+  const std::vector<trace::Span> spans = trace::StopTracing();
+  std::remove(path.c_str());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+  // Two pass-1 sweeps, each record served once per sweep, and no pass 2.
+  EXPECT_EQ(counting.records_served(), 2 * fixture.disguised.rows());
+  EXPECT_EQ(counting.next_chunk_calls(), 0u);
+  EXPECT_EQ(AttackCounter("attack.records_pass1"), 1000u);
+  EXPECT_EQ(AttackCounter("attack.records_pass2"), 0u);
+  EXPECT_EQ(AttackCounter("attack.chunks_pass2"), 0u);
+  bool saw_means = false;
+  for (const trace::Span& span : spans) {
+    EXPECT_NE(span.name, "attack.pass2");
+    saw_means = saw_means || span.name == "attack.pass1_means";
+  }
+  EXPECT_TRUE(saw_means);
 }
 
 TEST(StreamingAttackTest, ZeroChunkRowsFailsTheJobNotTheProcess) {

@@ -89,6 +89,35 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<size_t>(1, 7, 64, 0),
                        ::testing::Values(1, 4)));
 
+// The block-parallel flush: T staging blocks per group for T threads, the
+// last group partly filled for every T in {1, 2, 3, 4} (n = 5 blocks +
+// 321 rows). m = 9 takes GramAtAChunk's column-pair loop, m = 20 its
+// blocked GEMM; either way the bits are SampleCovariance's.
+class StreamingMomentsGroupTest
+    : public ::testing::TestWithParam<std::tuple<size_t, int, size_t>> {};
+
+TEST_P(StreamingMomentsGroupTest, BitwiseEqualsSampleCovariance) {
+  const size_t block_rows = std::get<0>(GetParam());
+  const int num_threads = std::get<1>(GetParam());
+  const size_t m = std::get<2>(GetParam());
+  const size_t n = 5 * linalg::kernels::kGramChunkRows + 321;
+  stats::Rng rng(23);
+  Matrix data = rng.GaussianMatrix(n, m);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < m; ++j) data(i, j) += 10.0 * static_cast<double>(j);
+  }
+  const Matrix streamed = StreamCovariance(
+      data, block_rows == 0 ? n : block_rows, num_threads);
+  EXPECT_EQ(linalg::MaxAbsDifference(streamed, SampleCovariance(data)), 0.0);
+}
+
+// Block size 0 is the sentinel for "whole dataset in one block".
+INSTANTIATE_TEST_SUITE_P(
+    BlocksThreadsAndWidths, StreamingMomentsGroupTest,
+    ::testing::Combine(::testing::Values<size_t>(1, 7, 4096, 4097, 0),
+                       ::testing::Values(1, 2, 3, 4),
+                       ::testing::Values<size_t>(9, 20)));
+
 TEST(StreamingMomentsTest, UnevenChunkSequenceStillBitwise) {
   stats::Rng rng(11);
   const Matrix data = rng.GaussianMatrix(1000, 6);
