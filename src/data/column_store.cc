@@ -620,16 +620,15 @@ Status ColumnStoreReader::VerifyBlocksInRange(size_t block_begin,
     m_verify_short_circuits.Add(block_end - block_begin);
     return Status::OK();
   }
-  // Each task verifies a distinct block and writes only its own bitmap
-  // byte and status slot, so the pass is thread-safe and the surviving
-  // diagnostic (lowest failing block) is thread-count independent.
+  // One task per block, claimed by whichever thread is free: each writes
+  // only its own bitmap byte and status slot, so the pass is thread-safe
+  // and the surviving diagnostic (lowest failing block) is thread-count
+  // independent.
   std::vector<Status> statuses(block_end - block_begin);
-  ParallelFor(
+  ParallelForEach(
       block_begin, block_end,
-      [&](size_t begin, size_t end) {
-        for (size_t block = begin; block < end; ++block) {
-          statuses[block - block_begin] = VerifyBlock(block);
-        }
+      [&](size_t block) {
+        statuses[block - block_begin] = VerifyBlock(block);
       },
       options_.parallel);
   for (Status& status : statuses) {

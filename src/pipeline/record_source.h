@@ -75,6 +75,12 @@ class ColumnarBlockStream {
   /// naming the block).
   virtual Result<size_t> NextBlockColumns(
       std::vector<const double*>* columns) = 0;
+
+  /// True when every slice NextBlockColumns serves stays valid until the
+  /// stream is destroyed, not just until its next call (mapped stores).
+  /// A consumer may then hold several blocks at once: the attack's
+  /// scatter sweep hands StreamingMoments a wave of blocks per call.
+  virtual bool blocks_stay_valid() const { return false; }
 };
 
 /// An ordered, rewindable stream of records.
@@ -218,6 +224,8 @@ class ColumnStoreRecordSource final : public RecordSource,
   }
   Result<size_t> NextBlockColumns(
       std::vector<const double*>* columns) override;
+  /// Slices point into the mapping, which lives as long as the source.
+  bool blocks_stay_valid() const override { return true; }
 
  private:
   explicit ColumnStoreRecordSource(data::ColumnStoreReader reader)
@@ -277,6 +285,9 @@ class ShardedRecordSource final : public RecordSource,
   }
   Result<size_t> NextBlockColumns(
       std::vector<const double*>* columns) override;
+  /// Slices point into the shards' mappings; the reader keeps every
+  /// shard it opens until the source is destroyed.
+  bool blocks_stay_valid() const override { return true; }
 
  private:
   data::ShardedStoreReader reader_;

@@ -283,9 +283,34 @@ Result<StreamingAttackReport> StreamingAttackPipeline::Run(
   linalg::Matrix cov_y;
   {
     trace::TraceSpan scatter_span("attack.pass1_scatter");
+    // Blocks that stay valid are handed over a wave at a time, so each
+    // whole Gram block is centered and reduced by one task.
+    const bool hold = blocks->blocks_stay_valid();
+    std::vector<const double*> held_columns;  // m pointers per held block.
+    std::vector<size_t> held_rows;
+    size_t held_records = 0;
+    std::vector<stats::ColumnBlock> group;
+    auto hand_over = [&] {
+      group.resize(held_rows.size());
+      for (size_t b = 0; b < group.size(); ++b) {
+        group[b] = {held_columns.data() + b * m, held_rows[b]};
+      }
+      moments.AccumulateScatterBlocks(group.data(), group.size());
+      held_columns.clear();
+      held_rows.clear();
+      held_records = 0;
+    };
     RR_ASSIGN_OR_RETURN(const size_t scatter_records, sweep([&](size_t rows) {
-      moments.AccumulateScatterColumns(columns.data(), rows);
+      if (!hold) {
+        moments.AccumulateScatterColumns(columns.data(), rows);
+        return;
+      }
+      held_columns.insert(held_columns.end(), columns.begin(), columns.end());
+      held_rows.push_back(rows);
+      held_records += rows;
+      if (held_records >= moments.scatter_group_rows()) hand_over();
     }));
+    if (!held_rows.empty()) hand_over();
     // A drifting source (records appended/lost between sweeps) is a data
     // error, not a programming error: fail the job before the
     // accumulator's own count RR_CHECK would abort the process.

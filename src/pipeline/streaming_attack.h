@@ -6,12 +6,14 @@
 // only when a caller reads the reconstruction, one more look at every
 // record to project it. Peak resident data is
 // O((chunk_rows + T·kGramChunkRows)·m + T·m²) for T worker threads — the
-// moment accumulator stages T fixed 4096-row blocks and their Gram
-// partials, which dominate if chunk_rows is shrunk below them:
+// moment accumulator stages T fixed 4096-row blocks and keeps up to 4·T
+// Gram partials, which dominate if chunk_rows is shrunk below them:
 //
 //   Pass 1 — moments: stream Y as column blocks (ColumnarBlockStream,
 //     record_source.h) through stats::StreamingMoments (two sweeps:
-//     means, then centered scatter, flushed block-parallel),
+//     means, then centered scatter, block-parallel; blocks that stay
+//     valid, as mapped stores' do, go over a wave of 4·T Gram blocks
+//     per call),
 //     eigendecompose ONCE:
 //       SF      — eigenvectors of Cov(Y), p from the Marchenko–Pastur
 //                 bound (core::SelectSfComponents);

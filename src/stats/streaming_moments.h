@@ -21,14 +21,22 @@
 //       exactly the accumulation structure kernels::GramAtA pins for the
 //       in-memory path.
 //
-// Block-parallel flush: the accumulator keeps T = EffectiveThreadCount
-// staging blocks (fewer when n is small). Each span is staged with
-// kernels::ColumnsToRows split across row tiles; when all T blocks are
-// full, one ParallelForEach computes their T partials at once, and
-// FinalizeCovariance flushes the last, partly filled group. A block's
-// partial depends only on its rows and m (contract 1), and the partials
-// still fold in block order on the calling thread, so T changes the
-// speed and never the bits.
+// Block-parallel scatter: the accumulator keeps T = EffectiveThreadCount
+// staging blocks (fewer when n is small). Records reach a Gram block in
+// one of two ways, and both give the same bits:
+//   * AccumulateScatterColumns copies each span, centered, into the
+//     staging blocks (kernels::ColumnsToRows split across row tiles);
+//     when all T are full, one ParallelForEach computes their T partials,
+//     and FinalizeCovariance flushes the last, partly filled group.
+//   * AccumulateScatterBlocks takes several caller-owned blocks at once.
+//     Every Gram block they cover whole is one task that centers its rows
+//     into a free staging block and reduces it there, so a block's rows
+//     are written and read by one core. Tasks run in waves of 4·T, claimed
+//     by whichever thread is free; records left over on either side go
+//     through the staging path.
+// A block's partial depends only on its rows and m (contract 1), and the
+// partials fold in block order on the calling thread, so T and the
+// entry point change the speed and never the bits.
 //
 // Records arrive as column blocks: `columns[j]` points at `num_rows`
 // contiguous values of attribute j (a mapped store block served zero-copy,
@@ -41,6 +49,8 @@
 //   for (block : stream) moments.AccumulateMeansColumns(block, rows);
 //   moments.FinalizeMeans();                // Fixes n, hence the group size.
 //   for (block : re-streamed) moments.AccumulateScatterColumns(block, rows);
+//   //   or, when blocks stay valid together, about scatter_group_rows()
+//   //   records at a time: moments.AccumulateScatterBlocks(group, count);
 //   linalg::Matrix cov = moments.FinalizeCovariance();  // Last group.
 
 #ifndef RANDRECON_STATS_STREAMING_MOMENTS_H_
@@ -58,6 +68,13 @@ namespace stats {
 /// Phase misuse (accumulating scatter before FinalizeMeans, mismatched
 /// record counts between phases) is a programmer error and aborts via
 /// RR_CHECK, mirroring the preconditions of stats::SampleCovariance.
+/// One caller-owned column block: `columns[j]` points at `rows`
+/// contiguous values of attribute j.
+struct ColumnBlock {
+  const double* const* columns = nullptr;
+  size_t rows = 0;
+};
+
 class StreamingMoments {
  public:
   /// `options` sets T, the staging blocks whose Gram partials run in
@@ -84,6 +101,17 @@ class StreamingMoments {
   /// sizes; each full group of staging blocks is flushed block-parallel.
   void AccumulateScatterColumns(const double* const* columns, size_t num_rows);
 
+  /// Phase 2, several blocks at once: `blocks[0..count)` are the next
+  /// records in order, and every slice must stay valid for the call. Each
+  /// whole kGramChunkRows block they cover is centered and reduced by one
+  /// task; the rest is staged as AccumulateScatterColumns does. Bitwise
+  /// identical to feeding the blocks one by one.
+  void AccumulateScatterBlocks(const ColumnBlock* blocks, size_t count);
+
+  /// Records per AccumulateScatterBlocks call that fill one wave of Gram
+  /// tasks (4·T·kGramChunkRows). Valid after FinalizeMeans().
+  size_t scatter_group_rows() const;
+
   /// Ends phase 2 — flushing the last, partly filled group — and returns
   /// the m x m sample covariance (ddof = 0: divide by n; ddof = 1: divide
   /// by n−1). Requires the phase-2 record count to equal the phase-1
@@ -96,9 +124,35 @@ class StreamingMoments {
   size_t num_attributes() const { return num_attributes_; }
 
  private:
+  /// Records `[first_row, first_row + num_rows)` of `columns` taken from
+  /// one caller block.
+  struct Piece {
+    size_t block;
+    size_t first_row;
+    size_t rows;
+  };
+
+  /// Allocates the staging blocks, the partials and scatter_ on first use.
+  void EnsureScatterBuffers();
+
+  /// Centers `num_rows` records of `columns`, from `first_row` on, into
+  /// the staging blocks, flushing each group that fills.
+  void StageRows(const double* const* columns, size_t first_row,
+                 size_t num_rows);
+
   /// Computes the Gram partial of every staged block (block-parallel)
   /// and folds them into scatter_ in block order.
   void FlushStagingGroup();
+
+  /// One task per whole Gram block: task t centers its pieces
+  /// `[task_pieces[t], task_pieces[t + 1])` into a free staging block and
+  /// reduces it; the partials then fold in task order. Needs the staging
+  /// blocks empty.
+  void RunGramTasks(const ColumnBlock* blocks, const std::vector<Piece>& pieces,
+                    const std::vector<size_t>& task_pieces);
+
+  /// Adds partials_[0..blocks) into scatter_'s upper triangle, in order.
+  void FoldPartials(size_t blocks);
 
   enum class Phase { kMeans, kScatter, kDone };
 
@@ -112,7 +166,7 @@ class StreamingMoments {
   size_t group_blocks_ = 0;       ///< T: staging blocks per flush.
   std::vector<double> staging_;  ///< T·kGramChunkRows x m centered rows.
   size_t staging_rows_ = 0;      ///< Rows staged in the current group.
-  std::vector<double> partials_;  ///< T x (m x m) per-block Gram partials.
+  std::vector<double> partials_;  ///< 4·T x (m x m) per-block Gram partials.
   std::vector<double> scatter_;   ///< m x m upper-triangle accumulation.
 };
 

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include "core/spectral_filtering.h"
 #include "data/column_store.h"
 #include "data/csv.h"
+#include "data/shard_store.h"
 #include "data/synthetic.h"
 #include "linalg/matrix_util.h"
 #include "perturb/schemes.h"
@@ -562,6 +564,70 @@ TEST(StreamingAttackTest, MetricsOnlyRunSkipsTheProjectionPass) {
     saw_means = saw_means || span.name == "attack.pass1_means";
   }
   EXPECT_TRUE(saw_means);
+}
+
+// Mapped stores keep their blocks valid, so the scatter sweep hands them
+// to StreamingMoments a wave at a time. Over 17 Gram blocks plus a tail,
+// store blocks of 1000 rows (Gram blocks span several store blocks) and
+// shards of 9000 rows (shard ends fall inside Gram blocks), the report is
+// bitwise the one a block-at-a-time sweep of the same store and an
+// in-memory source give, for every thread count.
+TEST(StreamingAttackTest, HeldStoreBlocksGiveTheBlockAtATimeBits) {
+  const size_t n = 17 * 4096 + 321;
+  const Fixture fixture = MakeFixture(n, 12);
+  const std::string path = "streaming_attack_test_held.rrcs";
+  const std::string manifest = "streaming_attack_test_held.rrcm";
+  data::ColumnStoreOptions store_options;
+  store_options.block_rows = 1000;
+  ASSERT_TRUE(data::WriteColumnStore(data::Dataset(fixture.disguised), path,
+                                     store_options)
+                  .ok());
+  data::ShardedStoreOptions sharded_options;
+  sharded_options.block_rows = 1000;
+  sharded_options.shard_rows = 9000;
+  ASSERT_TRUE(data::WriteShardedStore(data::Dataset(fixture.disguised),
+                                      manifest, sharded_options)
+                  .ok());
+
+  for (const int threads : {1, 3, 4}) {
+    StreamingAttackOptions options;
+    options.parallel.num_threads = threads;
+    const StreamingAttackPipeline attack(options);
+    NullChunkSink sink;
+    MatrixRecordSource in_memory(&fixture.disguised);
+    const auto expected = attack.Run(&in_memory, fixture.noise, &sink);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+    auto opened_store = ColumnStoreRecordSource::Open(path);
+    ASSERT_TRUE(opened_store.ok()) << opened_store.status().ToString();
+    ColumnStoreRecordSource store = std::move(opened_store).value();
+    auto opened_sharded = ShardedRecordSource::Open(manifest);
+    ASSERT_TRUE(opened_sharded.ok()) << opened_sharded.status().ToString();
+    ShardedRecordSource sharded = std::move(opened_sharded).value();
+    ASSERT_TRUE(store.blocks_stay_valid());
+    ASSERT_TRUE(sharded.blocks_stay_valid());
+    CountingStoreSource one_at_a_time(&store);
+    ASSERT_FALSE(one_at_a_time.blocks_stay_valid());
+
+    for (RecordSource* source : std::vector<RecordSource*>{
+             &store, &sharded, &one_at_a_time}) {
+      const auto report = attack.Run(source, fixture.noise, &sink);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      EXPECT_EQ(report.value().num_components, expected.value().num_components);
+      EXPECT_TRUE(SameBits(report.value().mean, expected.value().mean))
+          << "threads=" << threads;
+      EXPECT_TRUE(
+          SameBits(report.value().eigenvalues, expected.value().eigenvalues))
+          << "threads=" << threads;
+      EXPECT_EQ(std::memcmp(&report.value().rmse_vs_disguised,
+                            &expected.value().rmse_vs_disguised,
+                            sizeof(double)),
+                0)
+          << "threads=" << threads;
+    }
+  }
+  std::remove(path.c_str());
+  ASSERT_TRUE(data::RemoveShardedStoreFiles(manifest).ok());
 }
 
 TEST(StreamingAttackTest, ZeroChunkRowsFailsTheJobNotTheProcess) {

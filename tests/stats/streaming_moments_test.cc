@@ -118,6 +118,101 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 2, 3, 4),
                        ::testing::Values<size_t>(9, 20)));
 
+// AccumulateScatterBlocks: the same records handed over several blocks at
+// a time. kWave fills one wave of Gram tasks per call, kSingle passes one
+// block per call, and kMixed alternates with AccumulateScatterColumns in
+// odd-sized groups, so head and tail records go through the staging path
+// between task waves.
+enum class HandOver { kWave, kSingle, kMixed };
+
+Matrix StreamCovarianceBlocks(const Matrix& data, size_t block_rows,
+                              int num_threads, HandOver mode) {
+  ParallelOptions options;
+  options.num_threads = num_threads;
+  const Matrix transposed = data.Transpose();
+  const size_t n = data.rows();
+  StreamingMoments moments(data.cols(), options);
+  for (size_t row = 0; row < n; row += block_rows) {
+    const size_t rows = std::min(block_rows, n - row);
+    moments.AccumulateMeansColumns(ColumnsAt(transposed, row).data(), rows);
+  }
+  moments.FinalizeMeans();
+  // Every block's pointers, alive for the whole sweep.
+  std::vector<std::vector<const double*>> columns;
+  std::vector<ColumnBlock> blocks;
+  for (size_t row = 0; row < n; row += block_rows) {
+    columns.push_back(ColumnsAt(transposed, row));
+  }
+  for (size_t b = 0; b < columns.size(); ++b) {
+    blocks.push_back({columns[b].data(), std::min(block_rows, n - b * block_rows)});
+  }
+  size_t next = 0;
+  for (size_t call = 0; next < blocks.size(); ++call) {
+    size_t count = 1;
+    if (mode == HandOver::kWave) {
+      size_t rows = 0;
+      for (count = 0; next + count < blocks.size() &&
+                      rows < moments.scatter_group_rows();
+           ++count) {
+        rows += blocks[next + count].rows;
+      }
+    } else if (mode == HandOver::kMixed) {
+      if (call % 2 == 1) {
+        moments.AccumulateScatterColumns(blocks[next].columns,
+                                         blocks[next].rows);
+        ++next;
+        continue;
+      }
+      count = std::min<size_t>(blocks.size() - next, 2 + call % 5);
+    }
+    moments.AccumulateScatterBlocks(blocks.data() + next, count);
+    next += count;
+  }
+  return moments.FinalizeCovariance();
+}
+
+class StreamingMomentsBlocksTest
+    : public ::testing::TestWithParam<std::tuple<size_t, int, HandOver>> {};
+
+TEST_P(StreamingMomentsBlocksTest, BitwiseEqualsSampleCovariance) {
+  const size_t block_rows = std::get<0>(GetParam());
+  const int num_threads = std::get<1>(GetParam());
+  // n = 17 Gram blocks + 321 rows: more than one wave of 4·T tasks for
+  // T <= 4, the last wave partly filled, and a ragged tail. m = 20 takes
+  // GramAtAChunk's blocked GEMM.
+  const size_t n = 17 * linalg::kernels::kGramChunkRows + 321;
+  const size_t m = 20;
+  stats::Rng rng(29);
+  Matrix data = rng.GaussianMatrix(n, m);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < m; ++j) data(i, j) += 10.0 * static_cast<double>(j);
+  }
+  const Matrix streamed = StreamCovarianceBlocks(
+      data, block_rows == 0 ? n : block_rows, num_threads,
+      std::get<2>(GetParam()));
+  EXPECT_EQ(linalg::MaxAbsDifference(streamed, SampleCovariance(data)), 0.0);
+}
+
+// Block size 0 is the sentinel for "whole dataset in one block".
+INSTANTIATE_TEST_SUITE_P(
+    BlocksThreadsAndHandOvers, StreamingMomentsBlocksTest,
+    ::testing::Combine(::testing::Values<size_t>(7, 1000, 4096, 4097, 0),
+                       ::testing::Values(1, 2, 3, 4),
+                       ::testing::Values(HandOver::kWave, HandOver::kSingle,
+                                         HandOver::kMixed)));
+
+TEST(StreamingMomentsTest, ScatterGroupRowsIsOneWavePerThread) {
+  ParallelOptions options;
+  options.num_threads = 3;
+  StreamingMoments moments(2, options);
+  const std::vector<double> values(100 * linalg::kernels::kGramChunkRows, 1.0);
+  const std::vector<const double*> columns = {values.data(), values.data()};
+  moments.AccumulateMeansColumns(columns.data(), values.size());
+  moments.FinalizeMeans();
+  EXPECT_EQ(moments.scatter_group_rows(),
+            4u * 3u * linalg::kernels::kGramChunkRows);
+}
+
 TEST(StreamingMomentsTest, UnevenChunkSequenceStillBitwise) {
   stats::Rng rng(11);
   const Matrix data = rng.GaussianMatrix(1000, 6);
