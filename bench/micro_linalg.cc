@@ -89,15 +89,17 @@ double NaiveOffDiagonalSquaredSum(const Matrix& a) {
 }
 
 Result<linalg::EigenDecomposition> NaiveSymmetricEigen(const Matrix& input) {
-  const linalg::JacobiOptions options;
+  // The library solver's convergence settings, frozen with the reference.
+  constexpr double kTolerance = 1e-12;
+  constexpr int kMaxSweeps = 64;
   const size_t m = input.rows();
   Matrix a = linalg::Symmetrize(input);
   Matrix q = Matrix::Identity(m);
   const double scale = linalg::FrobeniusNorm(a);
-  const double threshold = options.tolerance * options.tolerance *
+  const double threshold = kTolerance * kTolerance *
                            (scale > 0.0 ? scale * scale : 1.0);
   bool converged = NaiveOffDiagonalSquaredSum(a) <= threshold;
-  for (int sweep = 0; sweep < options.max_sweeps && !converged; ++sweep) {
+  for (int sweep = 0; sweep < kMaxSweeps && !converged; ++sweep) {
     for (size_t p = 0; p + 1 < m; ++p) {
       for (size_t r = p + 1; r < m; ++r) {
         const double apr = a(p, r);

@@ -1,9 +1,9 @@
 #include "core/covariance_estimation.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "core/reconstructor.h"
-#include "linalg/eigen.h"
 #include "linalg/matrix_util.h"
 #include "stats/moments.h"
 
@@ -11,58 +11,85 @@ namespace randrecon {
 namespace core {
 namespace {
 
-/// Replaces the non-principal eigenvalues (below the largest descending
-/// gap) by their mean, clamped at `floor`. The eigendecomposition and the
-/// Q Λ Qᵀ recomposition both run on the blocked kernel layer
-/// (linalg/kernels.h), so this stays cheap at high dimension.
-Result<linalg::Matrix> AverageBulkEigenvalues(const linalg::Matrix& cov,
-                                              double floor) {
-  RR_ASSIGN_OR_RETURN(linalg::EigenDecomposition eig,
-                      linalg::SymmetricEigen(cov));
-  linalg::Vector values = eig.eigenvalues;
-  const size_t m = values.size();
-  if (m < 2) return cov;
-  size_t split = 1;
-  double best_gap = values[0] - values[1];
-  for (size_t i = 1; i + 1 < m; ++i) {
-    const double gap = values[i] - values[i + 1];
-    if (gap > best_gap) {
-      best_gap = gap;
-      split = i + 1;
-    }
-  }
-  double mean = 0.0;
-  for (size_t i = split; i < m; ++i) mean += values[i];
-  mean = std::max(mean / static_cast<double>(m - split), floor);
-  for (size_t i = split; i < m; ++i) values[i] = mean;
-  for (double& v : values) v = std::max(v, floor);
-  return linalg::ComposeFromEigen(values, eig.eigenvectors);
-}
-
-}  // namespace
-
-Result<linalg::Matrix> EstimateOriginalCovariance(
-    linalg::Matrix disguised_covariance, const perturb::NoiseModel& noise,
-    const MomentEstimationOptions& options) {
+/// Theorem 8.2: Σy = Σx + Σr, hence Σ̂x = Σy − Σr. For independent noise
+/// Σr is diagonal (= σ²I) and this is exactly Theorem 5.1's "subtract σ²
+/// from the diagonal".
+Result<linalg::Matrix> SubtractNoise(linalg::Matrix disguised_covariance,
+                                     const perturb::NoiseModel& noise) {
   if (disguised_covariance.rows() != noise.num_attributes() ||
       disguised_covariance.cols() != noise.num_attributes()) {
     return Status::InvalidArgument(
         "EstimateOriginalCovariance: covariance dimension != noise model");
   }
-  // Theorem 8.2: Σy = Σx + Σr, hence Σ̂x = Σy − Σr. For independent noise
-  // Σr is diagonal (= σ²I) and this is exactly Theorem 5.1's "subtract σ²
-  // from the diagonal".
-  linalg::Matrix cov = std::move(disguised_covariance);
-  cov -= noise.covariance();
+  disguised_covariance -= noise.covariance();
+  return disguised_covariance;
+}
 
+/// Post-processes Σ̂x's descending eigenvalues in place, keeping them
+/// descending: the bulk average replaces the non-principal ones by their
+/// mean, floored at max(eigen_floor, 0); otherwise the PSD clip raises
+/// each to eigen_floor. Returns false when the spectrum is still Σ̂x's.
+bool AdjustEigenvalues(const MomentEstimationOptions& options,
+                       linalg::Vector* values) {
+  const size_t m = values->size();
   if (options.bulk_average_nonprincipal) {
-    RR_ASSIGN_OR_RETURN(
-        cov, AverageBulkEigenvalues(cov, std::max(options.eigen_floor, 0.0)));
-  } else if (options.clip_to_psd) {
-    RR_ASSIGN_OR_RETURN(
-        cov, linalg::ClipToPositiveSemiDefinite(cov, options.eigen_floor));
+    if (m < 2) return false;
+    const double floor = std::max(options.eigen_floor, 0.0);
+    const auto bulk = values->begin() + LargestGapSplit(*values);
+    std::fill(bulk, values->end(),
+              std::accumulate(bulk, values->end(), 0.0) /
+                  static_cast<double>(values->end() - bulk));
+    for (double& lambda : *values) lambda = std::max(lambda, floor);
+    return true;
   }
-  return cov;
+  if (!options.clip_to_psd) return false;
+  RR_CHECK_GE(options.eigen_floor, 0.0);
+  const bool clipped = m > 0 && values->back() < options.eigen_floor;
+  for (double& lambda : *values) lambda = std::max(lambda, options.eigen_floor);
+  return clipped;
+}
+
+}  // namespace
+
+size_t LargestGapSplit(const linalg::Vector& descending) {
+  const size_t m = descending.size();
+  RR_CHECK_GE(m, 2u);
+  size_t split = 1;
+  double best_gap = descending[0] - descending[1];
+  for (size_t i = 1; i + 1 < m; ++i) {
+    const double gap = descending[i] - descending[i + 1];
+    if (gap > best_gap) {
+      best_gap = gap;
+      split = i + 1;
+    }
+  }
+  return split;
+}
+
+Result<linalg::EigenDecomposition> EstimateOriginalSpectrum(
+    linalg::Matrix disguised_covariance, const perturb::NoiseModel& noise,
+    const MomentEstimationOptions& options) {
+  RR_ASSIGN_OR_RETURN(const linalg::Matrix cov,
+                      SubtractNoise(std::move(disguised_covariance), noise));
+  RR_ASSIGN_OR_RETURN(linalg::EigenDecomposition eig,
+                      linalg::SymmetricEigen(cov));
+  AdjustEigenvalues(options, &eig.eigenvalues);
+  return eig;
+}
+
+Result<linalg::Matrix> EstimateOriginalCovariance(
+    linalg::Matrix disguised_covariance, const perturb::NoiseModel& noise,
+    const MomentEstimationOptions& options) {
+  RR_ASSIGN_OR_RETURN(linalg::Matrix cov,
+                      SubtractNoise(std::move(disguised_covariance), noise));
+  if (!options.bulk_average_nonprincipal && !options.clip_to_psd) return cov;
+  RR_ASSIGN_OR_RETURN(linalg::EigenDecomposition eig,
+                      linalg::SymmetricEigen(cov));
+  if (AdjustEigenvalues(options, &eig.eigenvalues)) {
+    return linalg::ComposeFromEigen(eig.eigenvalues, eig.eigenvectors);
+  }
+  // Σ̂x kept its spectrum: only scrub the floating-point asymmetry.
+  return linalg::Symmetrize(cov);
 }
 
 Result<OriginalMoments> EstimateOriginalMoments(

@@ -1,11 +1,8 @@
 #include "core/pca_dr.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "linalg/eigen.h"
-#include "linalg/kernels.h"
-#include "linalg/matrix_util.h"
 #include "stats/moments.h"
 
 namespace randrecon {
@@ -34,17 +31,8 @@ size_t SelectNumComponents(const linalg::Vector& eigenvalues,
     }
     case PcSelection::kLargestGap: {
       if (m == 1) return 1;
-      // p maximizing λ_p − λ_{p+1} (1-indexed): the split between
-      // "dominant" and "non-dominant" eigenvalues.
-      size_t best_p = 1;
-      double best_gap = eigenvalues[0] - eigenvalues[1];
-      for (size_t i = 1; i + 1 < m; ++i) {
-        const double gap = eigenvalues[i] - eigenvalues[i + 1];
-        if (gap > best_gap) {
-          best_gap = gap;
-          best_p = i + 1;
-        }
-      }
+      // The split between "dominant" and "non-dominant" eigenvalues.
+      const size_t best_p = LargestGapSplit(eigenvalues);
       // Dominance check: a flat spectrum (uncorrelated data) has no
       // principal/non-principal split; keep everything.
       const double before = eigenvalues[best_p - 1];
@@ -58,6 +46,31 @@ size_t SelectNumComponents(const linalg::Vector& eigenvalues,
   return 1;  // Unreachable; keeps GCC's -Wreturn-type happy.
 }
 
+Result<ProjectionBasis> SelectPcaBasis(linalg::Matrix disguised_covariance,
+                                       const perturb::NoiseModel& noise,
+                                       const PcaOptions& options) {
+  // Steps 1–2: the original covariance's spectrum — estimated per Theorem
+  // 5.1/8.2, or decomposed from the §5.3 oracle.
+  linalg::EigenDecomposition eig;
+  if (options.oracle_covariance.has_value()) {
+    if (options.oracle_covariance->rows() != noise.num_attributes()) {
+      return Status::InvalidArgument(
+          "PCA-DR: oracle covariance dimension mismatch");
+    }
+    RR_ASSIGN_OR_RETURN(eig,
+                        linalg::SymmetricEigen(*options.oracle_covariance));
+  } else {
+    RR_ASSIGN_OR_RETURN(
+        eig, EstimateOriginalSpectrum(std::move(disguised_covariance), noise,
+                                      options.moment_options));
+  }
+  // Step 3: pick p from the *original* eigenvalues — they encode the data
+  // correlation the attack exploits (§5.2.2).
+  const size_t p = SelectNumComponents(eig.eigenvalues, options);
+  return ProjectionBasis{std::move(eig.eigenvalues),
+                         std::move(eig.eigenvectors), p};
+}
+
 Result<linalg::Matrix> PcaReconstructor::Reconstruct(
     const linalg::Matrix& disguised, const perturb::NoiseModel& noise) const {
   return ReconstructWithDiagnostics(disguised, noise, nullptr);
@@ -67,57 +80,32 @@ Result<linalg::Matrix> PcaReconstructor::ReconstructWithDiagnostics(
     const linalg::Matrix& disguised, const perturb::NoiseModel& noise,
     PcaDiagnostics* diagnostics) const {
   RR_RETURN_NOT_OK(ValidateShapes(disguised, noise));
-
-  // Step 1: the original covariance — estimated per Theorem 5.1/8.2, or
-  // supplied by the §5.3 oracle mode.
-  linalg::Matrix covariance;
-  if (options_.oracle_covariance.has_value()) {
-    if (options_.oracle_covariance->rows() != disguised.cols()) {
-      return Status::InvalidArgument(
-          "PCA-DR: oracle covariance dimension mismatch");
-    }
-    covariance = *options_.oracle_covariance;
-  } else {
-    RR_ASSIGN_OR_RETURN(
-        OriginalMoments moments,
-        EstimateOriginalMoments(disguised, noise, options_.moment_options));
-    covariance = std::move(moments.covariance);
+  // The §5.3 oracle mode reads no moments of Y.
+  const bool estimate = !options_.oracle_covariance.has_value();
+  if (estimate && disguised.rows() < 2) {
+    return Status::InvalidArgument("PCA-DR: need at least 2 records");
   }
-
-  // Step 2: eigendecomposition of the estimated original covariance.
-  RR_ASSIGN_OR_RETURN(linalg::EigenDecomposition eig,
-                      linalg::SymmetricEigen(covariance));
-
-  // Step 3: pick p from the *original* eigenvalues — they encode the data
-  // correlation the attack exploits (§5.2.2).
-  const size_t p = SelectNumComponents(eig.eigenvalues, options_);
+  RR_ASSIGN_OR_RETURN(
+      const ProjectionBasis basis,
+      SelectPcaBasis(estimate ? stats::SampleCovariance(disguised)
+                              : linalg::Matrix(),
+                     noise, options_));
 
   if (diagnostics != nullptr) {
-    diagnostics->num_components = p;
-    diagnostics->eigenvalues = eig.eigenvalues;
+    diagnostics->num_components = basis.num_components;
+    diagnostics->eigenvalues = basis.eigenvalues;
     double total = 0.0;
     double kept = 0.0;
-    for (size_t i = 0; i < eig.eigenvalues.size(); ++i) {
-      const double lambda = std::max(eig.eigenvalues[i], 0.0);
+    for (size_t i = 0; i < basis.eigenvalues.size(); ++i) {
+      const double lambda = std::max(basis.eigenvalues[i], 0.0);
       total += lambda;
-      if (i < p) kept += lambda;
+      if (i < basis.num_components) kept += lambda;
     }
     diagnostics->retained_variance_fraction = total > 0.0 ? kept / total : 0.0;
   }
 
-  // Step 4: X̂ = Ȳ Q̂ Q̂ᵀ + µ̂. PCA requires zero-mean data (§5.1.1), so
-  // center on the disguised means (= original means, noise is zero-mean)
-  // and add them back afterwards.
-  linalg::Vector means;
-  linalg::Matrix centered = stats::CenterColumns(disguised, &means);
-  const linalg::Matrix q_hat = eig.eigenvectors.LeftColumns(p);
-  linalg::Matrix reconstructed =
-      linalg::kernels::ProjectOntoBasis(centered, q_hat);
-  for (size_t i = 0; i < reconstructed.rows(); ++i) {
-    double* row = reconstructed.row_data(i);
-    for (size_t j = 0; j < reconstructed.cols(); ++j) row[j] += means[j];
-  }
-  return reconstructed;
+  // Step 4: X̂ = Ȳ Q̂ Q̂ᵀ + µ̂.
+  return ProjectOntoBasis(disguised, basis);
 }
 
 }  // namespace core

@@ -99,6 +99,13 @@ class PcaReconstructor final : public Reconstructor {
 size_t SelectNumComponents(const linalg::Vector& eigenvalues,
                            const PcaOptions& options);
 
+/// PCA-DR steps 1–3, shared by PcaReconstructor and the streaming pipeline:
+/// EstimateOriginalSpectrum of Cov(Y) (ddof 0), or the §5.3 oracle
+/// decomposed directly (Cov(Y) unread), then p by SelectNumComponents.
+Result<ProjectionBasis> SelectPcaBasis(linalg::Matrix disguised_covariance,
+                                       const perturb::NoiseModel& noise,
+                                       const PcaOptions& options);
+
 }  // namespace core
 }  // namespace randrecon
 

@@ -11,6 +11,7 @@
 
 #include <string>
 
+#include "common/parallel.h"
 #include "common/result.h"
 #include "linalg/matrix.h"
 #include "perturb/noise_model.h"
@@ -41,6 +42,30 @@ class Reconstructor {
 /// success; InvalidArgument otherwise.
 Status ValidateShapes(const linalg::Matrix& disguised,
                       const perturb::NoiseModel& noise);
+
+/// The eigenbasis PCA-DR and SF project through (SelectPcaBasis,
+/// SelectSfBasis).
+struct ProjectionBasis {
+  /// The spectrum p was selected from, descending: Σ̂x's for PCA-DR,
+  /// Cov(Y)'s for SF.
+  linalg::Vector eigenvalues;
+  /// m x m orthonormal eigenvectors as columns, in the same order: the
+  /// first p are Q̂, the rest the dropped directions.
+  linalg::Matrix eigenvectors;
+  size_t num_components = 0;
+};
+
+/// X̂ = (Y − 1µ̂ᵀ) Q̂ Q̂ᵀ + 1µ̂ᵀ for `rows` row-major records, Q̂ = `q_hat`
+/// (m x p), into `reconstructed` (rows x m) via `scores` (rows x p). Each
+/// row's bits depend on neither `rows` nor the thread count.
+void ProjectRecords(const double* disguised, size_t rows,
+                    const linalg::Vector& mean, const linalg::Matrix& q_hat,
+                    double* scores, double* reconstructed,
+                    const ParallelOptions& parallel = {});
+
+/// ProjectRecords over all of `disguised`, centered on its column means.
+linalg::Matrix ProjectOntoBasis(const linalg::Matrix& disguised,
+                                const ProjectionBasis& basis);
 
 }  // namespace core
 }  // namespace randrecon

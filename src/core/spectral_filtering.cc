@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "linalg/eigen.h"
-#include "linalg/kernels.h"
 #include "stats/moments.h"
 
 namespace randrecon {
@@ -42,31 +41,29 @@ size_t SelectSfComponents(const linalg::Vector& disguised_eigenvalues,
   return std::clamp<size_t>(p, std::min<size_t>(options.min_components, m), m);
 }
 
-Result<linalg::Matrix> SpectralFilteringReconstructor::Reconstruct(
-    const linalg::Matrix& disguised, const perturb::NoiseModel& noise) const {
-  RR_RETURN_NOT_OK(ValidateShapes(disguised, noise));
-  const size_t n = disguised.rows();
-  const size_t m = disguised.cols();
-
+Result<ProjectionBasis> SelectSfBasis(
+    const linalg::Matrix& disguised_covariance,
+    const perturb::NoiseModel& noise, size_t num_records,
+    const SfOptions& options) {
   // SF works on the covariance of the *perturbed* data directly — unlike
   // PCA-DR it does not subtract the noise first; the random-matrix bound
   // does the separation.
-  const linalg::Matrix cov_y = stats::SampleCovariance(disguised);
   RR_ASSIGN_OR_RETURN(linalg::EigenDecomposition eig,
-                      linalg::SymmetricEigen(cov_y));
+                      linalg::SymmetricEigen(disguised_covariance));
+  const size_t p =
+      SelectSfComponents(eig.eigenvalues, noise, num_records, options);
+  return ProjectionBasis{std::move(eig.eigenvalues),
+                         std::move(eig.eigenvectors), p};
+}
 
-  const size_t p = SelectSfComponents(eig.eigenvalues, noise, n, options_);
-
-  linalg::Vector means;
-  linalg::Matrix centered = stats::CenterColumns(disguised, &means);
-  const linalg::Matrix q_hat = eig.eigenvectors.LeftColumns(p);
-  linalg::Matrix reconstructed =
-      linalg::kernels::ProjectOntoBasis(centered, q_hat);
-  for (size_t i = 0; i < reconstructed.rows(); ++i) {
-    double* row = reconstructed.row_data(i);
-    for (size_t j = 0; j < m; ++j) row[j] += means[j];
-  }
-  return reconstructed;
+Result<linalg::Matrix> SpectralFilteringReconstructor::Reconstruct(
+    const linalg::Matrix& disguised, const perturb::NoiseModel& noise) const {
+  RR_RETURN_NOT_OK(ValidateShapes(disguised, noise));
+  RR_ASSIGN_OR_RETURN(
+      const ProjectionBasis basis,
+      SelectSfBasis(stats::SampleCovariance(disguised), noise,
+                    disguised.rows(), options_));
+  return ProjectOntoBasis(disguised, basis);
 }
 
 }  // namespace core

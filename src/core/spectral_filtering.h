@@ -43,12 +43,17 @@ struct SfOptions {
 /// (descending): counts the eigenvalues above the (scaled)
 /// Marchenko–Pastur bound, clamped to [min(min_components, m), m]. For a
 /// correlated NoiseModel the bound is evaluated with the average
-/// per-attribute noise variance, the natural attacker fallback. Exposed
-/// so the out-of-core pipeline shares the exact selection the in-memory
-/// attack uses.
+/// per-attribute noise variance, the natural attacker fallback.
 size_t SelectSfComponents(const linalg::Vector& disguised_eigenvalues,
                           const perturb::NoiseModel& noise,
                           size_t num_records, const SfOptions& options = {});
+
+/// SF's basis, shared by SpectralFilteringReconstructor and the streaming
+/// pipeline: Cov(Y) (ddof 0) decomposed, p by SelectSfComponents.
+Result<ProjectionBasis> SelectSfBasis(
+    const linalg::Matrix& disguised_covariance,
+    const perturb::NoiseModel& noise, size_t num_records,
+    const SfOptions& options = {});
 
 /// Kargupta et al.'s spectral-filtering attack.
 class SpectralFilteringReconstructor final : public Reconstructor {

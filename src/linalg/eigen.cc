@@ -11,6 +11,12 @@ namespace randrecon {
 namespace linalg {
 namespace {
 
+/// Convergence threshold on the off-diagonal Frobenius norm relative to
+/// the matrix's own scale.
+constexpr double kTolerance = 1e-12;
+/// Hard cap on full sweeps; 100x100 covariance matrices converge in ~10.
+constexpr int kMaxSweeps = 64;
+
 /// Sum of squares of the strictly-upper-triangle entries, via raw row
 /// pointers. Used once to seed the incremental off-diagonal tracker and
 /// once per apparent convergence to confirm it against accumulated
@@ -36,8 +42,7 @@ inline void Rotate(double& x, double& y, double s, double tau) {
 
 }  // namespace
 
-Result<EigenDecomposition> SymmetricEigen(const Matrix& input,
-                                          const JacobiOptions& options) {
+Result<EigenDecomposition> SymmetricEigen(const Matrix& input) {
   if (input.rows() != input.cols()) {
     return Status::InvalidArgument("SymmetricEigen: matrix is not square");
   }
@@ -68,7 +73,7 @@ Result<EigenDecomposition> SymmetricEigen(const Matrix& input,
   // Same criterion as the historical full-matrix rescan: the full
   // off-diagonal square sum is twice the upper-triangle sum, so halve the
   // threshold instead of doubling the scan.
-  const double threshold = 0.5 * options.tolerance * options.tolerance *
+  const double threshold = 0.5 * kTolerance * kTolerance *
                            (scale > 0.0 ? scale * scale : 1.0);
 
   // `off` tracks the upper-triangle off-diagonal square sum incrementally:
@@ -83,7 +88,7 @@ Result<EigenDecomposition> SymmetricEigen(const Matrix& input,
   double off = UpperOffDiagonalSquaredSum(a, m);
   double drift = kEps * off * static_cast<double>(m * m);
   bool converged = off <= threshold;
-  for (int sweep = 0; sweep < options.max_sweeps && !converged; ++sweep) {
+  for (int sweep = 0; sweep < kMaxSweeps && !converged; ++sweep) {
     // One cyclic sweep over all (p, r) pairs above the diagonal. Only the
     // upper triangle is stored/updated; symmetry supplies the rest.
     for (size_t p = 0; p + 1 < m; ++p) {

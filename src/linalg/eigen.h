@@ -1,9 +1,9 @@
 // Symmetric eigendecomposition via the cyclic Jacobi rotation method.
 //
-// Every matrix the paper decomposes is a (sample) covariance matrix of at
-// most 100x100, for which Jacobi is simple, numerically robust, and fast
-// enough (milliseconds). Eigenpairs are returned in descending eigenvalue
-// order, the convention PCA expects.
+// Every matrix the library decomposes is an m x m covariance (m = 128 in
+// the attack service), for which Jacobi is simple and numerically robust.
+// Eigenpairs are returned in descending eigenvalue order, the convention
+// PCA expects.
 
 #ifndef RANDRECON_LINALG_EIGEN_H_
 #define RANDRECON_LINALG_EIGEN_H_
@@ -23,23 +23,14 @@ struct EigenDecomposition {
   Matrix eigenvectors;
 };
 
-/// Options for the Jacobi sweep loop.
-struct JacobiOptions {
-  /// Convergence threshold on the off-diagonal Frobenius norm relative to
-  /// the matrix's own scale.
-  double tolerance = 1e-12;
-  /// Hard cap on full sweeps; 100x100 covariance matrices converge in ~10.
-  int max_sweeps = 64;
-};
+/// Decomposes a symmetric matrix. Sweeps until the off-diagonal Frobenius
+/// norm is below 1e-12 of the matrix's own. Fails with InvalidArgument if
+/// `a` is not square/symmetric and NumericalError if 64 sweeps do not
+/// converge.
+Result<EigenDecomposition> SymmetricEigen(const Matrix& a);
 
-/// Decomposes a symmetric matrix. Fails with InvalidArgument if `a` is not
-/// square/symmetric and NumericalError if the sweep cap is hit before
-/// convergence.
-Result<EigenDecomposition> SymmetricEigen(const Matrix& a,
-                                          const JacobiOptions& options = {});
-
-/// Reconstructs Q Λ Qᵀ from an eigendecomposition (test/diagnostic helper,
-/// and the §7.1 covariance synthesizer).
+/// Q Λ Qᵀ: covariances from a chosen spectrum (the §7.1 synthesizer, the
+/// noise schemes) and Σ̂x after its spectrum was clipped or averaged.
 Matrix ComposeFromEigen(const Vector& eigenvalues, const Matrix& eigenvectors);
 
 }  // namespace linalg

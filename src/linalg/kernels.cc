@@ -398,13 +398,6 @@ Matrix MatMulTransposed(const Matrix& a, const Matrix& b,
   return out;
 }
 
-Matrix ProjectOntoBasis(const Matrix& x, const Matrix& basis,
-                        const ParallelOptions& options) {
-  RR_CHECK_EQ(x.cols(), basis.rows()) << "projection shape mismatch";
-  const Matrix scores = MatMul(x, basis, options);
-  return MatMulTransposed(scores, basis, options);
-}
-
 Matrix GramMatrix(const Matrix& centered, double denom,
                   const ParallelOptions& options) {
   RR_CHECK_GT(denom, 0.0);

@@ -12,9 +12,9 @@
 //     ColumnsToRows): the actual blocked implementations. Small problems
 //     fall through to the plain loops the kernels replaced, so tiny
 //     matrices never pay packing overhead.
-//   * Matrix-level wrappers (MatMul, MatMulTransposed, ProjectOntoBasis,
-//     GramMatrix): shape-checked conveniences used by Matrix::operator*,
-//     stats::SampleCovariance and the reconstruction hot paths.
+//   * Matrix-level wrappers (MatMul, MatMulTransposed, GramMatrix):
+//     shape-checked conveniences used by Matrix::operator* and
+//     stats::SampleCovariance.
 //
 // Determinism: for a fixed build, results are bitwise identical for any
 // thread count — work is partitioned by output rows/tiles and every
@@ -101,11 +101,6 @@ Matrix MatMul(const Matrix& a, const Matrix& b,
 
 /// a · bᵀ (a.cols() must equal b.cols()).
 Matrix MatMulTransposed(const Matrix& a, const Matrix& b,
-                        const ParallelOptions& options = {});
-
-/// x · basis · basisᵀ — the rank-p projection of the rows of `x` onto the
-/// column span of `basis` (x: n x m, basis: m x p, result: n x m).
-Matrix ProjectOntoBasis(const Matrix& x, const Matrix& basis,
                         const ParallelOptions& options = {});
 
 /// centeredᵀ · centered / denom — the sample covariance of pre-centered

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "linalg/eigen.h"
 #include "linalg/kernels.h"
 
 namespace randrecon {
@@ -52,21 +51,6 @@ Matrix Symmetrize(const Matrix& a) {
     }
   }
   return out;
-}
-
-Result<Matrix> ClipToPositiveSemiDefinite(const Matrix& a, double floor) {
-  RR_CHECK_GE(floor, 0.0);
-  RR_ASSIGN_OR_RETURN(EigenDecomposition eig, SymmetricEigen(a));
-  Vector clipped = eig.eigenvalues;
-  bool changed = false;
-  for (double& lambda : clipped) {
-    if (lambda < floor) {
-      lambda = floor;
-      changed = true;
-    }
-  }
-  if (!changed) return Symmetrize(a);
-  return ComposeFromEigen(clipped, eig.eigenvectors);
 }
 
 bool HasOrthonormalColumns(const Matrix& q, double tol) {

@@ -1,9 +1,8 @@
-// Matrix-level utilities: norms, symmetry helpers, PSD repair.
+// Matrix-level utilities: norms, symmetry helpers, orthonormality.
 
 #ifndef RANDRECON_LINALG_MATRIX_UTIL_H_
 #define RANDRECON_LINALG_MATRIX_UTIL_H_
 
-#include "common/result.h"
 #include "linalg/matrix.h"
 
 namespace randrecon {
@@ -24,12 +23,6 @@ bool IsSymmetric(const Matrix& a, double tol = 1e-9);
 /// Replaces a with (a + aᵀ)/2 — removes the tiny asymmetry that floating
 /// point accumulation introduces in sample covariance matrices.
 Matrix Symmetrize(const Matrix& a);
-
-/// Projects a symmetric matrix onto the PSD cone by clipping negative
-/// eigenvalues to `floor` (>= 0). Needed because the Theorem 5.1 estimator
-/// Cov(Y) - σ²I can dip below PSD at finite sample sizes. Fails with the
-/// eigensolver's status on non-finite or asymmetric input.
-Result<Matrix> ClipToPositiveSemiDefinite(const Matrix& a, double floor = 0.0);
 
 /// True iff the matrix has orthonormal columns: ||QᵀQ - I||max ≤ tol.
 bool HasOrthonormalColumns(const Matrix& q, double tol = 1e-8);

@@ -9,8 +9,6 @@
 
 #include "common/metrics.h"
 #include "common/trace.h"
-#include "linalg/eigen.h"
-#include "linalg/kernels.h"
 #include "stats/streaming_moments.h"
 
 namespace randrecon {
@@ -29,59 +27,6 @@ metrics::Counter m_chunks_pass2("attack.chunks_pass2");
 metrics::Gauge m_last_rows_per_second("attack.last_rows_per_second");
 metrics::Histogram m_pass1_chunk_nanos("attack.pass1_chunk_nanos");
 metrics::Histogram m_pass2_chunk_nanos("attack.pass2_chunk_nanos");
-
-/// The eigenbasis and diagnostics pass 2 projects through.
-struct AttackBasis {
-  /// m x m orthonormal eigenvectors, descending: the first p columns are
-  /// Q̂, the rest the dropped directions V_d.
-  linalg::Matrix eigenvectors;
-  linalg::Vector eigenvalues;
-  size_t num_components = 0;
-};
-
-Result<AttackBasis> SelectBasis(const StreamingAttackOptions& options,
-                                const linalg::Matrix& cov_y,
-                                const perturb::NoiseModel& noise,
-                                size_t num_records) {
-  AttackBasis basis;
-  switch (options.attack) {
-    case StreamingAttack::kSpectralFiltering: {
-      // SF separates signal from noise on Cov(Y) directly via the
-      // Marchenko–Pastur bound — no noise subtraction.
-      RR_ASSIGN_OR_RETURN(linalg::EigenDecomposition eig,
-                          linalg::SymmetricEigen(cov_y));
-      basis.num_components = core::SelectSfComponents(
-          eig.eigenvalues, noise, num_records, options.sf);
-      basis.eigenvalues = std::move(eig.eigenvalues);
-      basis.eigenvectors = std::move(eig.eigenvectors);
-      return basis;
-    }
-    case StreamingAttack::kPcaDr: {
-      // Theorem 5.1/8.2 estimate (or the §5.3 oracle), then the eigengap
-      // rule — the exact code path of core::PcaReconstructor.
-      linalg::Matrix cov_x;
-      if (options.pca.oracle_covariance.has_value()) {
-        if (options.pca.oracle_covariance->rows() != cov_y.rows()) {
-          return Status::InvalidArgument(
-              "StreamingAttackPipeline: oracle covariance dimension mismatch");
-        }
-        cov_x = *options.pca.oracle_covariance;
-      } else {
-        RR_ASSIGN_OR_RETURN(cov_x,
-                            core::EstimateOriginalCovariance(
-                                cov_y, noise, options.pca.moment_options));
-      }
-      RR_ASSIGN_OR_RETURN(linalg::EigenDecomposition eig,
-                          linalg::SymmetricEigen(cov_x));
-      basis.num_components =
-          core::SelectNumComponents(eig.eigenvalues, options.pca);
-      basis.eigenvalues = std::move(eig.eigenvalues);
-      basis.eigenvectors = std::move(eig.eigenvectors);
-      return basis;
-    }
-  }
-  return Status::InvalidArgument("StreamingAttackPipeline: unknown attack");
-}
 
 /// rmse_vs_disguised without another pass. With Q̂ the leading p columns
 /// of the orthonormal `eigenvectors`, X̂ − y = −V_d V_dᵀ (y − µ̂) for the
@@ -127,8 +72,7 @@ Result<double> ProjectionPass(const StreamingAttackOptions& options,
   if (reference != nullptr) RR_RETURN_NOT_OK(reference->Reset());
   linalg::Matrix reference_chunk(reference != nullptr ? options.chunk_rows : 0,
                                  reference != nullptr ? m : 0);
-  linalg::Matrix centered(options.chunk_rows, m);
-  linalg::Matrix scores(options.chunk_rows, m);  // p <= m columns used.
+  linalg::Matrix scores(options.chunk_rows, p);
   linalg::Matrix reconstructed(options.chunk_rows, m);
   double squared_vs_reference = 0.0;
   size_t row_offset = 0;
@@ -137,22 +81,9 @@ Result<double> ProjectionPass(const StreamingAttackOptions& options,
     const uint64_t chunk_start = trace::NowNanos();
     RR_ASSIGN_OR_RETURN(const size_t rows, disguised->NextChunk(&chunk));
     if (rows == 0) break;
-    // X̂ = Ȳ Q̂ Q̂ᵀ + µ̂, chunk-wise through the pointer kernels (no
-    // per-chunk allocation): scores = Ȳ Q̂, then X̂ = scores Q̂ᵀ.
-    for (size_t i = 0; i < rows; ++i) {
-      const double* in_row = chunk.row_data(i);
-      double* out_row = centered.row_data(i);
-      for (size_t j = 0; j < m; ++j) out_row[j] = in_row[j] - mean[j];
-    }
-    linalg::kernels::MatMul(centered.data(), q_hat.data(), scores.data(),
-                            rows, m, p, options.parallel);
-    linalg::kernels::MatMulABt(scores.data(), q_hat.data(),
-                               reconstructed.data(), rows, p, m,
-                               options.parallel);
-    for (size_t i = 0; i < rows; ++i) {
-      double* row = reconstructed.row_data(i);
-      for (size_t j = 0; j < m; ++j) row[j] += mean[j];
-    }
+    // X̂ = Ȳ Q̂ Q̂ᵀ + µ̂ with no per-chunk allocation.
+    core::ProjectRecords(chunk.data(), rows, mean, q_hat, scores.data(),
+                         reconstructed.data(), options.parallel);
     if (reference != nullptr) {
       // Gather exactly `rows` reference records. A source may legally
       // under-fill its buffer (NextChunk only promises "how many were
@@ -326,10 +257,14 @@ Result<StreamingAttackReport> StreamingAttackPipeline::Run(
   transposed.reset();  // Pass 2, if it runs, allocates its own buffers.
   const linalg::Vector& mean = moments.means();
 
-  AttackBasis basis;
+  core::ProjectionBasis basis;
   {
     trace::TraceSpan eigen_span("attack.eigen");
-    RR_ASSIGN_OR_RETURN(basis, SelectBasis(options_, cov_y, noise, n));
+    // The in-memory reconstructors select through the same functions.
+    RR_ASSIGN_OR_RETURN(
+        basis, options_.attack == StreamingAttack::kPcaDr
+                   ? core::SelectPcaBasis(cov_y, noise, options_.pca)
+                   : core::SelectSfBasis(cov_y, noise, n, options_.sf));
   }
   const size_t p = basis.num_components;
 

@@ -14,16 +14,18 @@
 //     means, then centered scatter, block-parallel; blocks that stay
 //     valid, as mapped stores' do, go over a wave of 4·T Gram blocks
 //     per call),
-//     eigendecompose ONCE:
-//       SF      — eigenvectors of Cov(Y), p from the Marchenko–Pastur
-//                 bound (core::SelectSfComponents);
-//       PCA-DR  — Theorem 5.1/8.2 estimate Σ̂x = Cov(Y) − Σr
-//                 (core::EstimateOriginalCovariance), p from the
-//                 eigengap rule (core::SelectNumComponents).
+//     then eigendecompose ONCE, through the basis selection the in-memory
+//     reconstructors call:
+//       SF      — core::SelectSfBasis: Cov(Y), p from the
+//                 Marchenko–Pastur bound;
+//       PCA-DR  — core::SelectPcaBasis: Σ̂x = Cov(Y) − Σr with its
+//                 eigenvalues clipped (core::EstimateOriginalSpectrum), p
+//                 from the eigengap rule.
 //   Pass 2 — projection, ONLY when the sink wants rows
 //     (ChunkSink::wants_rows) or a reference stream is attached: stream
-//     Y again, reconstruct each chunk as X̂ = Ȳ Q̂ Q̂ᵀ + µ̂, emit it to the
-//     ChunkSink, and fold the error against the aligned ground truth.
+//     Y again, reconstruct each chunk as X̂ = Ȳ Q̂ Q̂ᵀ + µ̂
+//     (core::ProjectRecords), emit it to the ChunkSink, and fold the error
+//     against the aligned ground truth.
 //     A metrics-only run (NullChunkSink, no reference) reads Y twice.
 //
 // rmse_vs_disguised never needs pass 2. The eigenvectors form an
@@ -36,11 +38,10 @@
 //
 // Fidelity contract (tested in streaming_attack_test): the streamed
 // covariance is BITWISE equal to the in-memory stats::SampleCovariance,
-// so the eigenbasis and component count match the in-memory attack
-// exactly; the chunked projection agrees with core::PcaReconstructor /
-// SpectralFilteringReconstructor to <= 1e-10 per entry, and is bitwise
-// the same for every chunk_rows; the closed-form rmse_vs_disguised agrees
-// with the RMSE summed over the projected rows to 1e-12.
+// so the spectrum, p and X̂ are bitwise those of core::PcaReconstructor /
+// SpectralFilteringReconstructor for every chunk_rows; the closed-form
+// rmse_vs_disguised agrees with the RMSE summed over the projected rows
+// to 1e-12.
 
 #ifndef RANDRECON_PIPELINE_STREAMING_ATTACK_H_
 #define RANDRECON_PIPELINE_STREAMING_ATTACK_H_

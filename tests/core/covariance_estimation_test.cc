@@ -1,6 +1,7 @@
 #include "core/covariance_estimation.h"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -181,6 +182,60 @@ TEST(MomentEstimationTest, RejectsShapeMismatch) {
       Matrix(10, 3), perturb::NoiseModel::IndependentGaussian(2, 1.0));
   EXPECT_FALSE(moments.ok());
   EXPECT_EQ(moments.status().code(), StatusCode::kInvalidArgument);
+}
+
+// Spectrum checks of the PSD clip on exact inputs: under unit noise
+// (Σr = I) the disguised covariance Σ̂x + I makes Σ̂x the listed matrix.
+linalg::Matrix PlusUnitNoise(Matrix cov_x) {
+  for (size_t i = 0; i < cov_x.rows(); ++i) cov_x(i, i) += 1.0;
+  return cov_x;
+}
+
+TEST(OriginalSpectrumTest, ClipRaisesNegativeEigenvalueToZero) {
+  const auto noise = perturb::NoiseModel::IndependentGaussian(2, 1.0);
+  const Matrix cov_y = PlusUnitNoise(Matrix::Diagonal({5.0, -2.0}));
+  auto spectrum = EstimateOriginalSpectrum(cov_y, noise);
+  ASSERT_TRUE(spectrum.ok());
+  EXPECT_EQ(spectrum.value().eigenvalues, (Vector{5.0, 0.0}));
+  // The recomposed matrix carries the clipped spectrum.
+  auto clipped = EstimateOriginalCovariance(cov_y, noise);
+  ASSERT_TRUE(clipped.ok());
+  auto eig = linalg::SymmetricEigen(clipped.value());
+  ASSERT_TRUE(eig.ok());
+  EXPECT_NEAR(eig.value().eigenvalues[0], 5.0, 1e-10);
+  EXPECT_NEAR(eig.value().eigenvalues[1], 0.0, 1e-10);
+}
+
+TEST(OriginalSpectrumTest, ClipLeavesPsdEstimateUntouched) {
+  const auto noise = perturb::NoiseModel::IndependentGaussian(2, 1.0);
+  const Matrix cov_x{{2, 1}, {1, 2}};
+  const Matrix cov_y = PlusUnitNoise(cov_x);
+  auto spectrum = EstimateOriginalSpectrum(cov_y, noise);
+  auto own = linalg::SymmetricEigen(cov_x);
+  ASSERT_TRUE(spectrum.ok());
+  ASSERT_TRUE(own.ok());
+  EXPECT_EQ(spectrum.value().eigenvalues, own.value().eigenvalues);
+  // No eigenvalue moved, so Σ̂x is returned, not recomposed.
+  auto clipped = EstimateOriginalCovariance(cov_y, noise);
+  ASSERT_TRUE(clipped.ok());
+  EXPECT_EQ(std::memcmp(clipped.value().data(), cov_x.data(),
+                        cov_x.size() * sizeof(double)),
+            0);
+}
+
+TEST(OriginalSpectrumTest, ClipHonorsFloor) {
+  const auto noise = perturb::NoiseModel::IndependentGaussian(2, 1.0);
+  const Matrix cov_y = PlusUnitNoise(Matrix::Diagonal({5.0, 0.001}));
+  MomentEstimationOptions options;
+  options.eigen_floor = 0.5;
+  auto spectrum = EstimateOriginalSpectrum(cov_y, noise, options);
+  ASSERT_TRUE(spectrum.ok());
+  EXPECT_EQ(spectrum.value().eigenvalues, (Vector{5.0, 0.5}));
+  auto clipped = EstimateOriginalCovariance(cov_y, noise, options);
+  ASSERT_TRUE(clipped.ok());
+  auto eig = linalg::SymmetricEigen(clipped.value());
+  ASSERT_TRUE(eig.ok());
+  EXPECT_NEAR(eig.value().eigenvalues[1], 0.5, 1e-10);
 }
 
 class Theorem51SampleSizeSweep : public ::testing::TestWithParam<size_t> {};

@@ -1,6 +1,8 @@
 #include "core/pca_dr.h"
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -199,6 +201,43 @@ TEST(PcaDrTest, RejectsShapeMismatch) {
 }
 
 TEST(PcaDrTest, NameIsStable) { EXPECT_EQ(PcaReconstructor().name(), "PCA-DR"); }
+
+TEST(ProjectRecordsTest, MatchesCompositionAndIsRowCountInvariant) {
+  // (Y − 1µᵀ) Q Qᵀ + 1µᵀ against plain loops, at a size where the
+  // products take the blocked kernel path.
+  stats::Rng rng(46);
+  const size_t n = 300;
+  const size_t m = 40;
+  const size_t p = 12;
+  const Matrix y = rng.GaussianMatrix(n, m);
+  const Matrix q = rng.GaussianMatrix(m, p);
+  const Vector mean = rng.GaussianVector(m);
+  Matrix expected(n, m);
+  for (size_t i = 0; i < n; ++i) {
+    std::vector<double> scores(p, 0.0);
+    for (size_t k = 0; k < p; ++k) {
+      for (size_t j = 0; j < m; ++j) scores[k] += (y(i, j) - mean[j]) * q(j, k);
+    }
+    for (size_t j = 0; j < m; ++j) {
+      double sum = 0.0;
+      for (size_t k = 0; k < p; ++k) sum += scores[k] * q(j, k);
+      expected(i, j) = sum + mean[j];
+    }
+  }
+  Matrix scores(n, p);
+  Matrix whole(n, m);
+  ProjectRecords(y.data(), n, mean, q, scores.data(), whole.data());
+  EXPECT_LE(linalg::MaxAbsDifference(whole, expected), 1e-10);
+
+  // Chunked calls (7 rows, then the rest) give every row the same bits.
+  Matrix chunked(n, m);
+  ProjectRecords(y.data(), 7, mean, q, scores.data(), chunked.data());
+  ProjectRecords(y.row_data(7), n - 7, mean, q, scores.data(),
+                 chunked.row_data(7));
+  EXPECT_EQ(std::memcmp(whole.data(), chunked.data(),
+                        whole.size() * sizeof(double)),
+            0);
+}
 
 class PcaFixedCountSweep : public ::testing::TestWithParam<size_t> {};
 

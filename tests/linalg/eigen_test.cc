@@ -175,7 +175,8 @@ TEST_P(EigenSizeSweepTest, RandomSpdRoundTrip) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, EigenSizeSweepTest,
-                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 100));
+                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 100,
+                                           128));
 
 }  // namespace
 }  // namespace linalg

@@ -121,16 +121,6 @@ TEST(KernelsTest, MatMulTransposedLargeMatchesReference) {
             kTol);
 }
 
-TEST(KernelsTest, ProjectOntoBasisMatchesComposition) {
-  stats::Rng rng(46);
-  const Matrix x = rng.GaussianMatrix(300, 40);
-  const Matrix basis = rng.GaussianMatrix(40, 12);
-  const Matrix expected =
-      ReferenceMatMul(ReferenceMatMul(x, basis), basis.Transpose());
-  EXPECT_LE(MaxAbsDifference(kernels::ProjectOntoBasis(x, basis), expected),
-            kTol);
-}
-
 TEST(KernelsTest, GramIsExactlySymmetric) {
   stats::Rng rng(47);
   const Matrix data = rng.GaussianMatrix(500, 130);  // Blocked path.

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "linalg/eigen.h"
 #include "stats/rng.h"
 
 namespace randrecon {
@@ -48,29 +47,6 @@ TEST(MatrixUtilTest, Symmetrize) {
   EXPECT_DOUBLE_EQ(s(0, 1), 3.0);
   EXPECT_DOUBLE_EQ(s(1, 0), 3.0);
   EXPECT_TRUE(IsSymmetric(s, 0.0));
-}
-
-TEST(MatrixUtilTest, ClipToPsdFixesNegativeEigenvalue) {
-  Matrix a = Matrix::Diagonal({5.0, -2.0});
-  Matrix clipped = ClipToPositiveSemiDefinite(a).value();
-  auto eig = SymmetricEigen(clipped);
-  ASSERT_TRUE(eig.ok());
-  EXPECT_NEAR(eig.value().eigenvalues[0], 5.0, 1e-10);
-  EXPECT_NEAR(eig.value().eigenvalues[1], 0.0, 1e-10);
-}
-
-TEST(MatrixUtilTest, ClipToPsdLeavesPsdUntouched) {
-  Matrix a{{2, 1}, {1, 2}};
-  Matrix clipped = ClipToPositiveSemiDefinite(a).value();
-  EXPECT_LT(MaxAbsDifference(a, clipped), 1e-12);
-}
-
-TEST(MatrixUtilTest, ClipToPsdHonorsFloor) {
-  Matrix a = Matrix::Diagonal({5.0, 0.001});
-  Matrix clipped = ClipToPositiveSemiDefinite(a, 0.5).value();
-  auto eig = SymmetricEigen(clipped);
-  ASSERT_TRUE(eig.ok());
-  EXPECT_NEAR(eig.value().eigenvalues[1], 0.5, 1e-10);
 }
 
 TEST(MatrixUtilTest, HasOrthonormalColumns) {

@@ -1,7 +1,8 @@
 // End-to-end fidelity of the out-of-core pipeline: streaming SF and
-// PCA-DR must reproduce the in-memory reconstructors to <= 1e-10 per
-// entry (the covariance underneath is bitwise identical; only the
-// chunked projection may differ in the last bits).
+// PCA-DR reproduce the in-memory reconstructors bitwise — the covariance
+// underneath is bitwise identical, both paths select their basis through
+// the same core function, and the projection gives every row the same
+// bits whatever the chunk size.
 
 #include "pipeline/streaming_attack.h"
 
@@ -23,6 +24,7 @@
 #include "data/csv.h"
 #include "data/shard_store.h"
 #include "data/synthetic.h"
+#include "linalg/eigen.h"
 #include "linalg/matrix_util.h"
 #include "perturb/schemes.h"
 #include "stats/moments.h"
@@ -59,12 +61,31 @@ Fixture MakeFixture(size_t n = 600, size_t m = 12, double sigma = 0.4,
   return fixture;
 }
 
+/// The clip-active population of
+/// MomentEstimationTest.PsdClipRemovesNegativeEigenvalues: 30 records of 6
+/// unit-variance attributes under σ = 5 noise, so Cov(Y) − σ²I has
+/// negative eigenvalues.
+Fixture MakeClipActiveFixture() {
+  stats::Rng rng(104);
+  data::SyntheticDatasetSpec spec;
+  spec.eigenvalues = std::vector<double>(6, 1.0);
+  auto generated = data::GenerateSpectrumDataset(spec, 30, &rng);
+  const auto scheme = perturb::IndependentNoiseScheme::Gaussian(6, 5.0);
+  Fixture fixture;
+  fixture.original = generated.value().dataset.records();
+  fixture.disguised = fixture.original + scheme.GenerateNoise(30, &rng);
+  fixture.noise = scheme.noise_model();
+  return fixture;
+}
+
 Matrix RunStreaming(const Fixture& fixture, StreamingAttack attack,
                     size_t chunk_rows, StreamingAttackReport* report_out,
-                    RecordSource* reference = nullptr) {
+                    RecordSource* reference = nullptr,
+                    const core::PcaOptions& pca = {}) {
   StreamingAttackOptions options;
   options.attack = attack;
   options.chunk_rows = chunk_rows;
+  options.pca = pca;
   MatrixRecordSource source(&fixture.disguised);
   CollectChunkSink sink(fixture.disguised.cols());
   auto report = StreamingAttackPipeline(options).Run(&source, fixture.noise,
@@ -76,22 +97,55 @@ Matrix RunStreaming(const Fixture& fixture, StreamingAttack attack,
   return sink.ToMatrix();
 }
 
+bool BitwiseEqual(const linalg::Vector& a, const linalg::Vector& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+bool BitwiseEqual(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
 TEST(StreamingAttackTest, PcaDrMatchesInMemoryReconstructor) {
   const Fixture fixture = MakeFixture();
-  StreamingAttackReport report;
-  const Matrix streamed =
-      RunStreaming(fixture, StreamingAttack::kPcaDr, 37, &report);
+  const Fixture clip_active = MakeClipActiveFixture();
+  core::PcaOptions floored;
+  floored.moment_options.eigen_floor = 0.1;
+  core::PcaOptions bulk;
+  bulk.moment_options.bulk_average_nonprincipal = true;
+  core::PcaOptions oracle;
+  oracle.oracle_covariance = stats::SampleCovariance(fixture.original);
+  struct Case {
+    const char* name;
+    const Fixture* fixture;
+    core::PcaOptions options;
+  };
+  const Case cases[] = {
+      {"default", &fixture, {}},
+      {"clip_active", &clip_active, {}},
+      {"clip_active_floor_0.1", &clip_active, floored},
+      {"bulk_average", &fixture, bulk},
+      {"oracle", &fixture, oracle},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    StreamingAttackReport report;
+    const Matrix streamed = RunStreaming(*c.fixture, StreamingAttack::kPcaDr,
+                                         7, &report, nullptr, c.options);
 
-  core::PcaDiagnostics diagnostics;
-  const auto in_memory = core::PcaReconstructor().ReconstructWithDiagnostics(
-      fixture.disguised, fixture.noise, &diagnostics);
-  ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
+    core::PcaDiagnostics diagnostics;
+    const auto in_memory =
+        core::PcaReconstructor(c.options).ReconstructWithDiagnostics(
+            c.fixture->disguised, c.fixture->noise, &diagnostics);
+    ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
 
-  ASSERT_EQ(streamed.rows(), fixture.disguised.rows());
-  EXPECT_LE(linalg::MaxAbsDifference(streamed, in_memory.value()), kTol);
-  // Identical covariance bits => identical component selection.
-  EXPECT_EQ(report.num_components, diagnostics.num_components);
-  EXPECT_EQ(report.num_records, fixture.disguised.rows());
+    ASSERT_EQ(streamed.rows(), c.fixture->disguised.rows());
+    EXPECT_EQ(report.num_records, c.fixture->disguised.rows());
+    EXPECT_EQ(report.num_components, diagnostics.num_components);
+    EXPECT_TRUE(BitwiseEqual(report.eigenvalues, diagnostics.eigenvalues));
+    EXPECT_TRUE(BitwiseEqual(streamed, in_memory.value()));
+  }
 }
 
 TEST(StreamingAttackTest, SpectralFilteringMatchesInMemoryReconstructor) {
@@ -103,7 +157,45 @@ TEST(StreamingAttackTest, SpectralFilteringMatchesInMemoryReconstructor) {
   const auto in_memory = core::SpectralFilteringReconstructor().Reconstruct(
       fixture.disguised, fixture.noise);
   ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
-  EXPECT_LE(linalg::MaxAbsDifference(streamed, in_memory.value()), kTol);
+  EXPECT_TRUE(BitwiseEqual(streamed, in_memory.value()));
+  // The in-memory reconstructor's own spectrum and p: SF's Cov(Y)
+  // eigenvalues and the Marchenko–Pastur count.
+  const auto eig = linalg::SymmetricEigen(
+      stats::SampleCovariance(fixture.disguised));
+  ASSERT_TRUE(eig.ok());
+  EXPECT_TRUE(BitwiseEqual(report.eigenvalues, eig.value().eigenvalues));
+  EXPECT_EQ(report.num_components,
+            core::SelectSfComponents(eig.value().eigenvalues, fixture.noise,
+                                     fixture.disguised.rows()));
+}
+
+// PCA-DR decomposes Cov(Y) − Σr once and clips the eigenvalues it found:
+// both attack paths report exactly max(λ_k, floor) of that one solve, not
+// the spectrum of a recomposed, re-decomposed matrix.
+TEST(StreamingAttackTest, PcaDrSpectrumIsTheClippedSpectrumOfOneSolve) {
+  const Fixture fixture = MakeClipActiveFixture();
+  const auto raw = linalg::SymmetricEigen(
+      stats::SampleCovariance(fixture.disguised) - fixture.noise.covariance());
+  ASSERT_TRUE(raw.ok());
+  for (const double floor : {0.0, 0.1}) {
+    SCOPED_TRACE(floor);
+    linalg::Vector expected = raw.value().eigenvalues;
+    ASSERT_LT(expected.back(), floor);  // The clip fires.
+    for (double& lambda : expected) lambda = std::max(lambda, floor);
+
+    core::PcaOptions options;
+    options.moment_options.eigen_floor = floor;
+    core::PcaDiagnostics diagnostics;
+    ASSERT_TRUE(core::PcaReconstructor(options)
+                    .ReconstructWithDiagnostics(fixture.disguised,
+                                                fixture.noise, &diagnostics)
+                    .ok());
+    EXPECT_TRUE(BitwiseEqual(diagnostics.eigenvalues, expected));
+    StreamingAttackReport report;
+    RunStreaming(fixture, StreamingAttack::kPcaDr, 16, &report, nullptr,
+                 options);
+    EXPECT_TRUE(BitwiseEqual(report.eigenvalues, expected));
+  }
 }
 
 TEST(StreamingAttackTest, ReconstructionIsChunkSizeInsensitive) {
