@@ -174,14 +174,6 @@ struct ManifestExclusion {
   pipeline::ShardExclusion exclusion;
 };
 
-std::string RenderDouble(double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  std::string rendered = buffer;
-  if (rendered.find_first_of("nN") != std::string::npos) rendered = "null";
-  return rendered;
-}
-
 int RunSweep(const SweepInputs& inputs, double sigma,
              const std::string& attack_name, size_t chunk_rows,
              int workers, bool per_shard, int retries,
@@ -293,36 +285,11 @@ int RunSweep(const SweepInputs& inputs, double sigma,
   }
 
   if (reporting) {
-    std::string jobs_json = "[";
-    for (size_t i = 0; i < results.size(); ++i) {
-      const pipeline::PipelineJobResult& result = results[i];
-      if (i > 0) jobs_json.append(",");
-      jobs_json.append(
-          "{\"name\":\"" + report::JsonEscape(result.name) + "\",\"ok\":" +
-          (result.status.ok() ? "true" : "false") + ",\"status\":\"" +
-          report::JsonEscape(result.status.ToString()) +
-          "\",\"records\":" + std::to_string(result.report.num_records) +
-          ",\"attributes\":" + std::to_string(result.report.num_attributes) +
-          ",\"components\":" + std::to_string(result.report.num_components) +
-          ",\"rmse_vs_disguised\":" +
-          RenderDouble(result.report.rmse_vs_disguised) +
-          ",\"attempts\":" + std::to_string(result.attempts) +
-          ",\"elapsed_seconds\":" + RenderDouble(result.elapsed_seconds) +
-          "}");
-    }
-    jobs_json.append("]");
     std::string exclusions_json = "[";
     for (size_t i = 0; i < exclusions.size(); ++i) {
-      const ManifestExclusion& entry = exclusions[i];
       if (i > 0) exclusions_json.append(",");
-      exclusions_json.append(
-          "{\"manifest\":\"" + report::JsonEscape(entry.manifest) +
-          "\",\"shard_index\":" + std::to_string(entry.exclusion.shard_index) +
-          ",\"shard_path\":\"" + report::JsonEscape(entry.exclusion.shard_path) +
-          "\",\"row_begin\":" + std::to_string(entry.exclusion.row_begin) +
-          ",\"row_count\":" + std::to_string(entry.exclusion.row_count) +
-          ",\"reason\":\"" + report::JsonEscape(entry.exclusion.reason) +
-          "\"}");
+      exclusions_json.append(pipeline::ShardExclusionJson(
+          exclusions[i].manifest, exclusions[i].exclusion));
     }
     exclusions_json.append("]");
     // Which published snapshot each manifest job attacked: the manifest
@@ -350,7 +317,7 @@ int RunSweep(const SweepInputs& inputs, double sigma,
     builder.AddConfigInt("retries", retries);
     builder.AddConfigInt("jobs_total", static_cast<int64_t>(results.size()));
     builder.AddConfigInt("jobs_failed", static_cast<int64_t>(failures));
-    builder.AddRawSection("jobs", jobs_json);
+    builder.AddRawSection("jobs", pipeline::JobResultsJson(results));
     builder.AddRawSection("exclusions", exclusions_json);
     builder.AddRawSection("snapshots", snapshots_json);
     builder.SetSpans(trace::StopTracing());

@@ -183,31 +183,4 @@ void ParallelForEach(size_t begin, size_t end,
                              [&](size_t t) { body(begin + t); });
 }
 
-double ParallelReduceSum(size_t begin, size_t end, size_t chunk_size,
-                         const std::function<double(size_t, size_t)>& chunk_sum,
-                         const ParallelOptions& options) {
-  RR_CHECK_LE(begin, end);
-  RR_CHECK_GT(chunk_size, 0u);
-  const size_t items = end - begin;
-  if (items == 0) return 0.0;
-  // Chunk boundaries are a pure function of chunk_size — NOT of the thread
-  // count — and the partials are combined in chunk order below, so the
-  // floating-point result is bitwise stable across thread counts.
-  const size_t num_chunks = (items + chunk_size - 1) / chunk_size;
-  std::vector<double> partials(num_chunks);
-  // min_parallel_items is a contract on the *item* count; the chunk count
-  // only caps how many workers can be useful.
-  const size_t threads =
-      std::min(EffectiveThreadCount(options, items), num_chunks);
-  ThreadPool::Instance().Run(num_chunks, threads, [&](size_t chunk) {
-    const size_t chunk_begin = begin + chunk * chunk_size;
-    const size_t chunk_end =
-        chunk_begin + chunk_size < end ? chunk_begin + chunk_size : end;
-    partials[chunk] = chunk_sum(chunk_begin, chunk_end);
-  });
-  double total = 0.0;
-  for (double partial : partials) total += partial;
-  return total;
-}
-
 }  // namespace randrecon

@@ -7,9 +7,9 @@
 //      count. ParallelFor guarantees this only when each index's work is
 //      self-contained (writes to disjoint data, no cross-chunk
 //      accumulation) — its chunk boundaries DO depend on the thread
-//      count. For floating-point reductions use ParallelReduceSum, whose
-//      chunk boundaries are a pure function of chunk_size and whose
-//      partials combine in index order on the calling thread.
+//      count. A floating-point reduction stays deterministic by fixing
+//      its chunk boundaries independently of the thread count and
+//      combining the partials in index order on the calling thread.
 //   2. Zero cost when serial: below `min_parallel_items` (or with one
 //      thread) the body runs inline with no pool interaction.
 //   3. One pool per process: workers are started lazily on first
@@ -26,7 +26,7 @@
 
 namespace randrecon {
 
-/// Tuning knobs for ParallelFor / ParallelReduceSum.
+/// Tuning knobs for ParallelFor / ParallelForEach.
 struct ParallelOptions {
   /// Worker count. 0 = auto: the RANDRECON_THREADS environment variable if
   /// set, else std::thread::hardware_concurrency(). 1 forces serial.
@@ -44,8 +44,8 @@ size_t EffectiveThreadCount(const ParallelOptions& options, size_t items);
 /// concurrently, so they must only write to disjoint data. Chunk
 /// boundaries depend on the resolved thread count: results are
 /// thread-count-independent only if each index's computation is
-/// self-contained (no cross-index floating-point accumulation — use
-/// ParallelReduceSum for that). Blocks until every chunk has finished.
+/// self-contained (no cross-index floating-point accumulation). Blocks
+/// until every chunk has finished.
 void ParallelFor(size_t begin, size_t end,
                  const std::function<void(size_t, size_t)>& body,
                  const ParallelOptions& options = {});
@@ -59,15 +59,6 @@ void ParallelFor(size_t begin, size_t end,
 void ParallelForEach(size_t begin, size_t end,
                      const std::function<void(size_t)>& body,
                      const ParallelOptions& options = {});
-
-/// Deterministic parallel sum: [begin, end) is split into fixed chunks of
-/// `chunk_size` (boundaries independent of thread count),
-/// `chunk_sum(chunk_begin, chunk_end)` produces each partial, and the
-/// partials are added left-to-right on the calling thread. The result is
-/// bitwise identical for any thread count.
-double ParallelReduceSum(size_t begin, size_t end, size_t chunk_size,
-                         const std::function<double(size_t, size_t)>& chunk_sum,
-                         const ParallelOptions& options = {});
 
 }  // namespace randrecon
 

@@ -54,6 +54,14 @@ std::string JsonEscape(const std::string& text) {
   return escaped;
 }
 
+std::string JsonDouble(double value) {
+  char buffer[40];
+  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
+  std::string rendered = buffer;
+  if (rendered.find_first_of("nN") != std::string::npos) rendered = "null";
+  return rendered;
+}
+
 RunReportBuilder::RunReportBuilder(std::string tool) : tool_(std::move(tool)) {}
 
 void RunReportBuilder::AddConfig(const std::string& key,
@@ -66,12 +74,7 @@ void RunReportBuilder::AddConfigInt(const std::string& key, int64_t value) {
 }
 
 void RunReportBuilder::AddConfigDouble(const std::string& key, double value) {
-  char buffer[40];
-  // %.17g round-trips every finite double; JSON has no inf/nan.
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  std::string rendered = buffer;
-  if (rendered.find_first_of("nN") != std::string::npos) rendered = "null";
-  config_.emplace_back(key, std::move(rendered));
+  config_.emplace_back(key, JsonDouble(value));
 }
 
 void RunReportBuilder::AddConfigBool(const std::string& key, bool value) {

@@ -36,6 +36,10 @@ constexpr int kRunReportSchemaVersion = 2;
 /// Status messages) into a report.
 std::string JsonEscape(const std::string& text);
 
+/// `value` as a JSON number: %.17g, which round-trips every finite
+/// double, or null for inf/nan (JSON has neither).
+std::string JsonDouble(double value);
+
 /// Assembles one report document. Typical use:
 ///   report::RunReportBuilder builder("sweep_attack");
 ///   builder.AddConfig("attack", attack_name);

@@ -26,14 +26,14 @@ Result<linalg::Matrix> SubtractNoise(linalg::Matrix disguised_covariance,
 }
 
 /// Post-processes Σ̂x's descending eigenvalues in place, keeping them
-/// descending: the bulk average replaces the non-principal ones by their
-/// mean, floored at max(eigen_floor, 0); otherwise the PSD clip raises
-/// each to eigen_floor. Returns false when the spectrum is still Σ̂x's.
+/// descending: for m >= 2 the bulk average replaces the non-principal
+/// ones by their mean, floored at max(eigen_floor, 0); otherwise the PSD
+/// clip raises each to eigen_floor. Returns false when the spectrum is
+/// still Σ̂x's.
 bool AdjustEigenvalues(const MomentEstimationOptions& options,
                        linalg::Vector* values) {
   const size_t m = values->size();
-  if (options.bulk_average_nonprincipal) {
-    if (m < 2) return false;
+  if (options.bulk_average_nonprincipal && m >= 2) {
     const double floor = std::max(options.eigen_floor, 0.0);
     const auto bulk = values->begin() + LargestGapSplit(*values);
     std::fill(bulk, values->end(),
@@ -42,7 +42,6 @@ bool AdjustEigenvalues(const MomentEstimationOptions& options,
     for (double& lambda : *values) lambda = std::max(lambda, floor);
     return true;
   }
-  if (!options.clip_to_psd) return false;
   RR_CHECK_GE(options.eigen_floor, 0.0);
   const bool clipped = m > 0 && values->back() < options.eigen_floor;
   for (double& lambda : *values) lambda = std::max(lambda, options.eigen_floor);
@@ -82,7 +81,6 @@ Result<linalg::Matrix> EstimateOriginalCovariance(
     const MomentEstimationOptions& options) {
   RR_ASSIGN_OR_RETURN(linalg::Matrix cov,
                       SubtractNoise(std::move(disguised_covariance), noise));
-  if (!options.bulk_average_nonprincipal && !options.clip_to_psd) return cov;
   RR_ASSIGN_OR_RETURN(linalg::EigenDecomposition eig,
                       linalg::SymmetricEigen(cov));
   if (AdjustEigenvalues(options, &eig.eigenvalues)) {

@@ -16,7 +16,7 @@ namespace core {
 
 /// Estimated moments of the hidden original data.
 struct OriginalMoments {
-  /// Σ̂x = Cov(Y) − Σr, optionally projected back onto the PSD cone.
+  /// Σ̂x = Cov(Y) − Σr, projected back onto the PSD cone.
   linalg::Matrix covariance;
   /// µ̂x = column means of Y.
   linalg::Vector mean;
@@ -25,10 +25,9 @@ struct OriginalMoments {
 /// Options for the moment estimator.
 struct MomentEstimationOptions {
   /// At finite n the subtraction Cov(Y) − Σr can produce small negative
-  /// eigenvalues; when true (default) they are clipped to `eigen_floor`.
-  bool clip_to_psd = true;
-  /// Eigenvalue floor used by the PSD clip. A strictly positive floor
-  /// also keeps Σ̂x invertible for the literal Eq. 11/13 formulas.
+  /// eigenvalues; the PSD clip raises every eigenvalue to at least this
+  /// floor (>= 0). A strictly positive floor also keeps Σ̂x invertible
+  /// for the literal Eq. 11/13 formulas.
   double eigen_floor = 0.0;
   /// Spiked-spectrum shrinkage: after the subtraction, replace all
   /// non-principal eigenvalues (split by LargestGapSplit, as PCA-DR's
@@ -37,7 +36,8 @@ struct MomentEstimationOptions {
   /// which makes downstream BE-DR over-trust noise directions; averaging
   /// them restores the two-level structure the §7 experiments generate
   /// data from. Off by default — it is an estimation refinement, not part
-  /// of the paper's formulas (ablation A4 measures its effect).
+  /// of the paper's formulas (ablation A4 measures its effect). It needs
+  /// m >= 2; a 1 x 1 spectrum takes the PSD clip instead.
   bool bulk_average_nonprincipal = false;
 };
 

@@ -12,6 +12,12 @@ namespace {
 
 constexpr double kLog2Pi = 1.8378770664093453;  // log(2π).
 
+// Gradient-ascent controls (see NumericalBayesReconstructor::Reconstruct).
+constexpr int kMaxIterations = 200;
+constexpr double kInitialStep = 1.0;
+constexpr double kGradientTolerance = 1e-8;
+constexpr int kMaxBacktracks = 40;
+
 }  // namespace
 
 Result<GaussianMixturePrior> GaussianMixturePrior::Create(
@@ -134,13 +140,13 @@ Result<linalg::Matrix> NumericalBayesReconstructor::Reconstruct(
     // Ascend from the observation.
     linalg::Vector x = y;
     double value = objective(x);
-    for (int iter = 0; iter < options_.max_iterations; ++iter) {
+    for (int iter = 0; iter < kMaxIterations; ++iter) {
       const linalg::Vector g = gradient(x);
-      if (linalg::MaxAbs(g) < options_.gradient_tolerance) break;
-      double step = options_.initial_step;
+      if (linalg::MaxAbs(g) < kGradientTolerance) break;
+      double step = kInitialStep;
       bool advanced = false;
       const double sufficient = 1e-4 * linalg::Dot(g, g);
-      for (int bt = 0; bt < options_.max_backtracks; ++bt, step *= 0.5) {
+      for (int bt = 0; bt < kMaxBacktracks; ++bt, step *= 0.5) {
         linalg::Vector candidate = x;
         linalg::AddScaled(&candidate, step, g);
         const double candidate_value = objective(candidate);

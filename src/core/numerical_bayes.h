@@ -65,32 +65,21 @@ class GaussianMixturePrior {
   std::vector<double> log_norm_constants_;      // log w_k − ½log|2πΣ_k|.
 };
 
-/// Gradient-ascent controls.
-struct NumericalBayesOptions {
-  /// Maximum ascent iterations per record.
-  int max_iterations = 200;
-  /// Initial step size; backtracking halves it until the Armijo
-  /// condition holds.
-  double initial_step = 1.0;
-  /// Stop when the gradient's max-abs entry falls below this.
-  double gradient_tolerance = 1e-8;
-  /// Backtracking halvings per iteration before giving up on progress.
-  int max_backtracks = 40;
-};
-
 /// §6's numerical MAP reconstructor for mixture priors.
 class NumericalBayesReconstructor final : public Reconstructor {
  public:
-  NumericalBayesReconstructor(GaussianMixturePrior prior,
-                              NumericalBayesOptions options = {})
-      : prior_(std::move(prior)), options_(options) {}
+  explicit NumericalBayesReconstructor(GaussianMixturePrior prior)
+      : prior_(std::move(prior)) {}
 
   std::string name() const override { return "NB-DR"; }
 
   /// MAP estimate per record by gradient ascent, started from the
   /// observation y (a global-basin heuristic that is exact for one
   /// component and works well when noise is smaller than cluster
-  /// separation).
+  /// separation). Each ascent step starts at step size 1 and halves it
+  /// (at most 40 times) until the Armijo condition holds; a record stops
+  /// after 200 steps, once the gradient's max-abs entry is below 1e-8,
+  /// or when no halving makes progress.
   Result<linalg::Matrix> Reconstruct(
       const linalg::Matrix& disguised,
       const perturb::NoiseModel& noise) const override;
@@ -99,7 +88,6 @@ class NumericalBayesReconstructor final : public Reconstructor {
 
  private:
   GaussianMixturePrior prior_;
-  NumericalBayesOptions options_;
 };
 
 }  // namespace core

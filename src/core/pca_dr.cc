@@ -3,10 +3,18 @@
 #include <algorithm>
 
 #include "linalg/eigen.h"
+#include "linalg/kernels.h"
 #include "stats/moments.h"
 
 namespace randrecon {
 namespace core {
+namespace {
+
+/// kLargestGap's dominance check: the split counts only if the eigenvalue
+/// after the gap is at most this fraction of the one before it.
+constexpr double kGapDominanceRatio = 0.5;
+
+}  // namespace
 
 size_t SelectNumComponents(const linalg::Vector& eigenvalues,
                            const PcaOptions& options) {
@@ -37,7 +45,7 @@ size_t SelectNumComponents(const linalg::Vector& eigenvalues,
       // principal/non-principal split; keep everything.
       const double before = eigenvalues[best_p - 1];
       const double after = eigenvalues[best_p];
-      if (before <= 0.0 || after > options.gap_dominance_ratio * before) {
+      if (before <= 0.0 || after > kGapDominanceRatio * before) {
         return m;
       }
       return best_p;
@@ -85,9 +93,15 @@ Result<linalg::Matrix> PcaReconstructor::ReconstructWithDiagnostics(
   if (estimate && disguised.rows() < 2) {
     return Status::InvalidArgument("PCA-DR: need at least 2 records");
   }
+  // One centred copy of Y feeds Cov(Y) — the bits of
+  // stats::SampleCovariance — and then the projection.
+  linalg::Vector mean;
+  linalg::Matrix centered = stats::CenterColumns(disguised, &mean);
   RR_ASSIGN_OR_RETURN(
       const ProjectionBasis basis,
-      SelectPcaBasis(estimate ? stats::SampleCovariance(disguised)
+      SelectPcaBasis(estimate ? linalg::kernels::GramMatrix(
+                                    centered,
+                                    static_cast<double>(disguised.rows()))
                               : linalg::Matrix(),
                      noise, options_));
 
@@ -105,7 +119,7 @@ Result<linalg::Matrix> PcaReconstructor::ReconstructWithDiagnostics(
   }
 
   // Step 4: X̂ = Ȳ Q̂ Q̂ᵀ + µ̂.
-  return ProjectOntoBasis(disguised, basis);
+  return ProjectOntoBasis(std::move(centered), mean, basis);
 }
 
 }  // namespace core

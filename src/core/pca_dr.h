@@ -30,7 +30,11 @@ namespace core {
 /// How PCA-DR chooses the number of principal components p.
 enum class PcSelection {
   /// Largest gap between consecutive (descending) eigenvalues — the rule
-  /// the paper's experiments use (§5.2.2 footnote).
+  /// the paper's experiments use (§5.2.2 footnote). The gap only separates
+  /// "dominant" from "non-dominant" eigenvalues (§5.2.2) if the eigenvalue
+  /// after it is at most half the one before it; otherwise the spectrum
+  /// is treated as gap-free and all m components are kept (PCA-DR then
+  /// degenerates to NDR, the correct behaviour for uncorrelated data).
   kLargestGap,
   /// Keep exactly `fixed_count` components.
   kFixedCount,
@@ -46,13 +50,6 @@ struct PcaOptions {
   size_t fixed_count = 1;
   /// Used when selection == kVarianceFraction; in (0, 1].
   double variance_fraction = 0.9;
-  /// kLargestGap sanity check: the gap only separates "dominant" from
-  /// "non-dominant" eigenvalues (§5.2.2) if the eigenvalue after it is
-  /// substantially smaller than the one before it. If
-  /// λ_{p+1} > gap_dominance_ratio · λ_p the spectrum is treated as
-  /// gap-free and all m components are kept (PCA-DR then degenerates to
-  /// NDR, the correct behaviour for uncorrelated data).
-  double gap_dominance_ratio = 0.5;
   /// §5.3 analysis mode: when set, this ground-truth covariance is used
   /// instead of the Theorem 5.1 estimate ("we only analyze PCA-DR using
   /// covariance matrix from the original data"). The ablation bench A4

@@ -63,8 +63,11 @@ void ProjectRecords(const double* disguised, size_t rows,
                     double* scores, double* reconstructed,
                     const ParallelOptions& parallel = {});
 
-/// ProjectRecords over all of `disguised`, centered on its column means.
-linalg::Matrix ProjectOntoBasis(const linalg::Matrix& disguised,
+/// X̂ = Ȳ Q̂ Q̂ᵀ + 1µ̂ᵀ for records already centered on `mean` (Ȳ =
+/// `centered`), computed in place: the bits of ProjectRecords over the
+/// uncentered records.
+linalg::Matrix ProjectOntoBasis(linalg::Matrix centered,
+                                const linalg::Vector& mean,
                                 const ProjectionBasis& basis);
 
 }  // namespace core

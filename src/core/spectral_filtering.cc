@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "linalg/eigen.h"
+#include "linalg/kernels.h"
 #include "stats/moments.h"
 
 namespace randrecon {
@@ -20,7 +21,7 @@ double SpectralFilteringReconstructor::NoiseEigenvalueUpperBound(
 
 size_t SelectSfComponents(const linalg::Vector& disguised_eigenvalues,
                           const perturb::NoiseModel& noise,
-                          size_t num_records, const SfOptions& options) {
+                          size_t num_records) {
   const size_t m = disguised_eigenvalues.size();
   RR_CHECK_EQ(m, noise.num_attributes()) << "SF: spectrum/noise mismatch";
 
@@ -32,26 +33,24 @@ size_t SelectSfComponents(const linalg::Vector& disguised_eigenvalues,
   noise_variance /= static_cast<double>(m);
 
   const double upper_bound =
-      options.bound_scale *
       SpectralFilteringReconstructor::NoiseEigenvalueUpperBound(
           noise_variance, num_records, m);
 
   size_t p = 0;
   while (p < m && disguised_eigenvalues[p] > upper_bound) ++p;
-  return std::clamp<size_t>(p, std::min<size_t>(options.min_components, m), m);
+  return std::max<size_t>(p, std::min<size_t>(m, 1));
 }
 
 Result<ProjectionBasis> SelectSfBasis(
     const linalg::Matrix& disguised_covariance,
-    const perturb::NoiseModel& noise, size_t num_records,
-    const SfOptions& options) {
+    const perturb::NoiseModel& noise, size_t num_records) {
   // SF works on the covariance of the *perturbed* data directly — unlike
   // PCA-DR it does not subtract the noise first; the random-matrix bound
   // does the separation.
   RR_ASSIGN_OR_RETURN(linalg::EigenDecomposition eig,
                       linalg::SymmetricEigen(disguised_covariance));
   const size_t p =
-      SelectSfComponents(eig.eigenvalues, noise, num_records, options);
+      SelectSfComponents(eig.eigenvalues, noise, num_records);
   return ProjectionBasis{std::move(eig.eigenvalues),
                          std::move(eig.eigenvectors), p};
 }
@@ -59,11 +58,16 @@ Result<ProjectionBasis> SelectSfBasis(
 Result<linalg::Matrix> SpectralFilteringReconstructor::Reconstruct(
     const linalg::Matrix& disguised, const perturb::NoiseModel& noise) const {
   RR_RETURN_NOT_OK(ValidateShapes(disguised, noise));
+  // One centred copy of Y feeds Cov(Y) — the bits of
+  // stats::SampleCovariance — and then the projection.
+  linalg::Vector mean;
+  linalg::Matrix centered = stats::CenterColumns(disguised, &mean);
   RR_ASSIGN_OR_RETURN(
       const ProjectionBasis basis,
-      SelectSfBasis(stats::SampleCovariance(disguised), noise,
-                    disguised.rows(), options_));
-  return ProjectOntoBasis(disguised, basis);
+      SelectSfBasis(linalg::kernels::GramMatrix(
+                        centered, static_cast<double>(disguised.rows())),
+                    noise, disguised.rows()));
+  return ProjectOntoBasis(std::move(centered), mean, basis);
 }
 
 }  // namespace core

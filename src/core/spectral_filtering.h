@@ -28,56 +28,37 @@
 namespace randrecon {
 namespace core {
 
-/// Configuration for SpectralFilteringReconstructor.
-struct SfOptions {
-  /// Multiplier on the Marchenko–Pastur upper bound; 1.0 is the published
-  /// cutoff, values > 1 are more conservative (keep fewer components).
-  double bound_scale = 1.0;
-  /// Keep at least this many components even if the bound rejects all
-  /// (the attack must output *something*; 1 matches the reference
-  /// implementation's behaviour on tiny signals).
-  size_t min_components = 1;
-};
-
 /// SF's component-count rule on an already-computed Cov(Y) spectrum
-/// (descending): counts the eigenvalues above the (scaled)
-/// Marchenko–Pastur bound, clamped to [min(min_components, m), m]. For a
-/// correlated NoiseModel the bound is evaluated with the average
-/// per-attribute noise variance, the natural attacker fallback.
+/// (descending): counts the eigenvalues above the published
+/// Marchenko–Pastur bound, and keeps one component when the bound rejects
+/// them all (the attack must output *something*, as the reference
+/// implementation does on tiny signals). For a correlated NoiseModel the
+/// bound is evaluated with the average per-attribute noise variance, the
+/// natural attacker fallback.
 size_t SelectSfComponents(const linalg::Vector& disguised_eigenvalues,
                           const perturb::NoiseModel& noise,
-                          size_t num_records, const SfOptions& options = {});
+                          size_t num_records);
 
 /// SF's basis, shared by SpectralFilteringReconstructor and the streaming
 /// pipeline: Cov(Y) (ddof 0) decomposed, p by SelectSfComponents.
 Result<ProjectionBasis> SelectSfBasis(
     const linalg::Matrix& disguised_covariance,
-    const perturb::NoiseModel& noise, size_t num_records,
-    const SfOptions& options = {});
+    const perturb::NoiseModel& noise, size_t num_records);
 
 /// Kargupta et al.'s spectral-filtering attack.
 class SpectralFilteringReconstructor final : public Reconstructor {
  public:
-  SpectralFilteringReconstructor() = default;
-  explicit SpectralFilteringReconstructor(SfOptions options)
-      : options_(options) {}
-
   std::string name() const override { return "SF"; }
 
   Result<linalg::Matrix> Reconstruct(
       const linalg::Matrix& disguised,
       const perturb::NoiseModel& noise) const override;
 
-  /// The Marchenko–Pastur noise-eigenvalue upper bound σ²(1 + √(m/n))²
-  /// (times bound_scale), exposed for tests.
+  /// The Marchenko–Pastur noise-eigenvalue upper bound σ²(1 + √(m/n))²,
+  /// exposed for tests.
   static double NoiseEigenvalueUpperBound(double noise_variance,
                                           size_t num_records,
                                           size_t num_attributes);
-
-  const SfOptions& options() const { return options_; }
-
- private:
-  SfOptions options_;
 };
 
 }  // namespace core

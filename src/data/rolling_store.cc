@@ -10,7 +10,6 @@
 #include "common/file_io.h"
 #include "common/logging.h"
 #include "common/metrics.h"
-#include "common/trace.h"
 
 namespace randrecon {
 namespace data {
@@ -65,7 +64,6 @@ RollingShardedStoreWriter::RollingShardedStoreWriter(
       entry_rows_(std::move(other.entry_rows_)),
       current_(std::move(other.current_)),
       current_rows_(other.current_rows_),
-      current_opened_nanos_(other.current_opened_nanos_),
       next_shard_index_(other.next_shard_index_),
       pending_retire_(std::move(other.pending_retire_)),
       rows_written_(other.rows_written_),
@@ -121,23 +119,8 @@ Status RollingShardedStoreWriter::StartShard() {
   }
   current_ = std::make_unique<ColumnStoreWriter>(std::move(created).value());
   current_rows_ = 0;
-  current_opened_nanos_ = trace::NowNanos();
   ++next_shard_index_;
   return Status::OK();
-}
-
-bool RollingShardedStoreWriter::ShouldRotate() const {
-  if (current_ == nullptr || current_rows_ == 0) return false;
-  if (current_rows_ >= options_.shard_rows) return true;
-  if (options_.shard_bytes > 0 &&
-      current_rows_ * names_.size() * sizeof(double) >= options_.shard_bytes) {
-    return true;
-  }
-  if (options_.shard_age_nanos > 0 &&
-      trace::NowNanos() - current_opened_nanos_ >= options_.shard_age_nanos) {
-    return true;
-  }
-  return false;
 }
 
 Status RollingShardedStoreWriter::SealCurrentShard() {
@@ -272,16 +255,6 @@ Status RollingShardedStoreWriter::Rotate() {
   return PublishAndRetire();
 }
 
-Status RollingShardedStoreWriter::MaybeRotate() {
-  if (closed_) {
-    return Status::FailedPrecondition(RollingPrefix(manifest_path_) +
-                                      "MaybeRotate after Close");
-  }
-  if (!deferred_error_.ok()) return deferred_error_;
-  if (!ShouldRotate()) return Status::OK();
-  return Rotate();
-}
-
 Status RollingShardedStoreWriter::Append(const linalg::Matrix& chunk,
                                          size_t num_rows) {
   if (closed_) {
@@ -307,7 +280,7 @@ Status RollingShardedStoreWriter::Append(const linalg::Matrix& chunk,
     current_rows_ += take;
     rows_written_ += take;
     consumed += take;
-    if (ShouldRotate()) RR_RETURN_NOT_OK(Rotate());
+    if (current_rows_ == options_.shard_rows) RR_RETURN_NOT_OK(Rotate());
   }
   return Status::OK();
 }

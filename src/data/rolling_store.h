@@ -11,9 +11,10 @@
 //     ALWAYS a ".tmp" file with an intentionally mismatched header
 //     checksum (data/column_store.h), so no reader — and no recovery
 //     pass — can mistake it for data.
-//   * When the open shard hits a rotation trigger (`shard_rows` rows,
-//     `shard_bytes` payload bytes, or `shard_age_nanos` of wall age),
-//     it is sealed (flush + header patch + fsync + atomic rename),
+//   * Rotation has one trigger, the row count: the Append that brings
+//     the open shard to `shard_rows` rows (splitting a chunk across
+//     shards when needed) seals it (flush + header patch + fsync +
+//     atomic rename),
 //     digested, appended to the published entry list, and a NEW
 //     manifest over every retained shard is republished through the
 //     same write-temp → fsync → atomic-rename path every ".rrcm"
@@ -67,14 +68,6 @@ namespace data {
 struct RollingStoreOptions {
   /// Rotate once the open shard holds this many rows (>= 1).
   size_t shard_rows = 1u << 16;
-  /// Rotate once the open shard's payload reaches this many bytes
-  /// (rows x columns x 8; 0 = no byte trigger).
-  size_t shard_bytes = 0;
-  /// Rotate once the open shard has been open this long, measured on
-  /// trace::NowNanos() so tests pin it with a FakeClockGuard (0 = no
-  /// age trigger). Age only triggers on an Append or MaybeRotate call —
-  /// an idle writer rotates on its owner's next poll.
-  uint64_t shard_age_nanos = 0;
   /// Keep at most this many newest published shards (0 = unlimited).
   size_t retain_shards = 0;
   /// Keep the newest published shards covering at least this many rows:
@@ -108,12 +101,8 @@ class RollingShardedStoreWriter {
   ~RollingShardedStoreWriter();
 
   /// Appends the leading `num_rows` rows of row-major `chunk`, rotating
-  /// (and republishing) whenever a trigger fires mid-append.
+  /// (and republishing) each time the open shard reaches `shard_rows`.
   Status Append(const linalg::Matrix& chunk, size_t num_rows);
-
-  /// Applies the rotation triggers now — how an owner with no rows to
-  /// append honors `shard_age_nanos`. No-op when nothing triggers.
-  Status MaybeRotate();
 
   /// Seals the open shard and republishes unconditionally (no-op when
   /// the open shard is empty). A publish failure is NOT sticky: the
@@ -150,9 +139,6 @@ class RollingShardedStoreWriter {
   /// Creates the next shard file as the open target.
   Status StartShard();
 
-  /// True when a rotation trigger currently holds for the open shard.
-  bool ShouldRotate() const;
-
   /// Seals + digests the open shard into entries_ (rotation step 1).
   Status SealCurrentShard();
 
@@ -178,7 +164,6 @@ class RollingShardedStoreWriter {
   /// The open shard (null between a rotation and the next Append).
   std::unique_ptr<ColumnStoreWriter> current_;
   size_t current_rows_ = 0;
-  uint64_t current_opened_nanos_ = 0;
   /// Monotonic file-name index: retention never reuses a shard name.
   size_t next_shard_index_ = 0;
   /// Files retired from the manifest whose deletion has not succeeded

@@ -88,11 +88,6 @@ double LuFactorization::Determinant() const {
   return det;
 }
 
-Result<Vector> SolveLinearSystem(const Matrix& a, const Vector& b) {
-  RR_ASSIGN_OR_RETURN(LuFactorization lu, LuFactorization::Compute(a));
-  return lu.Solve(b);
-}
-
 Result<Matrix> InvertMatrix(const Matrix& a) {
   RR_ASSIGN_OR_RETURN(LuFactorization lu, LuFactorization::Compute(a));
   return lu.Inverse();

@@ -42,9 +42,6 @@ class LuFactorization {
   int pivot_sign_;            // +1 / -1 from row swaps, for Determinant().
 };
 
-/// Convenience: solves A x = b in one call (factor + solve).
-Result<Vector> SolveLinearSystem(const Matrix& a, const Vector& b);
-
 /// Convenience: A⁻¹ in one call. Prefer keeping the factorization when
 /// solving repeatedly.
 Result<Matrix> InvertMatrix(const Matrix& a);

@@ -36,17 +36,5 @@ Result<Matrix> GramSchmidtOrthonormalize(const Matrix& a,
   return q;
 }
 
-Vector ProjectOntoColumns(const Matrix& q, size_t k, const Vector& v) {
-  RR_CHECK_LE(k, q.cols());
-  RR_CHECK_EQ(v.size(), q.rows());
-  Vector out(v.size(), 0.0);
-  for (size_t col = 0; col < k; ++col) {
-    const Vector basis = q.Col(col);
-    const double coeff = Dot(v, basis);
-    AddScaled(&out, coeff, basis);
-  }
-  return out;
-}
-
 }  // namespace linalg
 }  // namespace randrecon

@@ -20,10 +20,6 @@ namespace linalg {
 Result<Matrix> GramSchmidtOrthonormalize(const Matrix& a,
                                          double rank_tolerance = 1e-10);
 
-/// Projects vector `v` onto the span of the first `k` columns of the
-/// orthonormal basis `q`: returns Q̂ Q̂ᵀ v. Helper shared by PCA-DR and SF.
-Vector ProjectOntoColumns(const Matrix& q, size_t k, const Vector& v);
-
 }  // namespace linalg
 }  // namespace randrecon
 

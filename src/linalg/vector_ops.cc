@@ -28,24 +28,10 @@ Vector Subtract(const Vector& a, const Vector& b) {
   return out;
 }
 
-Vector Scale(const Vector& a, double s) {
-  Vector out(a.size());
-  for (size_t i = 0; i < a.size(); ++i) out[i] = a[i] * s;
-  return out;
-}
 
 void AddScaled(Vector* a, double s, const Vector& b) {
   RR_CHECK_EQ(a->size(), b.size());
   for (size_t i = 0; i < b.size(); ++i) (*a)[i] += s * b[i];
-}
-
-Matrix Outer(const Vector& a, const Vector& b) {
-  Matrix out(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    double* row = out.row_data(i);
-    for (size_t j = 0; j < b.size(); ++j) row[j] = a[i] * b[j];
-  }
-  return out;
 }
 
 double Mean(const Vector& a) {

@@ -20,14 +20,9 @@ Vector Add(const Vector& a, const Vector& b);
 /// Element-wise a - b.
 Vector Subtract(const Vector& a, const Vector& b);
 
-/// Scalar multiple s * a.
-Vector Scale(const Vector& a, double s);
 
 /// In-place a += s * b (axpy).
 void AddScaled(Vector* a, double s, const Vector& b);
-
-/// Outer product a bᵀ as an (a.size() x b.size()) matrix.
-Matrix Outer(const Vector& a, const Vector& b);
 
 /// Arithmetic mean of the entries.
 double Mean(const Vector& a);

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -61,15 +60,6 @@ metrics::Histogram h_cycle_nanos("scheduler.cycle_nanos");
 /// The report series: report-NNNNNN.json files in `dir`.
 FileSeries ReportSeries(const std::string& dir) {
   return FileSeries{dir, "report-", ".json"};
-}
-
-std::string RenderDouble(double value) {
-  char buffer[40];
-  // %.17g round-trips every finite double; JSON has no inf/nan.
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  std::string rendered = buffer;
-  if (rendered.find_first_of("nN") != std::string::npos) rendered = "null";
-  return rendered;
 }
 
 /// Rewrites `<dir>/latest.json` to name report `version`.
@@ -150,7 +140,7 @@ Result<std::unique_ptr<AttackScheduler>> AttackScheduler::Create(
   }
   if (!(options.sigma > 0.0)) {
     return Status::InvalidArgument("AttackScheduler: sigma must be > 0, got " +
-                                   RenderDouble(options.sigma));
+                                   report::JsonDouble(options.sigma));
   }
   if (::mkdir(options.report_dir.c_str(), 0755) != 0 && errno != EEXIST) {
     return Status::IoError("AttackScheduler: cannot create report dir '" +
@@ -344,25 +334,23 @@ SchedulerCycleResult AttackScheduler::RunCycleLocked() {
   } else {
     result.status = whole.status;
     result.jobs.push_back(std::move(whole));
-    if (options_.degraded_fallback) {
-      // The whole-stream job failed past its retries — cover what can
-      // be covered and NAME the rest, the sweep driver's discipline.
-      Result<PerShardJobSet> job_set = MakePerShardJobsDegraded(
-          manifest_path_, job, options_.store_options);
-      if (job_set.ok()) {
-        result.excluded = std::move(job_set.value().excluded);
-        if (!job_set.value().jobs.empty()) {
-          std::vector<PipelineJobResult> shard_results =
-              RunPipelineJobs(job_set.value().jobs, runner_options);
-          size_t ok_shards = 0;
-          for (PipelineJobResult& shard_result : shard_results) {
-            if (shard_result.status.ok()) ++ok_shards;
-            result.jobs.push_back(std::move(shard_result));
-          }
-          if (ok_shards > 0) {
-            result.outcome = CycleOutcome::kDegraded;
-            publishable = true;
-          }
+    // The whole-stream job failed past its retries — cover what can
+    // be covered and NAME the rest, the sweep driver's discipline.
+    Result<PerShardJobSet> job_set = MakePerShardJobsDegraded(
+        manifest_path_, job, options_.store_options);
+    if (job_set.ok()) {
+      result.excluded = std::move(job_set.value().excluded);
+      if (!job_set.value().jobs.empty()) {
+        std::vector<PipelineJobResult> shard_results =
+            RunPipelineJobs(job_set.value().jobs, runner_options);
+        size_t ok_shards = 0;
+        for (PipelineJobResult& shard_result : shard_results) {
+          if (shard_result.status.ok()) ++ok_shards;
+          result.jobs.push_back(std::move(shard_result));
+        }
+        if (ok_shards > 0) {
+          result.outcome = CycleOutcome::kDegraded;
+          publishable = true;
         }
       }
     }
@@ -435,37 +423,16 @@ Status AttackScheduler::PublishLocked(SchedulerCycleResult* result) {
   builder.AddConfigInt("jobs_total", static_cast<int64_t>(result->jobs.size()));
   builder.AddConfigInt("jobs_failed", static_cast<int64_t>(jobs_failed));
 
-  // Same per-job shape sweep_attack reports, so check_report.py shares
-  // the parsing (and the bitwise gate compares the %.17g strings).
-  std::string jobs_json = "[";
-  for (size_t i = 0; i < result->jobs.size(); ++i) {
-    const PipelineJobResult& job = result->jobs[i];
-    if (i > 0) jobs_json.append(",");
-    jobs_json.append(
-        "{\"name\":\"" + report::JsonEscape(job.name) + "\",\"ok\":" +
-        (job.status.ok() ? "true" : "false") + ",\"status\":\"" +
-        report::JsonEscape(job.status.ToString()) +
-        "\",\"records\":" + std::to_string(job.report.num_records) +
-        ",\"attributes\":" + std::to_string(job.report.num_attributes) +
-        ",\"components\":" + std::to_string(job.report.num_components) +
-        ",\"rmse_vs_disguised\":" + RenderDouble(job.report.rmse_vs_disguised) +
-        ",\"attempts\":" + std::to_string(job.attempts) +
-        ",\"elapsed_seconds\":" + RenderDouble(job.elapsed_seconds) + "}");
-  }
-  jobs_json.append("]");
-  builder.AddRawSection("jobs", jobs_json);
+  // The job and exclusion renderers sweep_attack uses, so
+  // check_report.py shares the parsing (and the bitwise gate compares
+  // the %.17g strings).
+  builder.AddRawSection("jobs", JobResultsJson(result->jobs));
 
   std::string exclusions_json = "[";
   for (size_t i = 0; i < result->excluded.size(); ++i) {
-    const ShardExclusion& entry = result->excluded[i];
     if (i > 0) exclusions_json.append(",");
     exclusions_json.append(
-        "{\"manifest\":\"" + report::JsonEscape(manifest_path_) +
-        "\",\"shard_index\":" + std::to_string(entry.shard_index) +
-        ",\"shard_path\":\"" + report::JsonEscape(entry.shard_path) +
-        "\",\"row_begin\":" + std::to_string(entry.row_begin) +
-        ",\"row_count\":" + std::to_string(entry.row_count) + ",\"reason\":\"" +
-        report::JsonEscape(entry.reason) + "\"}");
+        ShardExclusionJson(manifest_path_, result->excluded[i]));
   }
   exclusions_json.append("]");
   builder.AddRawSection("exclusions", exclusions_json);

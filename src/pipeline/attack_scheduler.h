@@ -102,10 +102,6 @@ struct AttackSchedulerOptions {
   RetryPolicy retry;
   /// PipelineRunner worker budget (0 = auto).
   int num_workers = 0;
-  /// When the whole-stream job fails non-transiently, fall back to a
-  /// degraded per-shard sweep (MakePerShardJobsDegraded): healthy
-  /// shards are attacked, broken ones named in the report.
-  bool degraded_fallback = true;
   /// Directory the report series lives in (required; created by Create
   /// if missing). Holds report-NNNNNN.json files and latest.json.
   std::string report_dir;

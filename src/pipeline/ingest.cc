@@ -212,15 +212,6 @@ void IngestService::WriterLoop() {
     rows_appended_.fetch_add(batch.num_rows, std::memory_order_relaxed);
     m_appended.Add(1);
     m_rows_appended.Add(batch.num_rows);
-    // Honor the age trigger even when Append alone did not rotate. A
-    // retryable failure here (e.g. a transient publish error) is left
-    // for the next rotation — the rows ARE in the store and the
-    // manifest on disk is still the previous good one.
-    const Status rotated = writer_.MaybeRotate();
-    if (!rotated.ok() && !rotated.IsRetryable()) {
-      std::lock_guard<std::mutex> lock(error_mutex_);
-      if (error_.ok()) error_ = rotated;
-    }
   }
   // Closed and drained: final rotation + manifest publish.
   const Status closed = writer_.Close();

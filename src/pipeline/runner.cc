@@ -10,6 +10,7 @@
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/parallel.h"
+#include "common/run_report.h"
 #include "common/stopwatch.h"
 #include "common/trace.h"
 #include "data/shard_store.h"
@@ -243,6 +244,38 @@ Status ProbeShard(const std::string& shard_path,
 }
 
 }  // namespace
+
+std::string JobResultsJson(const std::vector<PipelineJobResult>& jobs) {
+  std::string json = "[";
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    const PipelineJobResult& job = jobs[i];
+    if (i > 0) json.append(",");
+    json.append(
+        "{\"name\":\"" + report::JsonEscape(job.name) + "\",\"ok\":" +
+        (job.status.ok() ? "true" : "false") + ",\"status\":\"" +
+        report::JsonEscape(job.status.ToString()) +
+        "\",\"records\":" + std::to_string(job.report.num_records) +
+        ",\"attributes\":" + std::to_string(job.report.num_attributes) +
+        ",\"components\":" + std::to_string(job.report.num_components) +
+        ",\"rmse_vs_disguised\":" +
+        report::JsonDouble(job.report.rmse_vs_disguised) +
+        ",\"attempts\":" + std::to_string(job.attempts) +
+        ",\"elapsed_seconds\":" + report::JsonDouble(job.elapsed_seconds) +
+        "}");
+  }
+  json.append("]");
+  return json;
+}
+
+std::string ShardExclusionJson(const std::string& manifest_path,
+                               const ShardExclusion& exclusion) {
+  return "{\"manifest\":\"" + report::JsonEscape(manifest_path) +
+         "\",\"shard_index\":" + std::to_string(exclusion.shard_index) +
+         ",\"shard_path\":\"" + report::JsonEscape(exclusion.shard_path) +
+         "\",\"row_begin\":" + std::to_string(exclusion.row_begin) +
+         ",\"row_count\":" + std::to_string(exclusion.row_count) +
+         ",\"reason\":\"" + report::JsonEscape(exclusion.reason) + "\"}";
+}
 
 std::string PerShardJobSet::DegradedSummary() const {
   if (excluded.empty()) return "";

@@ -130,6 +130,16 @@ struct ShardExclusion {
   std::string reason;
 };
 
+/// A run report's "jobs" array over `jobs` (docs/REPORT_SCHEMA.md) — the
+/// one renderer sweep_attack and the attack scheduler share, so
+/// tools/check_report.py compares the same bytes.
+std::string JobResultsJson(const std::vector<PipelineJobResult>& jobs);
+
+/// One entry of a run report's "exclusions" array: `exclusion`, a shard
+/// of the manifest at `manifest_path`.
+std::string ShardExclusionJson(const std::string& manifest_path,
+                               const ShardExclusion& exclusion);
+
 /// MakePerShardJobsDegraded's output: runnable jobs over the healthy
 /// shards plus an explicit account of everything excluded. A degraded
 /// sweep NEVER silently narrows — callers must surface DegradedSummary()

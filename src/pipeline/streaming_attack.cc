@@ -264,7 +264,7 @@ Result<StreamingAttackReport> StreamingAttackPipeline::Run(
     RR_ASSIGN_OR_RETURN(
         basis, options_.attack == StreamingAttack::kPcaDr
                    ? core::SelectPcaBasis(cov_y, noise, options_.pca)
-                   : core::SelectSfBasis(cov_y, noise, n, options_.sf));
+                   : core::SelectSfBasis(cov_y, noise, n));
   }
   const size_t p = basis.num_components;
 

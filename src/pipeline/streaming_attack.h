@@ -71,8 +71,6 @@ struct StreamingAttackOptions {
   size_t chunk_rows = 4096;
   /// PCA-DR knobs (component selection, PSD clipping, §5.3 oracle mode).
   core::PcaOptions pca;
-  /// SF knobs (bound scale, minimum components).
-  core::SfOptions sf;
   /// Kernel parallelism; results are bitwise identical for any setting.
   ParallelOptions parallel;
 };

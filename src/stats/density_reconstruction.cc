@@ -7,6 +7,12 @@
 
 namespace randrecon {
 namespace stats {
+namespace {
+
+/// The iteration stops once the L1 change between rounds drops below this.
+constexpr double kConvergenceThreshold = 1e-4;
+
+}  // namespace
 
 double GridDensity::ValueAt(double x) const {
   if (points.empty()) return 0.0;
@@ -46,8 +52,7 @@ Result<GridDensity> ReconstructDensity(
 
   const auto [min_it, max_it] =
       std::minmax_element(disguised_samples.begin(), disguised_samples.end());
-  const double pad =
-      options.range_padding_sigmas * std::sqrt(noise.Variance());
+  const double pad = std::sqrt(noise.Variance());
   double lo = *min_it - pad;
   double hi = *max_it + pad;
   if (hi - lo <= 0.0) {
@@ -104,7 +109,7 @@ Result<GridDensity> ReconstructDensity(
       l1_change += std::fabs(next[k] - f[k]) * out.step;
     }
     f.swap(next);
-    if (l1_change < options.convergence_threshold) break;
+    if (l1_change < kConvergenceThreshold) break;
   }
 
   out.density = std::move(f);

@@ -44,17 +44,15 @@ struct GridDensity {
 struct DensityReconstructionOptions {
   /// Number of grid cells spanning the data range.
   size_t grid_size = 200;
-  /// Stop once the L1 change between iterations drops below this value.
-  double convergence_threshold = 1e-4;
-  /// Hard iteration cap.
+  /// Hard iteration cap. The iteration also stops once the L1 change
+  /// between iterations drops below 1e-4.
   int max_iterations = 200;
-  /// The grid spans [min(y) - pad, max(y) + pad] where pad =
-  /// range_padding_sigmas * stddev(noise), so the support of fX is covered.
-  double range_padding_sigmas = 1.0;
 };
 
 /// Reconstructs the original marginal density fX from disguised samples
-/// y_i = x_i + r_i given the public noise distribution fR.
+/// y_i = x_i + r_i given the public noise distribution fR. The grid spans
+/// [min(y) − σr, max(y) + σr], one noise standard deviation of padding,
+/// so the support of fX is covered.
 /// Fails with InvalidArgument on an empty sample or degenerate grid.
 Result<GridDensity> ReconstructDensity(
     const linalg::Vector& disguised_samples,

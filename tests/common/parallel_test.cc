@@ -109,30 +109,6 @@ TEST(ParallelForTest, MoreThreadsThanItems) {
   EXPECT_EQ(visits, (std::vector<int>{1, 1, 1}));
 }
 
-TEST(ParallelReduceTest, SumIsBitwiseIdenticalAcrossThreadCounts) {
-  // Random magnitudes make the grand total order-sensitive in floating
-  // point; fixed chunking + in-order combine must erase the thread count
-  // from the result entirely.
-  stats::Rng rng(11);
-  const linalg::Matrix values = rng.GaussianMatrix(1, 100000);
-  const double* data = values.data();
-  auto chunk_sum = [&](size_t begin, size_t end) {
-    double sum = 0.0;
-    for (size_t i = begin; i < end; ++i) sum += data[i] * data[i] * 1e-3;
-    return sum;
-  };
-  std::vector<double> totals;
-  for (int threads : {1, 2, 8}) {
-    ParallelOptions options;
-    options.num_threads = threads;
-    totals.push_back(
-        ParallelReduceSum(0, values.size(), 4096, chunk_sum, options));
-  }
-  EXPECT_EQ(totals[0], totals[1]);
-  EXPECT_EQ(totals[0], totals[2]);
-  EXPECT_GT(totals[0], 0.0);
-}
-
 TEST(ParallelKernelTest, BlockedMatMulIsBitwiseIdenticalAcrossThreadCounts) {
   stats::Rng rng(12);
   // Big enough for both the blocked path and the parallel dispatch.

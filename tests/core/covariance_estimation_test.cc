@@ -88,22 +88,17 @@ TEST(MomentEstimationTest, PsdClipRemovesNegativeEigenvalues) {
   auto disguised = scheme.Disguise(synthetic.value().dataset, &rng);
   ASSERT_TRUE(disguised.ok());
 
-  MomentEstimationOptions options;
-  options.clip_to_psd = true;
-  auto moments = EstimateOriginalMoments(disguised.value().records(),
-                                         scheme.noise_model(), options);
+  const Matrix& y = disguised.value().records();
+  auto moments = EstimateOriginalMoments(y, scheme.noise_model());
   ASSERT_TRUE(moments.ok());
   auto eig = linalg::SymmetricEigen(moments.value().covariance);
   ASSERT_TRUE(eig.ok());
   EXPECT_GE(eig.value().eigenvalues.back(), -1e-9);
 
-  // Without clipping the same input must show a negative eigenvalue
-  // (that's why the option exists).
-  options.clip_to_psd = false;
-  auto raw = EstimateOriginalMoments(disguised.value().records(),
-                                     scheme.noise_model(), options);
-  ASSERT_TRUE(raw.ok());
-  auto raw_eig = linalg::SymmetricEigen(raw.value().covariance);
+  // The raw estimate Cov(Y) − Σr of the same input has a negative
+  // eigenvalue, so the clip had one to remove.
+  auto raw_eig = linalg::SymmetricEigen(stats::SampleCovariance(y) -
+                                        scheme.noise_model().covariance());
   ASSERT_TRUE(raw_eig.ok());
   EXPECT_LT(raw_eig.value().eigenvalues.back(), 0.0);
 }
@@ -236,6 +231,22 @@ TEST(OriginalSpectrumTest, ClipHonorsFloor) {
   auto eig = linalg::SymmetricEigen(clipped.value());
   ASSERT_TRUE(eig.ok());
   EXPECT_NEAR(eig.value().eigenvalues[1], 0.5, 1e-10);
+}
+
+TEST(OriginalSpectrumTest, BulkAverageOfOneAttributeTakesTheClip) {
+  // A 1 x 1 spectrum has no bulk to average: with the bulk average on it
+  // is floored like any PSD-clipped spectrum.
+  const auto noise = perturb::NoiseModel::IndependentGaussian(1, 1.0);
+  const Matrix cov_y = Matrix::Diagonal({0.5});  // Below σ² = 1.
+  MomentEstimationOptions options;
+  options.bulk_average_nonprincipal = true;
+  options.eigen_floor = 0.1;
+  auto spectrum = EstimateOriginalSpectrum(cov_y, noise, options);
+  ASSERT_TRUE(spectrum.ok());
+  EXPECT_EQ(spectrum.value().eigenvalues, (Vector{0.1}));
+  auto clipped = EstimateOriginalCovariance(cov_y, noise, options);
+  ASSERT_TRUE(clipped.ok());
+  EXPECT_EQ(clipped.value()(0, 0), 0.1);
 }
 
 class Theorem51SampleSizeSweep : public ::testing::TestWithParam<size_t> {};

@@ -84,14 +84,15 @@ TEST(SelectNumComponentsTest, LargestGapFlatSpectrumKeepsAll) {
   EXPECT_EQ(SelectNumComponents({1.0}, options), 1u);
 }
 
-TEST(SelectNumComponentsTest, GapDominanceRatioIsRespected) {
+TEST(SelectNumComponentsTest, GapDominanceCutsAtHalf) {
+  // The gap counts only if the eigenvalue after it is at most half the one
+  // before it.
   PcaOptions options;
-  options.gap_dominance_ratio = 0.9;
-  // λ2/λ1 = 0.5 < 0.9: accepted as a gap.
+  // λ2/λ1 = 0.49 and 0.5: accepted as a gap.
+  EXPECT_EQ(SelectNumComponents({100, 49, 48}, options), 1u);
   EXPECT_EQ(SelectNumComponents({100, 50, 49}, options), 1u);
-  options.gap_dominance_ratio = 0.4;
-  // λ2/λ1 = 0.5 > 0.4: rejected, keep all.
-  EXPECT_EQ(SelectNumComponents({100, 50, 49}, options), 3u);
+  // λ2/λ1 = 0.51: rejected, keep all.
+  EXPECT_EQ(SelectNumComponents({100, 51, 50}, options), 3u);
 }
 
 TEST(PcaDrTest, FullRankProjectionReturnsDisguisedData) {

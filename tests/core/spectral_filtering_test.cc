@@ -74,9 +74,9 @@ TEST(SfTest, RecoversCorrelatedSignal) {
             0.6 * stats::RootMeanSquareError(x, ndr_hat.value()));
 }
 
-TEST(SfTest, PureNoiseCollapsesToMinComponents) {
-  // With no signal every eigenvalue sits below the bound; SF keeps only
-  // min_components and the reconstruction is close to the column means.
+TEST(SfTest, PureNoiseCollapsesToOneComponent) {
+  // With no signal every eigenvalue sits below the bound; SF keeps one
+  // component and the reconstruction is close to the column means.
   stats::Rng rng(143);
   const size_t n = 1500, m = 10;
   Matrix x(n, m);  // Zero original.
@@ -85,13 +85,13 @@ TEST(SfTest, PureNoiseCollapsesToMinComponents) {
   SpectralFilteringReconstructor sf;
   auto x_hat = sf.Reconstruct(y, scheme.noise_model());
   ASSERT_TRUE(x_hat.ok());
-  // RMSE ≈ σ·sqrt(min_components/m) per Theorem 5.2 with p = 1: ≈ 1.26.
+  // RMSE ≈ σ·sqrt(1/m) per Theorem 5.2 with p = 1: ≈ 1.26.
   const double rmse = stats::RootMeanSquareError(x, x_hat.value());
   EXPECT_LT(rmse, 2.0);
   EXPECT_GT(rmse, 0.8);
 }
 
-TEST(SfTest, BoundScaleControlsSelectivity) {
+TEST(SfTest, AllRejectedSpectrumKeepsOneComponent) {
   stats::Rng rng(144);
   data::SyntheticDatasetSpec spec;
   spec.eigenvalues = data::TwoLevelSpectrum(20, 5, 100.0, 20.0);
@@ -101,15 +101,21 @@ TEST(SfTest, BoundScaleControlsSelectivity) {
   auto disguised = scheme.Disguise(synthetic.value().dataset, &rng);
   ASSERT_TRUE(disguised.ok());
 
-  // A huge bound_scale rejects everything -> min_components survives ->
-  // heavy signal loss; the default keeps the 5 spikes.
-  SfOptions aggressive;
-  aggressive.bound_scale = 100.0;
-  auto strict_hat = SpectralFilteringReconstructor(aggressive)
-                        .Reconstruct(disguised.value().records(),
-                                     scheme.noise_model());
-  auto default_hat = SpectralFilteringReconstructor().Reconstruct(
-      disguised.value().records(), scheme.noise_model());
+  // A noise model claiming σ = 50 lifts the bound 100-fold, above every
+  // eigenvalue: SF falls back to one component -> heavy signal loss. The
+  // honest bound (≈ 30) sits below even the bulk level 20 + σ² = 45, so
+  // it keeps every direction.
+  const Matrix& y = disguised.value().records();
+  const auto lying_noise = perturb::NoiseModel::IndependentGaussian(20, 50.0);
+  auto eig = linalg::SymmetricEigen(stats::SampleCovariance(y));
+  ASSERT_TRUE(eig.ok());
+  EXPECT_EQ(SelectSfComponents(eig.value().eigenvalues, lying_noise, 2000), 1u);
+  EXPECT_EQ(SelectSfComponents(eig.value().eigenvalues, scheme.noise_model(),
+                               2000),
+            20u);
+  auto strict_hat = SpectralFilteringReconstructor().Reconstruct(y, lying_noise);
+  auto default_hat =
+      SpectralFilteringReconstructor().Reconstruct(y, scheme.noise_model());
   ASSERT_TRUE(strict_hat.ok());
   ASSERT_TRUE(default_hat.ok());
   const Matrix& x = synthetic.value().dataset.records();
@@ -130,8 +136,8 @@ TEST(SfTest, DoesNotUseOriginalCovariance) {
   ASSERT_TRUE(disguised.ok());
   SpectralFilteringReconstructor sf;
   auto honest = sf.Reconstruct(disguised.value().records(), scheme.noise_model());
-  // Lying model (σ = 100): bound explodes, everything filtered to
-  // min_components.
+  // Lying model (σ = 100): bound explodes, everything filtered down to
+  // one component.
   auto lying = sf.Reconstruct(disguised.value().records(),
                               perturb::NoiseModel::IndependentGaussian(10, 100.0));
   ASSERT_TRUE(honest.ok());

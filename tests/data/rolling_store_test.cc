@@ -31,7 +31,6 @@
 
 #include "common/failpoint.h"
 #include "common/file_io.h"
-#include "common/trace.h"
 #include "data/shard_store.h"
 #include "data/store_recovery.h"
 #include "stats/rng.h"
@@ -227,30 +226,6 @@ TEST_F(RollingStoreTest, RetentionBoundsTheWindowAndSparesPinnedSnapshots) {
                         2 * kShardRows * kCols * sizeof(double)),
             0)
       << "retention disturbed a pinned snapshot";
-}
-
-TEST_F(RollingStoreTest, AgeTriggerRotatesOnTheInjectedClock) {
-  trace::FakeClockGuard clock(1'000'000);
-  RollingStoreOptions options = SmallShards();
-  options.shard_age_nanos = 500;
-  auto created = RollingShardedStoreWriter::Create(kPath, Names(), options);
-  ASSERT_TRUE(created.ok());
-  RollingShardedStoreWriter writer = std::move(created).value();
-  ASSERT_TRUE(AppendReference(&writer, 0, 5).ok());
-  ASSERT_TRUE(writer.MaybeRotate().ok());
-  EXPECT_EQ(writer.publishes(), 0u);  // Too young.
-  clock.Advance(499);
-  ASSERT_TRUE(writer.MaybeRotate().ok());
-  EXPECT_EQ(writer.publishes(), 0u);  // One nano short.
-  clock.Advance(1);
-  ASSERT_TRUE(writer.MaybeRotate().ok());
-  EXPECT_EQ(writer.publishes(), 1u);
-  EXPECT_EQ(writer.published_rows(), 5u);
-  // An idle (empty) shard never age-rotates into a 0-row file.
-  clock.Advance(10'000);
-  ASSERT_TRUE(writer.MaybeRotate().ok());
-  EXPECT_EQ(writer.publishes(), 1u);
-  ASSERT_TRUE(writer.Close().ok());
 }
 
 TEST_F(RollingStoreTest, PublishFailureIsRetriedNotSticky) {

@@ -86,13 +86,6 @@ TEST(LuTest, RejectsZeroMatrix) {
   EXPECT_FALSE(lu.ok());
 }
 
-TEST(LuTest, SolveLinearSystemConvenience) {
-  auto x = SolveLinearSystem(Matrix{{2, 0}, {0, 4}}, {2, 8});
-  ASSERT_TRUE(x.ok());
-  EXPECT_NEAR(x.value()[0], 1.0, 1e-12);
-  EXPECT_NEAR(x.value()[1], 2.0, 1e-12);
-}
-
 TEST(LuTest, InvertMatrixConvenience) {
   auto inv = InvertMatrix(Matrix{{2, 0}, {0, 4}});
   ASSERT_TRUE(inv.ok());

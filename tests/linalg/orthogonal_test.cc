@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "linalg/matrix_util.h"
-#include "linalg/vector_ops.h"
 #include "stats/rng.h"
 
 namespace randrecon {
@@ -57,45 +56,6 @@ TEST(GramSchmidtTest, IdentityIsFixedPoint) {
   auto q = GramSchmidtOrthonormalize(Matrix::Identity(4));
   ASSERT_TRUE(q.ok());
   EXPECT_LT(MaxAbsDifference(q.value(), Matrix::Identity(4)), 1e-12);
-}
-
-TEST(ProjectOntoColumnsTest, FullBasisIsIdentity) {
-  stats::Rng rng(3);
-  Matrix g = rng.GaussianMatrix(6, 6);
-  Matrix q = GramSchmidtOrthonormalize(g).value();
-  Vector v = rng.GaussianVector(6);
-  Vector projected = ProjectOntoColumns(q, 6, v);
-  for (size_t i = 0; i < 6; ++i) EXPECT_NEAR(projected[i], v[i], 1e-9);
-}
-
-TEST(ProjectOntoColumnsTest, PartialProjectionIsIdempotent) {
-  stats::Rng rng(4);
-  Matrix g = rng.GaussianMatrix(6, 6);
-  Matrix q = GramSchmidtOrthonormalize(g).value();
-  Vector v = rng.GaussianVector(6);
-  Vector once = ProjectOntoColumns(q, 3, v);
-  Vector twice = ProjectOntoColumns(q, 3, once);
-  for (size_t i = 0; i < 6; ++i) EXPECT_NEAR(once[i], twice[i], 1e-10);
-}
-
-TEST(ProjectOntoColumnsTest, ProjectionShrinksNorm) {
-  stats::Rng rng(5);
-  Matrix g = rng.GaussianMatrix(8, 8);
-  Matrix q = GramSchmidtOrthonormalize(g).value();
-  Vector v = rng.GaussianVector(8);
-  EXPECT_LE(Norm(ProjectOntoColumns(q, 3, v)), Norm(v) + 1e-12);
-}
-
-TEST(ProjectOntoColumnsTest, ResidualOrthogonalToSubspace) {
-  stats::Rng rng(6);
-  Matrix g = rng.GaussianMatrix(5, 5);
-  Matrix q = GramSchmidtOrthonormalize(g).value();
-  Vector v = rng.GaussianVector(5);
-  Vector projected = ProjectOntoColumns(q, 2, v);
-  Vector residual = Subtract(v, projected);
-  for (size_t k = 0; k < 2; ++k) {
-    EXPECT_NEAR(Dot(residual, q.Col(k)), 0.0, 1e-10);
-  }
 }
 
 }  // namespace

@@ -27,22 +27,11 @@ TEST(VectorOpsTest, AddSubtract) {
   EXPECT_EQ(Subtract({3, 4}, {1, 2}), (Vector{2, 2}));
 }
 
-TEST(VectorOpsTest, Scale) {
-  EXPECT_EQ(Scale({1, -2}, 3.0), (Vector{3, -6}));
-}
 
 TEST(VectorOpsTest, AddScaled) {
   Vector a{1, 1};
   AddScaled(&a, 2.0, {3, 4});
   EXPECT_EQ(a, (Vector{7, 9}));
-}
-
-TEST(VectorOpsTest, Outer) {
-  Matrix o = Outer({1, 2}, {3, 4, 5});
-  EXPECT_EQ(o.rows(), 2u);
-  EXPECT_EQ(o.cols(), 3u);
-  EXPECT_EQ(o(1, 2), 10.0);
-  EXPECT_EQ(o(0, 0), 3.0);
 }
 
 TEST(VectorOpsTest, MeanVarianceSum) {

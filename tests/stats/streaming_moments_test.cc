@@ -90,9 +90,10 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 4)));
 
 // The block-parallel flush: T staging blocks per group for T threads, the
-// last group partly filled for every T in {1, 2, 3, 4} (n = 5 blocks +
-// 321 rows). m = 9 takes GramAtAChunk's column-pair loop, m = 20 its
-// blocked GEMM; either way the bits are SampleCovariance's.
+// last group partly filled for every T in {1, 2, 3, 4} (n = T + 1 blocks
+// + 321 rows: a full group of T blocks, then the rest, whose last group
+// ends in the ragged tail). m = 9 takes GramAtAChunk's column-pair loop,
+// m = 20 its blocked GEMM; either way the bits are SampleCovariance's.
 class StreamingMomentsGroupTest
     : public ::testing::TestWithParam<std::tuple<size_t, int, size_t>> {};
 
@@ -100,7 +101,9 @@ TEST_P(StreamingMomentsGroupTest, BitwiseEqualsSampleCovariance) {
   const size_t block_rows = std::get<0>(GetParam());
   const int num_threads = std::get<1>(GetParam());
   const size_t m = std::get<2>(GetParam());
-  const size_t n = 5 * linalg::kernels::kGramChunkRows + 321;
+  const size_t n =
+      (static_cast<size_t>(num_threads) + 1) * linalg::kernels::kGramChunkRows +
+      321;
   stats::Rng rng(23);
   Matrix data = rng.GaussianMatrix(n, m);
   for (size_t i = 0; i < n; ++i) {
@@ -177,10 +180,13 @@ class StreamingMomentsBlocksTest
 TEST_P(StreamingMomentsBlocksTest, BitwiseEqualsSampleCovariance) {
   const size_t block_rows = std::get<0>(GetParam());
   const int num_threads = std::get<1>(GetParam());
-  // n = 17 Gram blocks + 321 rows: more than one wave of 4·T tasks for
-  // T <= 4, the last wave partly filled, and a ragged tail. m = 20 takes
-  // GramAtAChunk's blocked GEMM.
-  const size_t n = 17 * linalg::kernels::kGramChunkRows + 321;
+  // n = 4·T + 1 Gram blocks + 321 rows: one full wave of 4·T tasks, then
+  // a partly filled wave holding a full block and a ragged tail. m = 20
+  // takes GramAtAChunk's blocked GEMM.
+  const size_t n =
+      (4 * static_cast<size_t>(num_threads) + 1) *
+          linalg::kernels::kGramChunkRows +
+      321;
   const size_t m = 20;
   stats::Rng rng(29);
   Matrix data = rng.GaussianMatrix(n, m);
