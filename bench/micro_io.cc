@@ -395,7 +395,7 @@ int main(int argc, char** argv) {
     auto write_sharded = [&](const std::string& path, size_t shards) {
       auto source = pipeline::OpenRecordSource(store_path);
       if (!source.ok()) bench::Die(source.status());
-      data::ShardedStoreOptions sharded_options;
+      data::RollingStoreOptions sharded_options;
       sharded_options.shard_rows = (n + shards - 1) / shards;
       auto created =
           pipeline::ShardedChunkSink::Create(path, names, sharded_options);

@@ -304,8 +304,9 @@ int RunFakeClock(const std::string& store, const std::string& reports,
   while (writer.publishes() < shards) {
     for (size_t p = 0; p < producers && writer.publishes() < shards; ++p) {
       const uint64_t before = writer.publishes();
-      const Status appended =
+      Status appended =
           writer.Append(ProducerBatch(seed, p, batch_index, rows, cols), rows);
+      if (appended.ok()) appended = writer.Publish();
       if (!appended.ok()) {
         std::fprintf(stderr, "%s\n", appended.ToString().c_str());
         return 1;

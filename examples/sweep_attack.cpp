@@ -46,6 +46,7 @@
 #include "common/trace.h"
 #include "data/column_store.h"
 #include "data/csv.h"
+#include "data/rolling_store.h"
 #include "data/shard_store.h"
 #include "data/synthetic.h"
 #include "perturb/schemes.h"
@@ -371,7 +372,7 @@ int RunDemo(double sigma, size_t chunk_rows, int workers) {
     std::fprintf(stderr, "cannot write sweep_demo/reports.rrcs\n");
     return 1;
   }
-  data::ShardedStoreOptions sharded;
+  data::RollingStoreOptions sharded;
   sharded.shard_rows = 1700;  // 3 shards, the last one partial.
   const Status written = data::WriteShardedStore(
       parsed.value(), "sweep_demo/reports.rrcm", sharded);

@@ -18,7 +18,7 @@
 // process-wide registry, so tests and tools can enumerate every
 // injection point the binary actually links (ListFailpoints) and arm
 // each in turn. Names are dotted "<layer>.<operation>" strings, e.g.
-// "shard.write", "store.fsync", "manifest.rename", "store.read_block".
+// "roll.write", "store.fsync", "manifest.rename", "store.read_block".
 //
 // Environment arming: RANDRECON_FAILPOINTS="name=action[@hit];..." is
 // parsed once, lazily, when the registry first materializes — no main()

@@ -19,18 +19,19 @@ std::string RollingPrefix(const std::string& path) {
   return "rolling store '" + path + "': ";
 }
 
-// The rotation/republish/retention seams (common/failpoint.h). The
-// shard file's own store.* failpoints (column_store.cc) and the shared
+// The writer's seams (common/failpoint.h), one per step. The shard
+// file's own store.* failpoints (column_store.cc) and the shared
 // manifest.* failpoints (shard_store.cc) fire underneath these.
+Failpoint fp_roll_write("roll.write");      ///< Before rows hit a shard.
 Failpoint fp_roll_seal("roll.seal");        ///< Before sealing the open shard.
-Failpoint fp_roll_publish("roll.publish");  ///< Before the manifest republish.
+Failpoint fp_roll_publish("roll.publish");  ///< Before the manifest publish.
 Failpoint fp_roll_retire("roll.retire");    ///< Before each retired unlink.
 
-// Rolling-layer telemetry (common/metrics.h). These live in the data
-// layer but carry the ingest.* prefix: they are the rotation half of
-// the continuous-ingest accounting tools/check_report.py validates,
-// and splitting the namespace would force every report consumer to
-// know the layering.
+// Writer telemetry (common/metrics.h). These live in the data layer
+// but carry the ingest.* prefix: they are the rotation half of the
+// continuous-ingest accounting tools/check_report.py validates, and
+// splitting the namespace would force every report consumer to know
+// the layering. A batch conversion ticks them too.
 metrics::Counter m_rotations("ingest.rotations");
 metrics::Counter m_publishes("ingest.manifest_publishes");
 metrics::Counter m_retired("ingest.shards_retired");
@@ -85,18 +86,23 @@ Result<RollingShardedStoreWriter> RollingShardedStoreWriter::Create(
   if (options.block_rows == 0) {
     return Status::InvalidArgument(prefix + "block_rows must be >= 1");
   }
-  for (const std::string& name : column_names) {
-    if (name.empty()) {
-      return Status::InvalidArgument(prefix + "column names must be non-empty");
-    }
-  }
   if (column_names.empty()) {
     return Status::InvalidArgument(prefix + "store needs >= 1 column");
   }
-  // Unlike ShardedStoreWriter, no shard is created eagerly: Create
-  // leaves NO files behind (an unwritable directory surfaces on the
-  // first Append instead), which keeps "a writer that wrote nothing
-  // recovers to no store" exact for the crash-torture matrix.
+  for (size_t i = 0; i < column_names.size(); ++i) {
+    if (column_names[i].empty()) {
+      return Status::InvalidArgument(prefix + "column names must be non-empty");
+    }
+    for (size_t j = i + 1; j < column_names.size(); ++j) {
+      if (column_names[i] == column_names[j]) {
+        return Status::InvalidArgument(prefix + "duplicate column name '" +
+                                       column_names[i] + "'");
+      }
+    }
+  }
+  // No shard is created here: Create leaves NO files behind, which
+  // keeps "a writer that wrote nothing recovers to no store" exact for
+  // the crash-torture matrices.
   return RollingShardedStoreWriter(
       manifest_path, ManifestDirectory(manifest_path),
       ShardStemForManifest(manifest_path), std::move(column_names), options);
@@ -106,48 +112,47 @@ RollingShardedStoreWriter::~RollingShardedStoreWriter() {
   if (!closed_) Close();  // Best-effort; errors surface via explicit Close().
 }
 
+std::string RollingShardedStoreWriter::OpenShardPrefix() const {
+  const size_t index = next_shard_index_ - 1;
+  return RollingPrefix(manifest_path_) + "shard " + std::to_string(index) +
+         " ('" + ShardFileName(stem_, index) + "'): ";
+}
+
 Status RollingShardedStoreWriter::StartShard() {
-  const std::string relative_path = ShardFileName(stem_, next_shard_index_);
   ColumnStoreOptions store_options;
   store_options.block_rows = options_.block_rows;
   Result<ColumnStoreWriter> created = ColumnStoreWriter::Create(
-      directory_ + relative_path, names_, store_options);
+      directory_ + ShardFileName(stem_, next_shard_index_), names_,
+      store_options);
+  ++next_shard_index_;
   if (!created.ok()) {
     return Status(created.status().code(),
-                  RollingPrefix(manifest_path_) + "shard '" + relative_path +
-                      "': " + created.status().message());
+                  OpenShardPrefix() + created.status().message());
   }
   current_ = std::make_unique<ColumnStoreWriter>(std::move(created).value());
   current_rows_ = 0;
-  ++next_shard_index_;
   return Status::OK();
 }
 
 Status RollingShardedStoreWriter::SealCurrentShard() {
-  // The relative path was fixed when the shard started; its index is
-  // next_shard_index_ - 1.
   const std::string relative_path = ShardFileName(stem_, next_shard_index_ - 1);
-  const std::string shard_prefix =
-      RollingPrefix(manifest_path_) + "shard '" + relative_path + "': ";
-  Status sealed = [&]() -> Status {
+  // Sticky: a shard that failed to seal lost data — no later publish
+  // may describe this writer's output as complete.
+  auto fail = [&](const Status& status) {
+    deferred_error_ =
+        Status(status.code(), OpenShardPrefix() + status.message());
+    return deferred_error_;
+  };
+  const Status sealed = [&]() -> Status {
     RR_FAILPOINT(fp_roll_seal);
     return current_->Close();
   }();
-  if (!sealed.ok()) {
-    // Sticky: a shard that failed to seal lost data — no later publish
-    // may describe this writer's output as complete.
-    deferred_error_ = Status(sealed.code(), shard_prefix + sealed.message());
-    return deferred_error_;
-  }
+  if (!sealed.ok()) return fail(sealed);
   // Re-open the sealed file to digest its header + block hashes; this
   // also proves the bytes on disk parse as a valid store.
   Result<ColumnStoreReader> reader =
       ColumnStoreReader::Open(directory_ + relative_path);
-  if (!reader.ok()) {
-    deferred_error_ = Status(reader.status().code(),
-                             shard_prefix + reader.status().message());
-    return deferred_error_;
-  }
+  if (!reader.ok()) return fail(reader.status());
   ShardManifestEntry entry;
   entry.relative_path = relative_path;
   entry.seal_digest = ComputeShardSealDigest(reader.value());
@@ -179,9 +184,15 @@ size_t RollingShardedStoreWriter::RetireCount() const {
   return retire;
 }
 
-Status RollingShardedStoreWriter::PublishAndRetire() {
-  RR_CHECK(!entries_.empty())
-      << "RollingShardedStoreWriter: publish with no sealed shards";
+Status RollingShardedStoreWriter::Publish() {
+  if (closed_) {
+    return Status::FailedPrecondition(RollingPrefix(manifest_path_) +
+                                      "Publish after Close");
+  }
+  if (!deferred_error_.ok()) return deferred_error_;
+  // A successful publish leaves exactly the published entries behind,
+  // and only a seal adds one: equal sizes mean nothing new to publish.
+  if (entries_.size() == published_shards_) return Status::OK();
   const size_t retire = RetireCount();
   // Build the manifest over the retained suffix, renumbering row spans
   // from 0 (manifest v1 spans must tile [0, num_records)).
@@ -201,8 +212,8 @@ Status RollingShardedStoreWriter::PublishAndRetire() {
     return WriteShardManifest(manifest, manifest_path_);
   }();
   // NOT sticky: the manifest on disk is still the previous good one and
-  // every sealed shard is still queued — the next rotation (or Close)
-  // simply republishes the longer list.
+  // every sealed shard is still queued — the next publish simply
+  // writes the longer list.
   RR_RETURN_NOT_OK(published);
   publishes_ += 1;
   published_rows_ = manifest.num_records;
@@ -250,9 +261,31 @@ Status RollingShardedStoreWriter::Rotate() {
                                       "Rotate after Close");
   }
   if (!deferred_error_.ok()) return deferred_error_;
-  if (current_ == nullptr || current_rows_ == 0) return Status::OK();
-  RR_RETURN_NOT_OK(SealCurrentShard());
-  return PublishAndRetire();
+  if (current_ != nullptr && current_rows_ > 0) {
+    RR_RETURN_NOT_OK(SealCurrentShard());
+  }
+  return Publish();
+}
+
+Status RollingShardedStoreWriter::WriteRows(const double* rows,
+                                            size_t num_rows) {
+  const size_t m = names_.size();
+  if (next_shard_index_ == 0) RR_RETURN_NOT_OK(StartShard());
+  size_t consumed = 0;
+  while (consumed < num_rows) {
+    if (current_ == nullptr) RR_RETURN_NOT_OK(StartShard());
+    const size_t take =
+        std::min(options_.shard_rows - current_rows_, num_rows - consumed);
+    RR_FAILPOINT(fp_roll_write);
+    RR_RETURN_NOT_OK(current_->Append(rows + consumed * m, take));
+    current_rows_ += take;
+    rows_written_ += take;
+    consumed += take;
+    if (current_rows_ == options_.shard_rows) {
+      RR_RETURN_NOT_OK(SealCurrentShard());
+    }
+  }
+  return Status::OK();
 }
 
 Status RollingShardedStoreWriter::Append(const linalg::Matrix& chunk,
@@ -262,57 +295,70 @@ Status RollingShardedStoreWriter::Append(const linalg::Matrix& chunk,
                                       "Append after Close");
   }
   if (!deferred_error_.ok()) return deferred_error_;
-  const size_t m = names_.size();
-  if (chunk.cols() != m) {
+  if (chunk.cols() != names_.size()) {
     return Status::InvalidArgument(
         RollingPrefix(manifest_path_) + "chunk has " +
         std::to_string(chunk.cols()) + " columns, store has " +
-        std::to_string(m));
+        std::to_string(names_.size()));
   }
   RR_CHECK(num_rows <= chunk.rows())
       << "RollingShardedStoreWriter::Append: num_rows exceeds chunk";
-  size_t consumed = 0;
-  while (consumed < num_rows) {
-    if (current_ == nullptr) RR_RETURN_NOT_OK(StartShard());
-    const size_t take =
-        std::min(options_.shard_rows - current_rows_, num_rows - consumed);
-    RR_RETURN_NOT_OK(current_->Append(chunk.data() + consumed * m, take));
-    current_rows_ += take;
-    rows_written_ += take;
-    consumed += take;
-    if (current_rows_ == options_.shard_rows) RR_RETURN_NOT_OK(Rotate());
-  }
-  return Status::OK();
+  const Status written = WriteRows(chunk.data(), num_rows);
+  // Sticky: rows were lost, so nothing more may be published.
+  if (!written.ok()) deferred_error_ = written;
+  return written;
 }
 
 Status RollingShardedStoreWriter::Close() {
   if (closed_) return deferred_error_;
-  if (!deferred_error_.ok()) {
-    closed_ = true;
-    return deferred_error_;
+  // The open shard holds rows, or is a zero-row write's shard 0 — a
+  // readable empty store. Shards open only to take rows otherwise.
+  Status closed = deferred_error_;
+  if (closed.ok() && current_ != nullptr) closed = SealCurrentShard();
+  if (closed.ok()) closed = Publish();
+  if (closed.ok() && published_shards_ > 0) {
+    // Best-effort removal of stale conventionally-named shards from a
+    // previous, longer write at the same stem: a leftover
+    // "<stem>.shard-00007.rrcs" next to a 2-shard manifest would read
+    // as a plausible standalone store.
+    for (size_t index = next_shard_index_;; ++index) {
+      if (std::remove((directory_ + ShardFileName(stem_, index)).c_str()) !=
+          0) {
+        break;
+      }
+    }
   }
-  // An open shard that never took a row would seal into a 0-row store
-  // file via ColumnStoreWriter's best-effort destructor — discard it
-  // instead (seal, then remove both spellings).
-  if (current_ != nullptr && current_rows_ == 0) {
+  if (current_ != nullptr) {
+    // A sticky failure left an open shard that lost rows: it must never
+    // reach its final name (its best-effort seal is undone at once).
     const std::string path =
         directory_ + ShardFileName(stem_, next_shard_index_ - 1);
     current_.reset();
     std::remove(path.c_str());
     std::remove(TempPathFor(path).c_str());
   }
-  // Final rotation covers the open partial shard; if sealed shards are
-  // queued from an earlier failed publish, republish them so Close
-  // never leaves sealed data unnamed by the manifest.
-  Status final_publish = Status::OK();
-  if (current_ != nullptr && current_rows_ > 0) {
-    final_publish = Rotate();
-  } else if (!entries_.empty() && published_shards_ != entries_.size()) {
-    final_publish = PublishAndRetire();
-  }
   closed_ = true;
-  current_.reset();
-  return final_publish;
+  return closed;
+}
+
+std::vector<std::string> RollingShardedStoreWriter::output_paths() const {
+  std::vector<std::string> paths;
+  paths.reserve(next_shard_index_ + 1);
+  for (size_t index = 0; index < next_shard_index_; ++index) {
+    paths.push_back(directory_ + ShardFileName(stem_, index));
+  }
+  paths.push_back(manifest_path_);
+  return paths;
+}
+
+Status WriteShardedStore(const Dataset& dataset,
+                         const std::string& manifest_path,
+                         const RollingStoreOptions& options) {
+  RR_ASSIGN_OR_RETURN(RollingShardedStoreWriter writer,
+                      RollingShardedStoreWriter::Create(
+                          manifest_path, dataset.attribute_names(), options));
+  RR_RETURN_NOT_OK(writer.Append(dataset.records(), dataset.num_records()));
+  return writer.Close();
 }
 
 // ---------------------------------------------------------------------------

@@ -1,29 +1,31 @@
-// Rolling sharded stores: reader-while-writer over the sharded store
-// format, with no locks shared across processes.
+// The sharded-store writer and the rolling-store snapshot reader: one
+// writer for batch conversions and continuous ingest alike, with no
+// locks shared across processes.
 //
-// ShardedStoreWriter (data/shard_store.h) publishes its manifest once,
-// on Close() — correct for batch conversions, useless for continuous
-// ingest, where readers must attack a growing corpus while the writer
-// keeps appending. RollingShardedStoreWriter closes that gap using only
-// the crash-safety primitives the format already has:
+// RollingShardedStoreWriter does three jobs, each its own call, and a
+// caller picks the ones it needs:
 //
-//   * Rows stream into one open shard at a time. An open shard is
-//     ALWAYS a ".tmp" file with an intentionally mismatched header
+//   * Append streams rows into one open shard at a time. An open shard
+//     is ALWAYS a ".tmp" file with an intentionally mismatched header
 //     checksum (data/column_store.h), so no reader — and no recovery
-//     pass — can mistake it for data.
-//   * Rotation has one trigger, the row count: the Append that brings
-//     the open shard to `shard_rows` rows (splitting a chunk across
-//     shards when needed) seals it (flush + header patch + fsync +
-//     atomic rename),
-//     digested, appended to the published entry list, and a NEW
-//     manifest over every retained shard is republished through the
-//     same write-temp → fsync → atomic-rename path every ".rrcm"
-//     already uses (docs/FORMAT.md §7–8).
-//   * Because shards seal BEFORE the manifest that names them, and the
-//     manifest flips atomically, ANY manifest a concurrent process
-//     observes describes only fully-sealed, digest-bound shards. That
-//     is the whole reader-while-writer protocol: the filesystem is the
-//     only shared state.
+//     pass — can mistake it for data. The Append that brings the open
+//     shard to `shard_rows` rows (splitting a chunk across shards when
+//     needed) seals it: flush + header patch + fsync + atomic rename,
+//     then a reopen that digests the sealed header and block hashes.
+//   * Publish writes a NEW manifest over every sealed, retained shard
+//     through the same write-temp → fsync → atomic-rename path every
+//     ".rrcm" already uses (docs/FORMAT.md §7–8), then applies
+//     retention. Continuous ingest publishes after every batch, so
+//     concurrent readers see each shard once it seals; a batch
+//     conversion never does, so its manifest appears only at Close and
+//     a crashed conversion leaves no manifest at all.
+//   * Close seals the open shard, publishes, and removes stale shards a
+//     previous, longer write left at higher indices under the same stem.
+//
+// Because shards seal BEFORE the manifest that names them, and the
+// manifest flips atomically, ANY manifest a concurrent process observes
+// describes only fully-sealed, digest-bound shards. That is the whole
+// reader-while-writer protocol: the filesystem is the only shared state.
 //
 // Retention: `retain_shards` / `retain_rows` bound the published
 // window. Retired entries leave the manifest first (republish), and
@@ -41,12 +43,14 @@
 // never rewritten in place, and POSIX keeps an unlinked mapping alive
 // until the last reader drops it.
 //
-// Crash recovery is data/store_recovery.h, unchanged: any crash leaves
-// either the last published manifest (kept untouched — every shard it
-// names sealed before it was written) or, if no manifest was ever
-// published, orphan temps that sweep to an empty store. The fork-based
-// torture matrix in tests/data/rolling_store_test.cc kills the writer
-// at every rotation failpoint × hit to prove it.
+// Crash recovery is data/store_recovery.h: any crash leaves either the
+// last published manifest (kept untouched — every shard it names sealed
+// before it was written) or, if no manifest was ever published, orphan
+// temps and sealed shards that recovery sweeps or rebuilds a manifest
+// over. Two fork-based torture matrices kill the writer at every
+// failpoint × hit it reaches: tests/data/rolling_store_test.cc for
+// ingest with retention, tests/data/store_recovery_test.cc for a batch
+// write.
 
 #ifndef RANDRECON_DATA_ROLLING_STORE_H_
 #define RANDRECON_DATA_ROLLING_STORE_H_
@@ -58,6 +62,7 @@
 
 #include "common/result.h"
 #include "data/column_store.h"
+#include "data/dataset.h"
 #include "data/shard_store.h"
 #include "linalg/matrix.h"
 
@@ -66,7 +71,7 @@ namespace data {
 
 /// Rotation + retention knobs.
 struct RollingStoreOptions {
-  /// Rotate once the open shard holds this many rows (>= 1).
+  /// Seal the open shard once it holds this many rows (>= 1).
   size_t shard_rows = 1u << 16;
   /// Keep at most this many newest published shards (0 = unlimited).
   size_t retain_shards = 0;
@@ -78,17 +83,25 @@ struct RollingStoreOptions {
   size_t block_rows = kDefaultColumnStoreBlockRows;
 };
 
-/// Streams rows into rotating shards, republishing the manifest after
-/// every rotation so concurrent snapshot readers always have a sealed,
-/// consistent prefix to open. Single-threaded like every writer in the
-/// data layer — the concurrent edge lives in pipeline/ingest.h, which
-/// feeds one writer from a bounded queue.
+/// Streams rows into shards of `shard_rows` rows named
+/// ShardFileName(stem, k) next to the manifest, and publishes the
+/// manifest over the sealed ones when asked (Publish, Rotate, Close).
+/// Single-threaded like every writer in the data layer — the concurrent
+/// edge lives in pipeline/ingest.h, which feeds one writer from a
+/// bounded queue.
+///
+/// Failures: an Append or seal failure is sticky — the store lost rows,
+/// so every later call (Close included, even from the destructor)
+/// re-reports it, nothing more is published, and the open shard is
+/// discarded. A publish failure is NOT sticky: the manifest on disk
+/// stays the previous good one, every sealed shard stays queued, and
+/// the next Publish, Rotate or Close retries.
 class RollingShardedStoreWriter {
  public:
-  /// InvalidArgument on shard_rows == 0, block_rows == 0 or bad column
-  /// names. Touches NO files: the first shard is created on the first
-  /// Append (an unwritable directory surfaces there), and the first
-  /// manifest appears after the first rotation (or Close).
+  /// InvalidArgument on shard_rows == 0, block_rows == 0, no columns, or
+  /// empty or duplicate column names. Touches NO files: the first shard
+  /// is created by the first Append (an unwritable directory surfaces
+  /// there), and the first manifest by the first publish.
   static Result<RollingShardedStoreWriter> Create(
       const std::string& manifest_path, std::vector<std::string> column_names,
       RollingStoreOptions options = {});
@@ -100,19 +113,26 @@ class RollingShardedStoreWriter {
       delete;
   ~RollingShardedStoreWriter();
 
-  /// Appends the leading `num_rows` rows of row-major `chunk`, rotating
-  /// (and republishing) each time the open shard reaches `shard_rows`.
+  /// Appends the leading `num_rows` rows of row-major `chunk`, sealing
+  /// each shard that reaches `shard_rows`. Never publishes. The first
+  /// Append opens shard 0 even when `num_rows` is 0, so a batch writer
+  /// can surface path problems before any data and a zero-row write
+  /// still closes into a readable empty store.
   Status Append(const linalg::Matrix& chunk, size_t num_rows);
 
-  /// Seals the open shard and republishes unconditionally (no-op when
-  /// the open shard is empty). A publish failure is NOT sticky: the
-  /// sealed shard stays queued and the next rotation or Close retries
-  /// the republish — the manifest on disk is the previous good one
-  /// throughout.
+  /// Republishes the manifest over every sealed shard, then applies
+  /// retention (retired files are deleted only after the publish that
+  /// stopped naming them). O(1) when nothing was sealed since the last
+  /// successful publish.
+  Status Publish();
+
+  /// Seals the open shard (when it holds rows), then Publish().
   Status Rotate();
 
-  /// Final rotation + republish, then closes. Idempotent. A store that
-  /// never received a row closes without writing any file.
+  /// Seals the open shard, publishes, and removes stale shards left at
+  /// higher indices by an earlier write to the same stem. Idempotent. A
+  /// writer whose Append was never called closes without writing any
+  /// file.
   Status Close();
 
   /// Rows appended over the writer's whole life (monotonic — retention
@@ -131,25 +151,32 @@ class RollingShardedStoreWriter {
   /// Immutable after Create — safe from any thread.
   size_t num_attributes() const { return names_.size(); }
 
+  /// Every shard file this writer has started plus the manifest — what
+  /// a caller removes to clean up a failed conversion.
+  std::vector<std::string> output_paths() const;
+
  private:
   RollingShardedStoreWriter(std::string manifest_path, std::string directory,
                             std::string stem, std::vector<std::string> names,
                             RollingStoreOptions options);
 
+  /// "rolling store '<manifest>': shard K ('<path>'): " for the open
+  /// shard (index next_shard_index_ - 1).
+  std::string OpenShardPrefix() const;
+
   /// Creates the next shard file as the open target.
   Status StartShard();
 
-  /// Seals + digests the open shard into entries_ (rotation step 1).
+  /// Append's body: writes `num_rows` row-major rows, starting and
+  /// sealing shards as they fill. Append makes any failure sticky.
+  Status WriteRows(const double* rows, size_t num_rows);
+
+  /// Seals + digests the open shard into entries_. Failure is sticky.
   Status SealCurrentShard();
 
   /// Splits entries_ into (retired prefix, retained suffix) per the
   /// retention policy. Pure planning — nothing touches disk here.
   size_t RetireCount() const;
-
-  /// Republishes the manifest over the retained suffix, then commits
-  /// retention (drops retired entries, queues their files for
-  /// deletion) and best-effort deletes everything queued.
-  Status PublishAndRetire();
 
   std::string manifest_path_;
   std::string directory_;  ///< Includes the trailing '/', or "".
@@ -161,7 +188,7 @@ class RollingShardedStoreWriter {
   std::vector<ShardManifestEntry> entries_;
   /// Row counts per entries_ slot (row_begin renumbering source).
   std::vector<uint64_t> entry_rows_;
-  /// The open shard (null between a rotation and the next Append).
+  /// The open shard (null between a seal and the next Append).
   std::unique_ptr<ColumnStoreWriter> current_;
   size_t current_rows_ = 0;
   /// Monotonic file-name index: retention never reuses a shard name.
@@ -174,11 +201,18 @@ class RollingShardedStoreWriter {
   uint64_t published_rows_ = 0;
   size_t published_shards_ = 0;
   uint64_t publishes_ = 0;
-  /// First seal failure, sticky (a shard that failed to seal is
-  /// unrecoverable damage — publish failures are NOT recorded here).
+  /// First write or seal failure, sticky (publish failures are NOT
+  /// recorded here).
   Status deferred_error_;
   bool closed_ = false;
 };
+
+/// Writes a whole Dataset as a sharded store (manifest + shards): one
+/// Append, then Close — so the manifest is written last, and an empty
+/// Dataset yields a readable one-shard, zero-row store.
+Status WriteShardedStore(const Dataset& dataset,
+                         const std::string& manifest_path,
+                         const RollingStoreOptions& options);
 
 /// A pinned, immutable view of the latest published manifest: every
 /// named shard is opened and validated against its manifest digest up

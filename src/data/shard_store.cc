@@ -67,11 +67,8 @@ std::string ManifestPrefix(const std::string& path) {
   return "shard manifest '" + path + "': ";
 }
 
-// The IO seams of the sharded layer (common/failpoint.h). The store.*
-// failpoints in column_store.cc also fire for each shard file's own
-// block writes / seal / fsync / rename.
-Failpoint fp_shard_write("shard.write");  ///< Before a chunk hits a shard.
-Failpoint fp_shard_seal("shard.seal");    ///< Before a shard's seal.
+// The manifest's IO seams (common/failpoint.h). The writer's own seams
+// (roll.*) live in rolling_store.cc.
 Failpoint fp_manifest_write("manifest.write");    ///< Before the temp write.
 Failpoint fp_manifest_fsync("manifest.fsync");    ///< Before the temp fsync.
 Failpoint fp_manifest_rename("manifest.rename");  ///< Before the rename.
@@ -79,7 +76,6 @@ Failpoint fp_manifest_rename("manifest.rename");  ///< Before the rename.
 // Sharded-layer telemetry (common/metrics.h). Counts sit next to the
 // failpoints they observe; the per-shard store.* counters in
 // column_store.cc tick underneath these for every shard file.
-metrics::Counter m_shards_sealed("shard.shards_sealed");
 metrics::Counter m_shards_opened("shard.shards_opened");
 metrics::Counter m_shard_open_hits("shard.open_hits");  ///< Lazy-verify hits.
 metrics::Counter m_manifests_written("shard.manifests_written");
@@ -387,209 +383,6 @@ Status WriteShardManifest(const ShardManifest& manifest,
 }
 
 // ---------------------------------------------------------------------------
-// Writer.
-// ---------------------------------------------------------------------------
-
-ShardedStoreWriter::ShardedStoreWriter(std::string manifest_path,
-                                       std::string directory, std::string stem,
-                                       std::vector<std::string> names,
-                                       ShardedStoreOptions options)
-    : manifest_path_(std::move(manifest_path)),
-      directory_(std::move(directory)),
-      stem_(std::move(stem)),
-      names_(std::move(names)),
-      options_(options) {}
-
-ShardedStoreWriter::ShardedStoreWriter(ShardedStoreWriter&& other) noexcept
-    : manifest_path_(std::move(other.manifest_path_)),
-      directory_(std::move(other.directory_)),
-      stem_(std::move(other.stem_)),
-      names_(std::move(other.names_)),
-      options_(other.options_),
-      entries_(std::move(other.entries_)),
-      current_(std::move(other.current_)),
-      current_rows_(other.current_rows_),
-      pending_(std::move(other.pending_)),
-      rows_written_(other.rows_written_),
-      deferred_error_(std::move(other.deferred_error_)),
-      closed_(other.closed_),
-      manifest_written_(other.manifest_written_) {
-  other.closed_ = true;  // The hollowed-out source must not try to close.
-}
-
-Result<ShardedStoreWriter> ShardedStoreWriter::Create(
-    const std::string& manifest_path, std::vector<std::string> column_names,
-    ShardedStoreOptions options) {
-  const std::string prefix = ManifestPrefix(manifest_path);
-  if (options.shard_rows == 0) {
-    return Status::InvalidArgument(prefix + "shard_rows must be >= 1");
-  }
-  if (options.seal_batch_shards == 0) {
-    return Status::InvalidArgument(prefix + "seal_batch_shards must be >= 1");
-  }
-  ShardedStoreWriter writer(manifest_path, ManifestDirectory(manifest_path),
-                            ShardStemForManifest(manifest_path),
-                            std::move(column_names), options);
-  // Shard 0 is created eagerly so an unwritable directory or a bad
-  // column-name set fails here, not on the first Append.
-  RR_RETURN_NOT_OK(writer.StartShard());
-  return writer;
-}
-
-ShardedStoreWriter::~ShardedStoreWriter() {
-  if (!closed_) Close();  // Best-effort; errors surface via explicit Close().
-}
-
-Status ShardedStoreWriter::StartShard() {
-  const size_t index = entries_.size();
-  ShardManifestEntry entry;
-  entry.relative_path = ShardFileName(stem_, index);
-  entry.row_begin = rows_written_;
-  ColumnStoreOptions store_options;
-  store_options.block_rows = options_.block_rows;
-  Result<ColumnStoreWriter> created = ColumnStoreWriter::Create(
-      directory_ + entry.relative_path, names_, store_options);
-  if (!created.ok()) {
-    return Status(created.status().code(),
-                  ManifestPrefix(manifest_path_) + "shard " +
-                      std::to_string(index) + " ('" + entry.relative_path +
-                      "'): " + created.status().message());
-  }
-  current_ =
-      std::make_unique<ColumnStoreWriter>(std::move(created).value());
-  current_rows_ = 0;
-  entries_.push_back(std::move(entry));
-  return Status::OK();
-}
-
-void ShardedStoreWriter::RollCurrentShard() {
-  if (current_ == nullptr) return;
-  pending_.emplace_back(entries_.size() - 1, std::move(current_));
-  current_rows_ = 0;
-}
-
-Status ShardedStoreWriter::SealPendingShards() {
-  if (pending_.empty()) return Status::OK();
-  // Each task seals its own shard (final-block flush + header patch) and
-  // computes its seal digest — independent files, disjoint entry slots,
-  // and the surviving error (lowest shard) is thread-count independent.
-  std::vector<Status> statuses(pending_.size());
-  ParallelForEach(
-      0, pending_.size(),
-      [&](size_t i) {
-        const size_t index = pending_[i].first;
-        ColumnStoreWriter* writer = pending_[i].second.get();
-        const std::string shard_prefix =
-            ManifestPrefix(manifest_path_) + "shard " + std::to_string(index) +
-            " ('" + entries_[index].relative_path + "'): ";
-        Status sealed = [&]() -> Status {
-          RR_FAILPOINT(fp_shard_seal);
-          return writer->Close();
-        }();
-        if (!sealed.ok()) {
-          statuses[i] = Status(sealed.code(), shard_prefix + sealed.message());
-          return;
-        }
-        // Re-open the sealed shard to digest its header + block hashes;
-        // this also proves the file on disk parses as a valid store.
-        Result<ColumnStoreReader> reader =
-            ColumnStoreReader::Open(directory_ + entries_[index].relative_path);
-        if (!reader.ok()) {
-          statuses[i] = Status(reader.status().code(),
-                               shard_prefix + reader.status().message());
-          return;
-        }
-        entries_[index].seal_digest = ComputeShardSealDigest(reader.value());
-        m_shards_sealed.Add(1);
-      },
-      options_.parallel);
-  pending_.clear();
-  for (Status& status : statuses) {
-    if (!status.ok()) {
-      // Sticky: the store now contains a shard that never sealed, so
-      // every later call (and Close, even from the destructor) must
-      // keep failing instead of writing a manifest over the damage.
-      deferred_error_ = status;
-      return std::move(status);
-    }
-  }
-  return Status::OK();
-}
-
-Status ShardedStoreWriter::Append(const linalg::Matrix& chunk,
-                                  size_t num_rows) {
-  if (closed_) {
-    return Status::FailedPrecondition(ManifestPrefix(manifest_path_) +
-                                      "Append after Close");
-  }
-  if (!deferred_error_.ok()) return deferred_error_;
-  const size_t m = names_.size();
-  if (chunk.cols() != m) {
-    return Status::InvalidArgument(
-        ManifestPrefix(manifest_path_) + "chunk has " +
-        std::to_string(chunk.cols()) + " columns, store has " +
-        std::to_string(m));
-  }
-  RR_CHECK(num_rows <= chunk.rows())
-      << "ShardedStoreWriter::Append: num_rows exceeds chunk";
-  size_t consumed = 0;
-  while (consumed < num_rows) {
-    if (current_ == nullptr) RR_RETURN_NOT_OK(StartShard());
-    const size_t take =
-        std::min(options_.shard_rows - current_rows_, num_rows - consumed);
-    RR_FAILPOINT(fp_shard_write);
-    RR_RETURN_NOT_OK(current_->Append(chunk.data() + consumed * m, take));
-    current_rows_ += take;
-    rows_written_ += take;
-    entries_.back().row_count += take;
-    consumed += take;
-    if (current_rows_ == options_.shard_rows) {
-      RollCurrentShard();
-      if (pending_.size() >= options_.seal_batch_shards) {
-        RR_RETURN_NOT_OK(SealPendingShards());
-      }
-    }
-  }
-  return Status::OK();
-}
-
-Status ShardedStoreWriter::Close() {
-  if (closed_) return deferred_error_;
-  closed_ = true;
-  if (!deferred_error_.ok()) return deferred_error_;
-  RollCurrentShard();
-  RR_RETURN_NOT_OK(SealPendingShards());
-  ShardManifest manifest;
-  manifest.num_records = rows_written_;
-  manifest.column_names = names_;
-  manifest.shards = entries_;
-  // The manifest goes out LAST: until this write succeeds there is no
-  // file claiming the shards form a complete store.
-  RR_RETURN_NOT_OK(WriteShardManifest(manifest, manifest_path_));
-  manifest_written_ = true;
-  // Best-effort removal of stale conventionally-named shards from a
-  // previous, wider layout at the same stem: a leftover
-  // "<stem>.shard-00007.rrcs" next to a 2-shard manifest would read as
-  // a plausible standalone store.
-  for (size_t index = entries_.size();; ++index) {
-    if (std::remove((directory_ + ShardFileName(stem_, index)).c_str()) != 0) {
-      break;
-    }
-  }
-  return Status::OK();
-}
-
-std::vector<std::string> ShardedStoreWriter::output_paths() const {
-  std::vector<std::string> paths;
-  paths.reserve(entries_.size() + 1);
-  for (const ShardManifestEntry& entry : entries_) {
-    paths.push_back(directory_ + entry.relative_path);
-  }
-  paths.push_back(manifest_path_);
-  return paths;
-}
-
-// ---------------------------------------------------------------------------
 // Reader.
 // ---------------------------------------------------------------------------
 
@@ -747,16 +540,6 @@ Status ShardedStoreReader::ReadRows(size_t row_begin, size_t num_rows,
 // ---------------------------------------------------------------------------
 // Dataset convenience + cleanup.
 // ---------------------------------------------------------------------------
-
-Status WriteShardedStore(const Dataset& dataset,
-                         const std::string& manifest_path,
-                         ShardedStoreOptions options) {
-  RR_ASSIGN_OR_RETURN(ShardedStoreWriter writer,
-                      ShardedStoreWriter::Create(
-                          manifest_path, dataset.attribute_names(), options));
-  RR_RETURN_NOT_OK(writer.Append(dataset.records(), dataset.num_records()));
-  return writer.Close();
-}
 
 Result<Dataset> ReadShardedStoreDataset(const std::string& manifest_path) {
   RR_ASSIGN_OR_RETURN(ShardedStoreReader reader,

@@ -11,12 +11,12 @@
 // shard's own header + block checksums. The column schema is recorded
 // once and cross-checked against every shard's header.
 //
-//   * ShardedStoreWriter — streams row-major chunks in, rolls to a new
-//     shard every `shard_rows` records, and seals shards (final-block
-//     flush, header patch, seal-digest computation) in parallel batches.
-//     The manifest is written last, on Close(): a crashed write leaves
-//     shards without a manifest (or sealed shards and none), never a
-//     manifest describing data that was not fully written.
+//   * RollingShardedStoreWriter (data/rolling_store.h) — the one
+//     writer: rolls to a new shard every `shard_rows` records, seals
+//     each, and publishes the manifest only when asked. A batch write
+//     publishes once, at Close: a crashed write leaves shards without a
+//     manifest, never a manifest describing data that was not fully
+//     written.
 //   * ShardedStoreReader — presents the shards as one O(1)-seekable
 //     logical stream. Shards are opened lazily on first touch; opening a
 //     shard validates its schema, row count and seal digest against the
@@ -130,102 +130,6 @@ Result<ShardManifest> ReadShardManifest(const std::string& manifest_path);
 Status WriteShardManifest(const ShardManifest& manifest,
                           const std::string& manifest_path);
 
-/// Writer options.
-struct ShardedStoreOptions {
-  /// Records per shard before rolling to the next file (>= 1). The final
-  /// shard may hold fewer.
-  size_t shard_rows = 1u << 20;
-  /// Rows per block inside each shard (data::ColumnStoreOptions).
-  size_t block_rows = kDefaultColumnStoreBlockRows;
-  /// Rolled shards are kept unsealed and sealed in parallel batches of
-  /// this many (>= 1) — each seal flushes the shard's final partial
-  /// block, patches its header, and computes its seal digest.
-  size_t seal_batch_shards = 16;
-  /// Worker budget for the parallel seal batches. Seals are independent
-  /// per shard, so the manifest is bitwise identical for any setting.
-  ParallelOptions parallel;
-};
-
-/// Streams row-major record chunks into a manifest + N shard files.
-///
-/// Shard k is written to ShardFileName(stem, k) next to the manifest.
-/// The manifest itself is written only by Close(), after every shard is
-/// sealed and digested — so a crash mid-write never leaves a manifest
-/// describing missing or unsealed data.
-class ShardedStoreWriter {
- public:
-  /// Creates shard 0 eagerly (so path/name problems surface here) and
-  /// fails like ColumnStoreWriter::Create, plus InvalidArgument on
-  /// shard_rows == 0 or seal_batch_shards == 0.
-  static Result<ShardedStoreWriter> Create(
-      const std::string& manifest_path,
-      std::vector<std::string> column_names, ShardedStoreOptions options = {});
-
-  /// The hollowed-out source is marked closed so its destructor will not
-  /// try to seal shards it no longer owns.
-  ShardedStoreWriter(ShardedStoreWriter&& other) noexcept;
-  ShardedStoreWriter& operator=(ShardedStoreWriter&&) = delete;
-  ShardedStoreWriter(const ShardedStoreWriter&) = delete;
-  ShardedStoreWriter& operator=(const ShardedStoreWriter&) = delete;
-  ~ShardedStoreWriter();
-
-  /// Appends the leading `num_rows` rows of row-major `chunk`, rolling
-  /// to new shards as the target fills.
-  Status Append(const linalg::Matrix& chunk, size_t num_rows);
-
-  /// Seals every remaining shard (in parallel), writes the manifest, and
-  /// closes. Idempotent. On failure the manifest is NOT written — the
-  /// partial output is unreadable as a sharded store by construction.
-  Status Close();
-
-  /// Records appended so far.
-  size_t rows_written() const { return rows_written_; }
-
-  /// Shards started so far (sealed + in progress).
-  size_t num_shards() const { return entries_.size(); }
-
-  size_t num_attributes() const { return names_.size(); }
-
-  /// Paths of every file this writer has created so far (shards, plus
-  /// the manifest after a successful Close) — what a caller must remove
-  /// to clean up a failed conversion.
-  std::vector<std::string> output_paths() const;
-
- private:
-  ShardedStoreWriter(std::string manifest_path, std::string directory,
-                     std::string stem, std::vector<std::string> names,
-                     ShardedStoreOptions options);
-
-  /// Starts shard `entries_.size()` as the current writer.
-  Status StartShard();
-
-  /// Moves the current shard (if any) onto the pending-seal queue.
-  void RollCurrentShard();
-
-  /// Seals every pending shard in parallel and records its digest.
-  Status SealPendingShards();
-
-  std::string manifest_path_;
-  std::string directory_;  ///< Includes the trailing '/', or "".
-  std::string stem_;
-  std::vector<std::string> names_;
-  ShardedStoreOptions options_;
-  std::vector<ShardManifestEntry> entries_;
-  /// The shard currently being appended to (entry entries_.back()).
-  std::unique_ptr<ColumnStoreWriter> current_;
-  size_t current_rows_ = 0;
-  /// Rolled-but-unsealed shards: pair of (entry index, writer).
-  std::vector<std::pair<size_t, std::unique_ptr<ColumnStoreWriter>>> pending_;
-  size_t rows_written_ = 0;
-  /// First seal/write failure, sticky: once a shard failed to seal the
-  /// store is unrecoverable, so every later Append/Close (including the
-  /// destructor's) re-reports it and the manifest is NEVER written — a
-  /// failed write must not leave a file claiming the store is complete.
-  Status deferred_error_;
-  bool closed_ = false;
-  bool manifest_written_ = false;
-};
-
 /// Reads a manifest + shards as one logical O(1)-seekable record stream.
 ///
 /// Shards are opened lazily: the manifest is parsed and span-validated
@@ -286,11 +190,6 @@ class ShardedStoreReader {
   /// keeps ColumnStoreReader pointers stable across vector growth.
   std::vector<std::unique_ptr<ColumnStoreReader>> shards_;
 };
-
-/// Writes a whole Dataset as a sharded store (manifest + shards).
-Status WriteShardedStore(const Dataset& dataset,
-                         const std::string& manifest_path,
-                         ShardedStoreOptions options = {});
 
 /// Reads a whole sharded store into memory as a Dataset.
 Result<Dataset> ReadShardedStoreDataset(const std::string& manifest_path);

@@ -90,11 +90,13 @@ Status ColumnStoreChunkSink::Consume(size_t row_offset,
 Result<ShardedChunkSink> ShardedChunkSink::Create(
     const std::string& manifest_path,
     const std::vector<std::string>& attribute_names,
-    data::ShardedStoreOptions options) {
+    data::RollingStoreOptions options) {
   RR_ASSIGN_OR_RETURN(
-      data::ShardedStoreWriter writer,
-      data::ShardedStoreWriter::Create(manifest_path, attribute_names,
-                                       options));
+      data::RollingShardedStoreWriter writer,
+      data::RollingShardedStoreWriter::Create(manifest_path, attribute_names,
+                                              options));
+  RR_RETURN_NOT_OK(
+      writer.Append(linalg::Matrix(0, attribute_names.size()), 0));
   return ShardedChunkSink(std::move(writer));
 }
 

@@ -16,7 +16,7 @@
 
 #include "common/result.h"
 #include "data/column_store.h"
-#include "data/shard_store.h"
+#include "data/rolling_store.h"
 #include "linalg/matrix.h"
 
 namespace randrecon {
@@ -132,26 +132,27 @@ class ColumnStoreChunkSink final : public ChunkSink {
 };
 
 /// Appends reconstructed records to a SHARDED column store
-/// (data::ShardedStoreWriter): a manifest + N `.rrcs` shards rolled at a
-/// target row count and sealed in parallel. The output of an unbounded
-/// streaming job is no longer capped at one file on one disk, and is
-/// immediately decomposable job-per-shard by PipelineRunner.
+/// (data::RollingShardedStoreWriter): a manifest + N `.rrcs` shards
+/// rolled at a target row count. The output of an unbounded streaming
+/// job is no longer capped at one file on one disk, and is immediately
+/// decomposable job-per-shard by PipelineRunner.
 class ShardedChunkSink final : public ChunkSink {
  public:
-  /// Fails like data::ShardedStoreWriter::Create (unwritable directory,
-  /// bad names, zero shard_rows/block_rows).
+  /// Opens shard 0 at once, so this fails like
+  /// data::RollingShardedStoreWriter::Create plus an unwritable
+  /// directory, and a sink closed without rows writes an empty store.
   static Result<ShardedChunkSink> Create(
       const std::string& manifest_path,
       const std::vector<std::string>& attribute_names,
-      data::ShardedStoreOptions options = {});
+      data::RollingStoreOptions options);
 
   Status Consume(size_t row_offset, const linalg::Matrix& chunk,
                  size_t num_rows) override;
 
-  /// Seals every shard and writes the manifest LAST — an unclosed or
-  /// failed write leaves no manifest, so readers never see a partial
-  /// store as complete. Called by the destructor if omitted (ignoring
-  /// the status).
+  /// Seals the open shard and writes the manifest LAST — the sink never
+  /// publishes before Close, so an unclosed or failed write leaves no
+  /// manifest and readers never see a partial store as complete.
+  /// Called by the destructor if omitted (ignoring the status).
   Status Close() override { return writer_.Close(); }
 
   /// Every file the writer has created (shards + manifest) — what a
@@ -161,10 +162,10 @@ class ShardedChunkSink final : public ChunkSink {
   }
 
  private:
-  explicit ShardedChunkSink(data::ShardedStoreWriter writer)
+  explicit ShardedChunkSink(data::RollingShardedStoreWriter writer)
       : writer_(std::move(writer)) {}
 
-  data::ShardedStoreWriter writer_;
+  data::RollingShardedStoreWriter writer_;
 };
 
 }  // namespace pipeline

@@ -197,13 +197,21 @@ void IngestService::WriterLoop() {
       }
     }
     Status appended;
+    Status published;
     {
       trace::TraceSpan span("ingest.append", &h_append);
       appended = writer_.Append(batch.rows, batch.num_rows);
+      if (appended.ok()) published = writer_.Publish();
+    }
+    // A failed Append is sticky in the writer, so none of this batch's
+    // rows is ever published: the batch is shed. A failed Publish comes
+    // after the whole batch is in the store (Close publishes it), so the
+    // batch counts as appended and only the error sticks.
+    if (!appended.ok() || !published.ok()) {
+      std::lock_guard<std::mutex> lock(error_mutex_);
+      if (error_.ok()) error_ = appended.ok() ? published : appended;
     }
     if (!appended.ok()) {
-      std::lock_guard<std::mutex> lock(error_mutex_);
-      if (error_.ok()) error_ = appended;
       CountShed(batch.num_rows);
       m_shed_store_error.Add(1);
       continue;

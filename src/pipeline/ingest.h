@@ -5,9 +5,10 @@
 // (ROADMAP) sits on. Producers call Offer() from any thread; the rows
 // cross a BoundedQueue (common/bounded_queue.h) into a dedicated writer
 // thread draining into a RollingShardedStoreWriter
-// (data/rolling_store.h), which rotates shards and republishes the
-// manifest so concurrent RollingStoreSnapshotReaders always have a
-// sealed prefix to attack. Three properties are load-bearing:
+// (data/rolling_store.h). The thread appends each batch, which seals
+// every shard that fills, and then publishes the manifest, so
+// concurrent RollingStoreSnapshotReaders always have a sealed prefix to
+// attack. Three properties are load-bearing:
 //
 //   * Bounded memory: at most `queue_batches` batches are in flight.
 //     A full queue pushes back on producers, never the allocator.

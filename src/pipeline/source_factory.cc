@@ -67,8 +67,9 @@ Result<std::unique_ptr<ChunkSink>> CreateRecordSink(
     const std::string& path, const std::vector<std::string>& attribute_names,
     RecordSinkOptions options) {
   if (HasShardManifestExtension(path)) {
-    data::ShardedStoreOptions sharded_options;
-    if (options.shard_rows > 0) sharded_options.shard_rows = options.shard_rows;
+    data::RollingStoreOptions sharded_options;
+    sharded_options.shard_rows =
+        options.shard_rows > 0 ? options.shard_rows : size_t{1} << 20;
     sharded_options.block_rows = options.block_rows;
     RR_ASSIGN_OR_RETURN(
         ShardedChunkSink sink,

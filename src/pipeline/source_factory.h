@@ -60,8 +60,7 @@ Result<OpenedRecordSource> OpenRecordSource(const std::string& path);
 /// extension selects that backend).
 struct RecordSinkOptions {
   size_t block_rows = data::kDefaultColumnStoreBlockRows;
-  /// Sharded sink: records per shard before rolling; 0 means the
-  /// data::ShardedStoreOptions default.
+  /// Sharded sink: records per shard before rolling; 0 means 2^20.
   size_t shard_rows = 0;
   /// 17 round-trips every finite double exactly; 10 is the compact
   /// WriteCsv default.

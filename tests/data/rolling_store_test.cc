@@ -1,10 +1,11 @@
-// Rolling sharded stores (src/data/rolling_store.h): rotation triggers,
-// manifest republish, retention, pinned snapshots, and the two proofs
-// the reader-while-writer protocol rests on:
+// Rolling sharded stores (src/data/rolling_store.h): sealing on the
+// row trigger, Publish as its own call, retention, pinned snapshots,
+// and the two proofs the reader-while-writer protocol rests on:
 //
 //   * The crash-torture matrix: a child process runs continuous ingest
-//     with rotation + retention and is crashed (::_exit, no flushes) at
-//     the 1st, 2nd, ... Nth hit of EVERY rotation-path failpoint. The
+//     (Append + Publish per batch) with retention and is crashed
+//     (::_exit, no flushes) at the 1st, 2nd, ... Nth hit of EVERY
+//     write-path failpoint. The
 //     parent asserts that whatever manifest is on disk after the crash
 //     ALREADY opens and reads bitwise-exactly (that is the protocol —
 //     no recovery needed to serve readers), and that RecoverShardedStore
@@ -90,6 +91,13 @@ Status AppendReference(RollingShardedStoreWriter* writer, size_t begin,
   return writer->Append(chunk, rows);
 }
 
+/// One ingest step: append the rows, then publish what sealed.
+Status AppendAndPublish(RollingShardedStoreWriter* writer, size_t begin,
+                        size_t rows) {
+  RR_RETURN_NOT_OK(AppendReference(writer, begin, rows));
+  return writer->Publish();
+}
+
 /// Reads every record of the snapshot at `manifest_path` and asserts it
 /// is bitwise-equal to SOME shard-aligned window of the reference rows
 /// (retention slides the window; without retention the window starts at
@@ -151,17 +159,48 @@ TEST_F(RollingStoreTest, CreateValidatesOptionsAndTouchesNoFiles) {
   EXPECT_FALSE(FileExists(kPath));
 }
 
+TEST_F(RollingStoreTest, AppendSealsAndOnlyPublishNamesTheShards) {
+  auto created =
+      RollingShardedStoreWriter::Create(kPath, Names(), SmallShards());
+  ASSERT_TRUE(created.ok());
+  RollingShardedStoreWriter writer = std::move(created).value();
+  // Two and a half shards: the two full ones seal at their final names,
+  // but no manifest names them until a publish.
+  ASSERT_TRUE(AppendReference(&writer, 0, 2 * kShardRows + kShardRows / 2)
+                  .ok());
+  const std::string stem = ShardStemForManifest(kPath);
+  EXPECT_TRUE(FileExists(ShardFileName(stem, 0)));
+  EXPECT_TRUE(FileExists(ShardFileName(stem, 1)));
+  EXPECT_FALSE(FileExists(ShardFileName(stem, 2)));  // Still a temp.
+  EXPECT_FALSE(FileExists(kPath));
+  EXPECT_EQ(writer.publishes(), 0u);
+  ASSERT_TRUE(writer.Publish().ok());
+  EXPECT_EQ(writer.publishes(), 1u);
+  EXPECT_EQ(writer.published_rows(), 2 * kShardRows);
+  EXPECT_EQ(writer.published_shards(), 2u);
+  // Nothing sealed since: a second publish writes nothing.
+  ASSERT_TRUE(writer.Publish().ok());
+  EXPECT_EQ(writer.publishes(), 1u);
+  // Close seals the partial shard and publishes it.
+  ASSERT_TRUE(writer.Close().ok());
+  EXPECT_EQ(writer.publishes(), 2u);
+  EXPECT_EQ(writer.published_rows(), 2 * kShardRows + kShardRows / 2);
+  size_t window = 1;
+  ExpectBitwiseWindow(kPath, &window);
+  EXPECT_EQ(window, 0u);
+}
+
 TEST_F(RollingStoreTest, RotationPublishesAndSnapshotsReadBitwise) {
   auto created =
       RollingShardedStoreWriter::Create(kPath, Names(), SmallShards());
   ASSERT_TRUE(created.ok());
   RollingShardedStoreWriter writer = std::move(created).value();
-  // Nothing is visible until the first rotation...
-  ASSERT_TRUE(AppendReference(&writer, 0, kShardRows / 2).ok());
+  // Nothing is visible until a shard seals...
+  ASSERT_TRUE(AppendAndPublish(&writer, 0, kShardRows / 2).ok());
   EXPECT_FALSE(FileExists(kPath));
   EXPECT_EQ(writer.publishes(), 0u);
   // ...and one full shard later a snapshot opens mid-write.
-  ASSERT_TRUE(AppendReference(&writer, kShardRows / 2, kShardRows).ok());
+  ASSERT_TRUE(AppendAndPublish(&writer, kShardRows / 2, kShardRows).ok());
   EXPECT_EQ(writer.publishes(), 1u);
   EXPECT_EQ(writer.published_rows(), kShardRows);
   size_t window = 1;
@@ -173,7 +212,7 @@ TEST_F(RollingStoreTest, RotationPublishesAndSnapshotsReadBitwise) {
   const size_t chunk = 33;
   while (begin < kRows) {
     const size_t rows = std::min(chunk, kRows - begin);
-    ASSERT_TRUE(AppendReference(&writer, begin, rows).ok());
+    ASSERT_TRUE(AppendAndPublish(&writer, begin, rows).ok());
     begin += rows;
   }
   ASSERT_TRUE(writer.Close().ok());
@@ -195,7 +234,7 @@ TEST_F(RollingStoreTest, RetentionBoundsTheWindowAndSparesPinnedSnapshots) {
   ASSERT_TRUE(created.ok());
   RollingShardedStoreWriter writer = std::move(created).value();
   // Publish the first two shards, then pin a snapshot over them.
-  ASSERT_TRUE(AppendReference(&writer, 0, 2 * kShardRows).ok());
+  ASSERT_TRUE(AppendAndPublish(&writer, 0, 2 * kShardRows).ok());
   auto pinned_open =
       RollingStoreSnapshotReader::Open(kPath, SerialReadOptions());
   ASSERT_TRUE(pinned_open.ok()) << pinned_open.status().ToString();
@@ -203,8 +242,8 @@ TEST_F(RollingStoreTest, RetentionBoundsTheWindowAndSparesPinnedSnapshots) {
   ASSERT_EQ(pinned.num_records(), 2 * kShardRows);
   // Write everything else: retention retires shards 0..6 and unlinks
   // their files out from under the pinned snapshot.
-  ASSERT_TRUE(AppendReference(&writer, 2 * kShardRows, kRows - 2 * kShardRows)
-                  .ok());
+  ASSERT_TRUE(
+      AppendAndPublish(&writer, 2 * kShardRows, kRows - 2 * kShardRows).ok());
   ASSERT_TRUE(writer.Close().ok());
   const std::string stem = ShardStemForManifest(kPath);
   EXPECT_FALSE(FileExists(ShardFileName(stem, 0)));
@@ -234,17 +273,18 @@ TEST_F(RollingStoreTest, PublishFailureIsRetriedNotSticky) {
   ASSERT_TRUE(created.ok());
   RollingShardedStoreWriter writer = std::move(created).value();
   ASSERT_TRUE(ArmFailpoint("roll.publish", FailpointAction::kError).ok());
-  // The rotation seals the shard but the publish fails retryably; the
+  // The append seals the shard, but the publish fails retryably; the
   // manifest never appears.
-  const Status rotated = AppendReference(&writer, 0, kShardRows);
-  EXPECT_EQ(rotated.code(), StatusCode::kIoError);
-  EXPECT_TRUE(rotated.IsRetryable());
+  ASSERT_TRUE(AppendReference(&writer, 0, kShardRows).ok());
+  const Status published = writer.Publish();
+  EXPECT_EQ(published.code(), StatusCode::kIoError);
+  EXPECT_TRUE(published.IsRetryable());
   EXPECT_FALSE(FileExists(kPath));
   EXPECT_EQ(writer.publishes(), 0u);
-  // The writer is NOT dead: the next append + rotation republishes the
-  // sealed shard along with the new one.
+  // The writer is NOT dead: the next publish names the sealed shard
+  // along with the new one.
   DisarmAllFailpoints();
-  ASSERT_TRUE(AppendReference(&writer, kShardRows, kShardRows).ok());
+  ASSERT_TRUE(AppendAndPublish(&writer, kShardRows, kShardRows).ok());
   EXPECT_EQ(writer.publishes(), 1u);
   EXPECT_EQ(writer.published_rows(), 2 * kShardRows);
   EXPECT_EQ(writer.published_shards(), 2u);
@@ -259,14 +299,13 @@ TEST_F(RollingStoreTest, PublishFailureIsRetriedNotSticky) {
 // ---------------------------------------------------------------------------
 
 /// Every failpoint between an ingested row and the republished
-/// manifest: the rolling layer's own seams plus the column-store and
-/// manifest seams that fire underneath them. (shard.write/shard.seal
-/// belong to ShardedStoreWriter and never fire here.)
+/// manifest: the writer's own seams (write, seal, publish, retire) plus
+/// the column-store and manifest seams that fire underneath them.
 const char* const kRotationFailpoints[] = {
-    "roll.seal",      "roll.publish",   "roll.retire",
-    "store.block_write", "store.seal",  "store.fsync",
-    "store.rename",   "manifest.write", "manifest.fsync",
-    "manifest.rename",
+    "roll.write",     "roll.seal",      "roll.publish",
+    "roll.retire",    "store.block_write", "store.seal",
+    "store.fsync",    "store.rename",   "manifest.write",
+    "manifest.fsync", "manifest.rename",
 };
 
 /// The child's whole life: continuous ingest with rotation + retention
@@ -283,7 +322,7 @@ Status IngestUntilCrash(const std::string& manifest_path) {
   const size_t chunk = 29;  // Uneven: straddles shard boundaries.
   for (size_t begin = 0; begin < kRows; begin += chunk) {
     RR_RETURN_NOT_OK(
-        AppendReference(&writer, begin, std::min(chunk, kRows - begin)));
+        AppendAndPublish(&writer, begin, std::min(chunk, kRows - begin)));
   }
   return writer.Close();
 }
@@ -377,7 +416,7 @@ TEST_F(RollingStoreTest, SnapshotPinnedBeforeACrashStillReadsAfterIt) {
     if (!created.ok()) ::_exit(43);
     RollingShardedStoreWriter writer = std::move(created).value();
     // Publish shard 0, hand the parent the baton, wait for its pin.
-    if (!AppendReference(&writer, 0, kShardRows).ok()) ::_exit(43);
+    if (!AppendAndPublish(&writer, 0, kShardRows).ok()) ::_exit(43);
     char byte = 'p';
     if (::write(to_parent[1], &byte, 1) != 1) ::_exit(45);
     if (::read(to_child[0], &byte, 1) != 1) ::_exit(45);
@@ -385,7 +424,7 @@ TEST_F(RollingStoreTest, SnapshotPinnedBeforeACrashStillReadsAfterIt) {
     if (!ArmFailpoint("roll.publish", FailpointAction::kCrash, 1).ok()) {
       ::_exit(44);
     }
-    (void)AppendReference(&writer, kShardRows, kShardRows);
+    (void)AppendAndPublish(&writer, kShardRows, kShardRows);
     ::_exit(46);  // Unreachable: the failpoint must have crashed us.
   }
   ::close(to_parent[1]);
@@ -425,14 +464,14 @@ TEST_F(RollingStoreTest, SnapshotPinRacingARepublishIsRetryableUnavailable) {
   auto created = RollingShardedStoreWriter::Create(kPath, Names(), options);
   ASSERT_TRUE(created.ok());
   RollingShardedStoreWriter writer = std::move(created).value();
-  ASSERT_TRUE(AppendReference(&writer, 0, kShardRows).ok());
+  ASSERT_TRUE(AppendAndPublish(&writer, 0, kShardRows).ok());
   // Parse the manifest naming shard 0, pin nothing yet (shard opens are
   // lazy) — the exposed half of the Open seam.
   auto parsed = ShardedStoreReader::Open(kPath, SerialReadOptions());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   // The writer republishes: shard 1 lands, retention retires shard 0
   // and unlinks its file out from under the parsed-but-unpinned reader.
-  ASSERT_TRUE(AppendReference(&writer, kShardRows, kShardRows).ok());
+  ASSERT_TRUE(AppendAndPublish(&writer, kShardRows, kShardRows).ok());
   ASSERT_FALSE(FileExists(ShardFileName(ShardStemForManifest(kPath), 0)));
   auto pinned = RollingStoreSnapshotReader::Pin(std::move(parsed).value(),
                                                 kPath);
@@ -521,7 +560,7 @@ TEST_F(RollingStoreTest, ConcurrentSnapshotReadersSeeOnlySealedPrefixes) {
   const size_t chunk = 23;
   for (size_t begin = 0; begin < kRows; begin += chunk) {
     ASSERT_TRUE(
-        AppendReference(&writer, begin, std::min(chunk, kRows - begin)).ok());
+        AppendAndPublish(&writer, begin, std::min(chunk, kRows - begin)).ok());
   }
   ASSERT_TRUE(writer.Close().ok());
   done.store(true, std::memory_order_release);

@@ -20,6 +20,7 @@
 
 #include "common/file_io.h"
 #include "data/csv.h"
+#include "data/rolling_store.h"
 #include "stats/rng.h"
 
 namespace randrecon {
@@ -72,13 +73,14 @@ std::vector<std::string> Names(size_t m) {
 }
 
 /// Streams `records` into a sharded store in uneven chunks (exercising
-/// shard- and block-boundary straddles).
+/// shard- and block-boundary straddles) as a batch write: Append only,
+/// so the manifest is written by Close.
 void WriteSharded(const std::string& manifest_path, const Matrix& records,
-                  ShardedStoreOptions options) {
-  auto created = ShardedStoreWriter::Create(manifest_path,
-                                            Names(records.cols()), options);
+                  const RollingStoreOptions& options) {
+  auto created = RollingShardedStoreWriter::Create(
+      manifest_path, Names(records.cols()), options);
   ASSERT_TRUE(created.ok()) << created.status().ToString();
-  ShardedStoreWriter writer = std::move(created).value();
+  RollingShardedStoreWriter writer = std::move(created).value();
   size_t row = 0;
   size_t chunk_rows = 1;
   while (row < records.rows()) {
@@ -101,8 +103,8 @@ Matrix ReadAllSharded(const std::string& manifest_path) {
   return records;
 }
 
-ShardedStoreOptions SmallShards(size_t shard_rows, size_t block_rows = 64) {
-  ShardedStoreOptions options;
+RollingStoreOptions SmallShards(size_t shard_rows, size_t block_rows = 64) {
+  RollingStoreOptions options;
   options.shard_rows = shard_rows;
   options.block_rows = block_rows;
   return options;
@@ -201,6 +203,21 @@ TEST(ShardedStoreTest, RollsShardsAndStreamsBitwise) {
   Matrix buffer(2, 5);
   EXPECT_EQ(reader.ReadRows(999, 2, &buffer).code(),
             StatusCode::kInvalidArgument);
+
+  // Many small shards: 730 rows at 50 per shard roll 15 shards whose
+  // spans tile the stream, and still stream bitwise.
+  ScratchShardedStore small("roundtrip_small.rrcm");
+  const Matrix small_records = rng.GaussianMatrix(730, 4);
+  WriteSharded(small.path(), small_records, SmallShards(/*shard_rows=*/50));
+  auto manifest = ReadShardManifest(small.path());
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  ASSERT_EQ(manifest.value().shards.size(), 15u);  // ceil(730 / 50)
+  for (size_t s = 0; s < 15; ++s) {
+    EXPECT_EQ(manifest.value().shards[s].row_begin, 50 * s) << "shard " << s;
+    EXPECT_EQ(manifest.value().shards[s].row_count, s < 14 ? 50u : 30u)
+        << "shard " << s;
+  }
+  EXPECT_TRUE(ReadAllSharded(small.path()) == small_records);
 }
 
 TEST(ShardedStoreTest, ExactMultipleLeavesNoEmptyTrailingShard) {
@@ -215,11 +232,14 @@ TEST(ShardedStoreTest, ExactMultipleLeavesNoEmptyTrailingShard) {
 }
 
 TEST(ShardedStoreTest, EmptyStoreRoundTrips) {
+  // A zero-row batch write: the first Append opens shard 0 even with no
+  // rows, so Close seals it into a readable empty store.
   ScratchShardedStore store("empty.rrcm");
-  auto created = ShardedStoreWriter::Create(store.path(), Names(4),
-                                            SmallShards(/*shard_rows=*/100));
+  auto created = RollingShardedStoreWriter::Create(
+      store.path(), Names(4), SmallShards(/*shard_rows=*/100));
   ASSERT_TRUE(created.ok()) << created.status().ToString();
-  ShardedStoreWriter writer = std::move(created).value();
+  RollingShardedStoreWriter writer = std::move(created).value();
+  ASSERT_TRUE(writer.Append(Matrix(0, 4), 0).ok());
   ASSERT_TRUE(writer.Close().ok());
 
   auto reader = ShardedStoreReader::Open(store.path());
@@ -229,42 +249,6 @@ TEST(ShardedStoreTest, EmptyStoreRoundTrips) {
   auto dataset = ReadShardedStoreDataset(store.path());
   ASSERT_TRUE(dataset.ok());
   EXPECT_EQ(dataset.value().num_records(), 0u);
-}
-
-TEST(ShardedStoreTest, ParallelSealProducesIdenticalManifestAndData) {
-  // Many small shards sealed in small parallel batches must yield a
-  // manifest bitwise identical to a serial writer's (per-shard digests
-  // are pure functions; parallel sealing is scheduling only).
-  stats::Rng rng(23);
-  const Matrix records = rng.GaussianMatrix(730, 4);
-
-  ScratchShardedStore serial("seal_serial.rrcm");
-  ShardedStoreOptions serial_options = SmallShards(/*shard_rows=*/50);
-  serial_options.seal_batch_shards = 1;
-  serial_options.parallel.num_threads = 1;
-  WriteSharded(serial.path(), records, serial_options);
-
-  ScratchShardedStore parallel("seal_parallel.rrcm");
-  ShardedStoreOptions parallel_options = SmallShards(/*shard_rows=*/50);
-  parallel_options.seal_batch_shards = 4;
-  parallel_options.parallel.num_threads = 4;
-  WriteSharded(parallel.path(), records, parallel_options);
-
-  EXPECT_TRUE(ReadAllSharded(serial.path()) == records);
-  EXPECT_TRUE(ReadAllSharded(parallel.path()) == records);
-  // The manifests differ only in the stem embedded in shard paths, so
-  // compare the parsed geometry + digests.
-  auto a = ReadShardManifest(serial.path());
-  auto b = ReadShardManifest(parallel.path());
-  ASSERT_TRUE(a.ok() && b.ok());
-  ASSERT_EQ(a.value().shards.size(), b.value().shards.size());
-  EXPECT_EQ(a.value().shards.size(), 15u);  // ceil(730 / 50)
-  for (size_t s = 0; s < a.value().shards.size(); ++s) {
-    EXPECT_EQ(a.value().shards[s].row_begin, b.value().shards[s].row_begin);
-    EXPECT_EQ(a.value().shards[s].row_count, b.value().shards[s].row_count);
-    EXPECT_EQ(a.value().shards[s].seal_digest, b.value().shards[s].seal_digest)
-        << "shard " << s;
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -534,34 +518,33 @@ TEST_F(ShardFailureTest, DuplicateShardPathIsRejectedOnRead) {
 }
 
 TEST(ShardedStoreTest, SealFailureIsStickyAndSuppressesTheManifest) {
-  // Delete a rolled-but-unsealed shard out from under the writer: the
-  // seal batch fails (the digest re-open finds no file), Close() must
-  // report it, NOT write a manifest, and keep failing on retry — a
-  // failed write never leaves a file claiming the store is complete.
+  // Delete the open shard's temp file out from under the writer: the
+  // seal fails (the rename finds no file), Close() must report it, NOT
+  // write a manifest, and keep failing on retry — a failed write never
+  // leaves a file claiming the store is complete.
   const std::string manifest_path = "shard_store_test_sealfail.rrcm";
-  ShardedStoreOptions options = SmallShards(/*shard_rows=*/50);
-  options.seal_batch_shards = 100;  // No mid-stream seals.
-  auto created =
-      ShardedStoreWriter::Create(manifest_path, Names(3), options);
+  auto created = RollingShardedStoreWriter::Create(
+      manifest_path, Names(3), SmallShards(/*shard_rows=*/50));
   ASSERT_TRUE(created.ok()) << created.status().ToString();
   {
-    ShardedStoreWriter writer = std::move(created).value();
+    RollingShardedStoreWriter writer = std::move(created).value();
     stats::Rng rng(45);
     const Matrix records = rng.GaussianMatrix(100, 3);
-    ASSERT_TRUE(writer.Append(records, 100).ok());
-    // The unsealed shard streams into its temp file (the final path does
+    // 80 rows: shard 0 seals, shard 1 stays open with 30.
+    ASSERT_TRUE(writer.Append(records, 80).ok());
+    // The open shard streams into its temp file (the final path does
     // not exist until the seal's rename) — delete the temp.
     ASSERT_EQ(std::remove(
                   TempPathFor(
-                      ShardFileName(ShardStemForManifest(manifest_path), 0))
+                      ShardFileName(ShardStemForManifest(manifest_path), 1))
                       .c_str()),
               0);
     const Status closed = writer.Close();
     EXPECT_FALSE(closed.ok());
-    EXPECT_NE(closed.message().find("shard 0"), std::string::npos)
+    EXPECT_NE(closed.message().find("shard 1"), std::string::npos)
         << closed.ToString();
     EXPECT_EQ(writer.Close(), closed);  // Sticky on retry.
-    // Appending into the poisoned writer keeps failing too.
+    // Appending into the closed writer keeps failing too.
     EXPECT_FALSE(writer.Append(records, 1).ok());
   }  // The destructor's best-effort Close must not resurrect a manifest.
   std::ifstream manifest(manifest_path, std::ios::binary);
@@ -664,21 +647,25 @@ TEST(ShardedStoreTest, RemoveShardedStoreFilesCleansEverything) {
 }
 
 TEST(ShardedStoreTest, WriterValidatesOptionsAndNames) {
-  ShardedStoreOptions zero_rows;
-  zero_rows.shard_rows = 0;
-  EXPECT_EQ(ShardedStoreWriter::Create("shard_store_test_opt.rrcm", Names(2),
-                                       zero_rows)
+  const std::string path = "shard_store_test_opt.rrcm";
+  EXPECT_EQ(RollingShardedStoreWriter::Create(path, Names(2), SmallShards(0))
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
-  ShardedStoreOptions ok_options;
-  EXPECT_FALSE(
-      ShardedStoreWriter::Create("shard_store_test_opt.rrcm", {}, ok_options)
-          .ok());
-  EXPECT_FALSE(ShardedStoreWriter::Create("shard_store_test_opt.rrcm",
-                                          {"a", "a"}, ok_options)
+  EXPECT_EQ(RollingShardedStoreWriter::Create(path, Names(2),
+                                              SmallShards(10, /*block_rows=*/0))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(RollingShardedStoreWriter::Create(path, {}, SmallShards(10))
                    .ok());
-  RemoveShardedStoreFiles("shard_store_test_opt.rrcm");
+  EXPECT_FALSE(RollingShardedStoreWriter::Create(path, {"a", ""},
+                                                 SmallShards(10))
+                   .ok());
+  EXPECT_FALSE(RollingShardedStoreWriter::Create(path, {"a", "a"},
+                                                 SmallShards(10))
+                   .ok());
+  RemoveShardedStoreFiles(path);
 }
 
 }  // namespace

@@ -6,9 +6,9 @@
 // the 1st, 2nd, ... Nth hit of that failpoint, and the parent asserts
 // that RecoverShardedStore turns the wreckage into either a provably
 // empty store or a fully-readable store whose records are a bitwise-
-// exact prefix of the uncrashed run. Everything runs on serial
-// ParallelOptions so the forked children never interact with a thread
-// pool.
+// exact prefix of the uncrashed run. The writer is single-threaded
+// and every read runs on serial ParallelOptions, so the forked children
+// never interact with a thread pool.
 
 #include "data/store_recovery.h"
 
@@ -26,6 +26,7 @@
 
 #include "common/failpoint.h"
 #include "common/file_io.h"
+#include "data/rolling_store.h"
 #include "data/shard_store.h"
 #include "stats/rng.h"
 
@@ -54,12 +55,10 @@ const Matrix& ReferenceRecords() {
   return *records;
 }
 
-ShardedStoreOptions SerialWriteOptions() {
-  ShardedStoreOptions options;
+RollingStoreOptions WriteOptions() {
+  RollingStoreOptions options;
   options.shard_rows = kShardRows;
   options.block_rows = 32;
-  options.seal_batch_shards = 2;
-  options.parallel.num_threads = 1;  // Inline — fork-safe.
   return options;
 }
 
@@ -76,15 +75,16 @@ StoreRecoveryOptions SerialRecoveryOptions() {
 }
 
 /// Streams the reference records into `manifest_path` in uneven chunks
-/// (straddling shard and block boundaries).
+/// (straddling shard and block boundaries), as a batch write: no
+/// Publish before Close, so the manifest is written last.
 Status WriteStoreOnce(const std::string& manifest_path) {
   const Matrix& records = ReferenceRecords();
-  auto created = ShardedStoreWriter::Create(
+  auto created = RollingShardedStoreWriter::Create(
       manifest_path,
       {"alpha", "beta", "gamma", "delta", "epsilon"},
-      SerialWriteOptions());
+      WriteOptions());
   RR_RETURN_NOT_OK(created.status());
-  ShardedStoreWriter writer = std::move(created).value();
+  RollingShardedStoreWriter writer = std::move(created).value();
   const size_t chunk = 37;
   Matrix buffer(chunk, kCols);
   for (size_t begin = 0; begin < kRows; begin += chunk) {
@@ -234,13 +234,17 @@ TEST_F(StoreRecoveryTest, NothingSealedMeansProvablyEmpty) {
 // The crash-torture matrix.
 // ---------------------------------------------------------------------------
 
-/// Every write-path failpoint between the first byte and the manifest
-/// rename. Read-path failpoints (store.read_block, source.next_chunk)
-/// cannot corrupt a store and are exercised by the retry tests instead.
+/// Every write-path failpoint a batch write reaches between the first
+/// byte and the manifest rename. roll.retire fires only under
+/// retention, which a batch write never sets (the rolling matrix in
+/// rolling_store_test.cc covers it). Read-path failpoints
+/// (store.read_block, source.next_chunk) cannot corrupt a store and are
+/// exercised by the retry tests instead.
 const char* const kWritePathFailpoints[] = {
-    "shard.write",    "shard.seal",     "store.block_write",
-    "store.seal",     "store.fsync",    "store.rename",
-    "manifest.write", "manifest.fsync", "manifest.rename",
+    "roll.write",     "roll.seal",      "roll.publish",
+    "store.block_write", "store.seal",  "store.fsync",
+    "store.rename",   "manifest.write", "manifest.fsync",
+    "manifest.rename",
 };
 
 TEST_F(StoreRecoveryTest, CrashAtEveryFailpointHitRecoversABitwisePrefix) {
@@ -254,10 +258,10 @@ TEST_F(StoreRecoveryTest, CrashAtEveryFailpointHitRecoversABitwisePrefix) {
       const pid_t child = ::fork();
       ASSERT_GE(child, 0) << "fork failed";
       if (child == 0) {
-        // In the child: arm the crash and write. Everything is serial
-        // (SerialWriteOptions), so no thread-pool state is inherited
-        // torn. _Exit skips destructors and gtest entirely — the only
-        // exits are the failpoint's ::_exit(42) or the clean 0/43 here.
+        // In the child: arm the crash and write. The writer is
+        // single-threaded, so no thread-pool state is inherited torn.
+        // _Exit skips destructors and gtest entirely — the only exits
+        // are the failpoint's ::_exit(42) or the clean 0/43 here.
         DisarmAllFailpoints();
         if (!ArmFailpoint(failpoint, FailpointAction::kCrash, hit).ok()) {
           ::_exit(44);

@@ -63,6 +63,7 @@ void PublishShards(const std::string& manifest_path) {
   data::RollingShardedStoreWriter writer = std::move(created).value();
   for (size_t s = 0; s < kShards; ++s) {
     ASSERT_TRUE(writer.Append(ShardRecords(s), kShardRows).ok());
+    ASSERT_TRUE(writer.Publish().ok());
   }
   ASSERT_TRUE(writer.Close().ok());
 }

@@ -68,6 +68,7 @@ void PublishShards(const std::string& manifest_path, size_t shards,
   for (size_t s = 0; s < shards; ++s) {
     const Matrix records = ShardRecords(s);
     ASSERT_TRUE(writer.Append(records, kShardRows).ok());
+    ASSERT_TRUE(writer.Publish().ok());
   }
   ASSERT_TRUE(writer.Close().ok());
 }
@@ -221,6 +222,7 @@ TEST_F(AttackSchedulerTest, RowsTriggerFiresOnPublishedGrowth) {
   ASSERT_TRUE(writer_created.ok());
   data::RollingShardedStoreWriter writer = std::move(writer_created).value();
   ASSERT_TRUE(writer.Append(ShardRecords(0), kShardRows).ok());
+  ASSERT_TRUE(writer.Publish().ok());
 
   AttackSchedulerOptions options = BaseOptions(kReports);
   options.min_new_rows = kShardRows;  // No cadence: growth-only trigger.
@@ -239,6 +241,7 @@ TEST_F(AttackSchedulerTest, RowsTriggerFiresOnPublishedGrowth) {
   EXPECT_EQ(scheduler.skipped_unchanged(), 0u);
   // One more published shard fires it.
   ASSERT_TRUE(writer.Append(ShardRecords(1), kShardRows).ok());
+  ASSERT_TRUE(writer.Publish().ok());
   SchedulerCycleResult second = scheduler.Tick();
   ASSERT_EQ(second.outcome, CycleOutcome::kOk) << second.status.ToString();
   EXPECT_EQ(second.version, 2u);
@@ -601,6 +604,7 @@ TEST_F(AttackSchedulerTest, ConcurrentIngestAndSchedulerStayConsistent) {
     std::memcpy(rest.data(), records.row_data(kShardRows / 2),
                 rest.rows() * kCols * sizeof(double));
     ASSERT_TRUE(writer.Append(rest, rest.rows()).ok());
+    ASSERT_TRUE(writer.Publish().ok());
   }
   ASSERT_TRUE(writer.Close().ok());
   scheduler.Stop();

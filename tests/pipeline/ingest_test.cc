@@ -170,6 +170,31 @@ TEST_F(IngestServiceTest, StoreErrorsStickShedTheRestAndSurfaceAtClose) {
   EXPECT_EQ(stats.batches_shed, accepted);
 }
 
+TEST_F(IngestServiceTest, PublishErrorCountsTheBatchAppendedNotShed) {
+  // 10-row batches into 25-row shards: the third batch seals shard 0,
+  // and the publish after it fails once. The whole batch is already in
+  // the store, so it counts as appended; the error sticks, later
+  // batches shed, and Close publishes exactly the appended rows — no
+  // row counted as shed ever reaches the manifest.
+  ASSERT_TRUE(ArmFailpoint("roll.publish", FailpointAction::kError).ok());
+  auto started = IngestService::Start(kPath, Names(), SmallStoreOptions());
+  ASSERT_TRUE(started.ok());
+  std::unique_ptr<IngestService> service = std::move(started).value();
+  for (size_t b = 0; b < 10; ++b) {
+    (void)service->Offer(BatchMatrix(b), kBatchRows);
+  }
+  EXPECT_EQ(service->Close().code(), StatusCode::kIoError);
+  const IngestStats stats = service->stats();
+  ExpectIdentity(stats);
+  EXPECT_EQ(stats.batches_appended, 3u);
+  EXPECT_EQ(stats.rows_appended, 3 * kBatchRows);
+  auto manifest = data::ReadShardManifest(kPath);
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  EXPECT_EQ(manifest.value().num_records, stats.rows_appended)
+      << "the published store disagrees with the appended-row count";
+  EXPECT_EQ(service->published_rows(), stats.rows_appended);
+}
+
 TEST_F(IngestServiceTest, OfferAfterCloseFailsUncounted) {
   auto started = IngestService::Start(kPath, Names(), SmallStoreOptions());
   ASSERT_TRUE(started.ok());

@@ -12,6 +12,7 @@
 
 #include "common/file_io.h"
 #include "common/metrics.h"
+#include "data/rolling_store.h"
 #include "data/synthetic.h"
 #include "linalg/matrix_util.h"
 #include "perturb/schemes.h"
@@ -380,12 +381,12 @@ class DegradedSweepTest : public ::testing::Test {
  protected:
   void SetUp() override {
     fixture_ = MakeBatchFixture();
-    data::ShardedStoreOptions options;
+    data::RollingStoreOptions options;
     options.shard_rows = 100;  // 400 records -> 4 shards.
-    auto created = data::ShardedStoreWriter::Create(
+    auto created = data::RollingShardedStoreWriter::Create(
         kManifestPath, Names(fixture_.disguised.cols()), options);
     ASSERT_TRUE(created.ok()) << created.status().ToString();
-    data::ShardedStoreWriter writer = std::move(created).value();
+    data::RollingShardedStoreWriter writer = std::move(created).value();
     ASSERT_TRUE(writer.Append(fixture_.disguised, 400).ok());
     ASSERT_TRUE(writer.Close().ok());
   }

@@ -6,6 +6,7 @@
 // and threads {1, 3, 4}; and attaching a reference stream must leave every
 // other report field bitwise unchanged.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -18,6 +19,7 @@
 
 #include "data/column_store.h"
 #include "data/csv.h"
+#include "data/rolling_store.h"
 #include "data/shard_store.h"
 #include "data/synthetic.h"
 #include "perturb/schemes.h"
@@ -114,7 +116,7 @@ class ShardedSourceTest : public ::testing::Test {
 
   static void WriteManifest(const data::Dataset& dataset,
                             const std::string& path, size_t shard_rows) {
-    data::ShardedStoreOptions options;
+    data::RollingStoreOptions options;
     options.shard_rows = shard_rows;
     options.block_rows = kBlockRows;
     ASSERT_TRUE(data::WriteShardedStore(dataset, path, options).ok());
@@ -182,7 +184,7 @@ TEST_F(ShardedSourceTest, AttacksOverManifestsMatchSingleFileBitwise) {
                                                        7, 97},
         {&b7_single.path(), 7, kRecords},
         {&b4096_misaligned.path(), 4096, 97}}) {
-    data::ShardedStoreOptions options;
+    data::RollingStoreOptions options;
     options.shard_rows = shard_rows;
     options.block_rows = block_rows;
     ASSERT_TRUE(data::WriteShardedStore(parsed.value(), *path, options).ok());
@@ -329,6 +331,38 @@ TEST_F(ShardedSourceTest, ShardedChunkSinkRoundTripsTheAttackOutput) {
   auto read_back = data::ReadShardedStoreDataset(out.path());
   ASSERT_TRUE(read_back.ok()) << read_back.status().ToString();
   EXPECT_TRUE(read_back.value().records() == collect.ToMatrix());
+}
+
+TEST(ShardedChunkSinkTest, ManifestAppearsOnlyAtClose) {
+  // A batch sink never publishes before Close: shards seal as they fill,
+  // but no manifest claims the store is complete until the last one is
+  // sealed — after any Consume, a crash leaves no manifest at all.
+  ScratchShardedStore out{"manifest_last.rrcm"};
+  stats::Rng rng(61);
+  const Matrix records = rng.GaussianMatrix(350, 3);
+  data::RollingStoreOptions options;
+  options.shard_rows = 100;  // 4 shards, the last partial.
+  options.block_rows = 16;
+  auto created = ShardedChunkSink::Create(out.path(), {"a", "b", "c"}, options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  ShardedChunkSink sink = std::move(created).value();
+  const size_t chunk = 70;
+  for (size_t begin = 0; begin < records.rows(); begin += chunk) {
+    const size_t rows = std::min(chunk, records.rows() - begin);
+    ASSERT_TRUE(
+        sink.Consume(begin, records.Block(begin, begin + rows, 0, 3), rows)
+            .ok());
+    std::ifstream manifest(out.path(), std::ios::binary);
+    EXPECT_FALSE(manifest.is_open())
+        << "a manifest appeared after the Consume of rows " << begin;
+  }
+  ASSERT_TRUE(sink.Close().ok());
+  auto manifest = data::ReadShardManifest(out.path());
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  EXPECT_EQ(manifest.value().shards.size(), 4u);
+  auto read_back = data::ReadShardedStoreDataset(out.path());
+  ASSERT_TRUE(read_back.ok()) << read_back.status().ToString();
+  EXPECT_TRUE(read_back.value().records() == records);
 }
 
 TEST_F(ShardedSourceTest, PerShardJobsDecomposeTheManifest) {

@@ -22,6 +22,7 @@
 #include "core/spectral_filtering.h"
 #include "data/column_store.h"
 #include "data/csv.h"
+#include "data/rolling_store.h"
 #include "data/shard_store.h"
 #include "data/synthetic.h"
 #include "linalg/eigen.h"
@@ -674,7 +675,7 @@ TEST(StreamingAttackTest, HeldStoreBlocksGiveTheBlockAtATimeBits) {
   ASSERT_TRUE(data::WriteColumnStore(data::Dataset(fixture.disguised), path,
                                      store_options)
                   .ok());
-  data::ShardedStoreOptions sharded_options;
+  data::RollingStoreOptions sharded_options;
   sharded_options.block_rows = 1000;
   sharded_options.shard_rows = 9000;
   ASSERT_TRUE(data::WriteShardedStore(data::Dataset(fixture.disguised),

@@ -6,6 +6,7 @@
 #include "stats/streaming_moments.h"
 
 #include <algorithm>
+#include <map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -128,13 +129,14 @@ INSTANTIATE_TEST_SUITE_P(
 // between task waves.
 enum class HandOver { kWave, kSingle, kMixed };
 
-Matrix StreamCovarianceBlocks(const Matrix& data, size_t block_rows,
+/// Streams the records whose transpose is `transposed` (one row per
+/// attribute) in blocks of `block_rows`.
+Matrix StreamCovarianceBlocks(const Matrix& transposed, size_t block_rows,
                               int num_threads, HandOver mode) {
   ParallelOptions options;
   options.num_threads = num_threads;
-  const Matrix transposed = data.Transpose();
-  const size_t n = data.rows();
-  StreamingMoments moments(data.cols(), options);
+  const size_t n = transposed.cols();
+  StreamingMoments moments(transposed.rows(), options);
   for (size_t row = 0; row < n; row += block_rows) {
     const size_t rows = std::min(block_rows, n - row);
     moments.AccumulateMeansColumns(ColumnsAt(transposed, row).data(), rows);
@@ -174,12 +176,19 @@ Matrix StreamCovarianceBlocks(const Matrix& data, size_t block_rows,
   return moments.FinalizeCovariance();
 }
 
-class StreamingMomentsBlocksTest
-    : public ::testing::TestWithParam<std::tuple<size_t, int, HandOver>> {};
+/// One thread count's population, its transpose and its in-memory
+/// covariance: shared by the 15 (block size, hand-over) cases of that
+/// thread count, built on first use.
+struct BlocksPopulation {
+  Matrix transposed;
+  Matrix covariance;
+};
 
-TEST_P(StreamingMomentsBlocksTest, BitwiseEqualsSampleCovariance) {
-  const size_t block_rows = std::get<0>(GetParam());
-  const int num_threads = std::get<1>(GetParam());
+const BlocksPopulation& PopulationFor(int num_threads) {
+  static std::map<int, BlocksPopulation>* populations =
+      new std::map<int, BlocksPopulation>();
+  auto found = populations->find(num_threads);
+  if (found != populations->end()) return found->second;
   // n = 4·T + 1 Gram blocks + 321 rows: one full wave of 4·T tasks, then
   // a partly filled wave holding a full block and a ragged tail. m = 20
   // takes GramAtAChunk's blocked GEMM.
@@ -193,10 +202,23 @@ TEST_P(StreamingMomentsBlocksTest, BitwiseEqualsSampleCovariance) {
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = 0; j < m; ++j) data(i, j) += 10.0 * static_cast<double>(j);
   }
+  BlocksPopulation population{data.Transpose(), SampleCovariance(data)};
+  return populations->emplace(num_threads, std::move(population))
+      .first->second;
+}
+
+class StreamingMomentsBlocksTest
+    : public ::testing::TestWithParam<std::tuple<size_t, int, HandOver>> {};
+
+TEST_P(StreamingMomentsBlocksTest, BitwiseEqualsSampleCovariance) {
+  const size_t block_rows = std::get<0>(GetParam());
+  const int num_threads = std::get<1>(GetParam());
+  const BlocksPopulation& population = PopulationFor(num_threads);
+  const size_t n = population.transposed.cols();
   const Matrix streamed = StreamCovarianceBlocks(
-      data, block_rows == 0 ? n : block_rows, num_threads,
+      population.transposed, block_rows == 0 ? n : block_rows, num_threads,
       std::get<2>(GetParam()));
-  EXPECT_EQ(linalg::MaxAbsDifference(streamed, SampleCovariance(data)), 0.0);
+  EXPECT_EQ(linalg::MaxAbsDifference(streamed, population.covariance), 0.0);
 }
 
 // Block size 0 is the sentinel for "whole dataset in one block".

@@ -1,13 +1,18 @@
 #!/usr/bin/env python3
 """Keep one durable-write path: fail unless src/common/file_io.cc holds
-the only call to rename( and the only call to opendir( in src/.
+the only call to rename( and the only call to opendir( in src/, and
+unless WriteShardManifest( is called exactly twice: once by the shard
+writer (src/data/rolling_store.cc) and once by the manifest rebuild
+(src/data/store_recovery.cc).
 
 Every durable publish goes through common/file_io (fsync the temp,
 rename, fsync the directory) and every versioned-series scan through its
 FileSeries. A second call site is a second publish or scan path that
-skips that discipline. Both .cc and .h files are scanned, so an inline
-function in a header counts too. Comments and string literals do not
-count: headers and comments name rename( on purpose.
+skips that discipline; a third manifest writer is a second copy of the
+seal-then-publish protocol. Both .cc and .h files are scanned, so an
+inline function in a header counts too. Comments and string literals do
+not count: headers and comments name rename( on purpose. Neither does
+the declaration or definition of WriteShardManifest itself.
 
 Usage: python3 tools/check_single_write_path.py [repo_root]
 Exit status 0 when the invariant holds, 1 otherwise (sites listed).
@@ -18,9 +23,18 @@ import re
 import sys
 
 OWNER = "src/common/file_io.cc"
+# Call name -> the files that must hold its call sites, one each.
+OWNERS = {
+    "rename": [OWNER],
+    "opendir": [OWNER],
+    "WriteShardManifest": ["src/data/rolling_store.cc",
+                           "src/data/store_recovery.cc"],
+}
+# A call, not a longer name that ends in it, nor the `Status` return
+# type of its declaration or definition.
 CALLS = {
-    name: re.compile(r"(?<![A-Za-z0-9_])" + name + r"\s*\(")
-    for name in ("rename", "opendir")
+    name: re.compile(r"(?<![A-Za-z0-9_])(?<!Status )" + name + r"\s*\(")
+    for name in OWNERS
 }
 # A // comment, a /* */ comment, or a string or character literal.
 NON_CODE = re.compile(
@@ -52,12 +66,15 @@ def main(argv):
     root = pathlib.Path(argv[1] if len(argv) > 1 else ".")
     ok = True
     for name, found in call_sites(root).items():
-        if len(found) == 1 and found[0][0] == OWNER:
-            print(f"{name}(: one call, {found[0][0]}:{found[0][1]}")
+        owners = OWNERS[name]
+        if sorted(relative for relative, _ in found) == owners:
+            where = ", ".join(f"{relative}:{number}"
+                              for relative, number in found)
+            print(f"{name}(: {len(found)} call(s), {where}")
             continue
         ok = False
-        print(f"error: {name}( must be called exactly once, in {OWNER}; "
-              f"found {len(found)} call(s):")
+        print(f"error: {name}( must be called exactly once in each of "
+              f"{', '.join(owners)}; found {len(found)} call(s):")
         for relative, number in found:
             print(f"  {relative}:{number}")
     return 0 if ok else 1
