@@ -54,6 +54,19 @@ Status FsyncParentDirectory(const std::string& path) {
       O_DIRECTORY);
 }
 
+void StartWriteback(int fd, uint64_t offset, uint64_t bytes) {
+#if defined(__linux__)
+  // Errors (EBADF, ESPIPE on a pipe, EIO) are deliberately dropped: a
+  // failed hint costs only the overlap, and fsync reports real failures.
+  (void)::sync_file_range(fd, static_cast<off_t>(offset),
+                          static_cast<off_t>(bytes), SYNC_FILE_RANGE_WRITE);
+#else
+  (void)fd;
+  (void)offset;
+  (void)bytes;
+#endif
+}
+
 Status AtomicRename(const std::string& from, const std::string& to) {
   if (std::rename(from.c_str(), to.c_str()) != 0) {
     return Status::IoError("rename '" + from + "' -> '" + to +

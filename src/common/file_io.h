@@ -1,5 +1,6 @@
 // Durable writes and versioned file series: the one place in src/ that
-// renames files or scans a directory.
+// renames files, fsyncs them, starts their writeback or scans a
+// directory.
 //
 // Every durable file — column stores and their shards, shard manifests,
 // run reports, the scheduler's latest.json and the metrics time series —
@@ -57,6 +58,15 @@ Status FsyncParentDirectory(const std::string& path);
 /// observable. Does NOT fsync; callers follow with
 /// FsyncParentDirectory(to). IoError with errno detail on failure.
 Status AtomicRename(const std::string& from, const std::string& to);
+
+/// Asks the kernel to start writing bytes [offset, offset + bytes) of the
+/// open file `fd` back to disk, without waiting for them: on Linux
+/// sync_file_range(SYNC_FILE_RANGE_WRITE), elsewhere a no-op. A hint
+/// only — it makes nothing durable and reports nothing; the fsync in
+/// PublishTempFile stays the one durability point and still reports any
+/// writeback error. A streaming writer calls it after each large write
+/// so that the seal's fsync finds the file mostly on disk already.
+void StartWriteback(int fd, uint64_t offset, uint64_t bytes);
 
 /// Failpoints a publish checks at its two internal steps (null = none).
 /// A caller's "before the write" failpoint stays at its own call site.

@@ -9,12 +9,14 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <vector>
 
 #include "common/check.h"
 #include "common/failpoint.h"
 #include "common/file_io.h"
 #include "common/metrics.h"
+#include "common/trace.h"
 #include "data/csv.h"
 #include "data/shard_store.h"
 #include "linalg/kernels.h"
@@ -88,6 +90,25 @@ std::string StorePrefix(const std::string& path) {
   return "column store '" + path + "': ";
 }
 
+/// pwrite(2)s all `size` bytes at `offset`, retrying short writes and
+/// EINTR. Returns 0, or the errno of the failed write.
+int WriteFully(int fd, const void* data, size_t size, uint64_t offset) {
+  const char* bytes = static_cast<const char*>(data);
+  while (size > 0) {
+    const ssize_t written =
+        ::pwrite(fd, bytes, size, static_cast<off_t>(offset));
+    if (written < 0) {
+      if (errno == EINTR) continue;
+      return errno;
+    }
+    if (written == 0) return EIO;  // No progress: never spin.
+    bytes += written;
+    size -= static_cast<size_t>(written);
+    offset += static_cast<uint64_t>(written);
+  }
+  return 0;
+}
+
 // The IO seams of the single-file store (common/failpoint.h). Shards of
 // a sharded store are ordinary column stores, so these fire for shard
 // files too; the sharded layer adds its own shard.* / manifest.* points.
@@ -103,6 +124,8 @@ Failpoint fp_read_block("store.read_block");  ///< Before a block verify.
 metrics::Counter m_blocks_written("store.blocks_written");
 metrics::Counter m_bytes_written("store.bytes_written");
 metrics::Counter m_seals("store.seals");
+/// A seal's stall: its last block flush through the published rename.
+metrics::Histogram h_seal_nanos("store.seal_nanos");
 metrics::Counter m_opens("store.opens");
 metrics::Counter m_blocks_verified("store.blocks_verified");
 metrics::Counter m_verify_short_circuits("store.verify_short_circuits");
@@ -186,55 +209,62 @@ Result<ColumnStoreWriter> ColumnStoreWriter::Create(
 
   // All bytes stream into the temp file; Close() renames it over `path`
   // (docs/FORMAT.md §8), so the final name never holds a partial store.
-  std::ofstream file(TempPathFor(path), std::ios::binary | std::ios::trunc);
-  if (!file.is_open()) {
+  const std::string temp_path = TempPathFor(path);
+  const int fd =
+      ::open(temp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (fd < 0) {
     return Status::IoError(StorePrefix(path) + "cannot open temp file '" +
-                           TempPathFor(path) + "' for writing");
+                           temp_path + "' for writing: " +
+                           std::strerror(errno));
   }
   // Deliberately write a MISMATCHED header hash (bitwise NOT of the real
   // one): a file from a writer that crashed before Close() must fail the
   // reader's header-checksum validation instead of passing as a sealed
   // empty store. Close() patches in the real hash (docs/FORMAT.md §2.2).
-  const uint64_t unsealed_hash =
-      ~ColumnStoreHash(prefix.data(), prefix.size());
-  file.write(prefix.data(), static_cast<std::streamsize>(prefix.size()));
-  file.write(reinterpret_cast<const char*>(&unsealed_hash),
-             sizeof(unsealed_hash));
-  const std::string padding(header_bytes - unpadded, '\0');
-  file.write(padding.data(), static_cast<std::streamsize>(padding.size()));
-  if (!file) {
-    return Status::IoError(StorePrefix(path) + "header write failed");
+  std::string header = prefix;
+  AppendU64(&header, ~ColumnStoreHash(prefix.data(), prefix.size()));
+  header.resize(header_bytes, '\0');
+  const int error = WriteFully(fd, header.data(), header.size(), 0);
+  if (error != 0) {
+    ::close(fd);
+    std::remove(temp_path.c_str());
+    return Status::IoError(StorePrefix(path) +
+                           "header write failed: " + std::strerror(error));
   }
-  return ColumnStoreWriter(std::move(file), path, std::move(column_names),
+  return ColumnStoreWriter(fd, path, std::move(column_names),
                            options.block_rows, header_bytes, std::move(prefix));
 }
 
-ColumnStoreWriter::ColumnStoreWriter(std::ofstream file, std::string path,
+ColumnStoreWriter::ColumnStoreWriter(int fd, std::string path,
                                      std::vector<std::string> names,
                                      size_t block_rows, size_t header_bytes,
                                      std::string header_prefix)
-    : file_(std::move(file)),
+    : fd_(fd),
       path_(std::move(path)),
       temp_path_(TempPathFor(path_)),
       names_(std::move(names)),
       block_rows_(block_rows),
       header_bytes_(header_bytes),
       header_prefix_(std::move(header_prefix)),
-      block_(names_.size() * block_rows, 0.0) {}
+      file_bytes_(header_bytes),
+      block_(names_.size() * block_rows + 1, 0.0) {}
 
 ColumnStoreWriter::ColumnStoreWriter(ColumnStoreWriter&& other) noexcept
-    : file_(std::move(other.file_)),
+    : fd_(other.fd_),
       path_(std::move(other.path_)),
       temp_path_(std::move(other.temp_path_)),
       names_(std::move(other.names_)),
       block_rows_(other.block_rows_),
       header_bytes_(other.header_bytes_),
       header_prefix_(std::move(other.header_prefix_)),
+      file_bytes_(other.file_bytes_),
+      writeback_bytes_(other.writeback_bytes_),
       block_(std::move(other.block_)),
       rows_in_block_(other.rows_in_block_),
       rows_written_(other.rows_written_),
       deferred_error_(std::move(other.deferred_error_)),
       closed_(other.closed_) {
+  other.fd_ = -1;
   other.closed_ = true;  // The hollowed-out source must not try to seal.
 }
 
@@ -242,21 +272,24 @@ ColumnStoreWriter& ColumnStoreWriter::operator=(
     ColumnStoreWriter&& other) noexcept {
   if (this == &other) return *this;
   // Seal the store this writer was building before abandoning it: a
-  // member-wise move would close the old ofstream without flushing the
-  // partial block or patching the header, silently losing the file.
+  // member-wise move would drop the old fd without flushing the partial
+  // block or patching the header, silently losing the file.
   if (!closed_) Close();  // Best-effort; errors surface via explicit Close().
-  file_ = std::move(other.file_);
+  fd_ = other.fd_;
   path_ = std::move(other.path_);
   temp_path_ = std::move(other.temp_path_);
   names_ = std::move(other.names_);
   block_rows_ = other.block_rows_;
   header_bytes_ = other.header_bytes_;
   header_prefix_ = std::move(other.header_prefix_);
+  file_bytes_ = other.file_bytes_;
+  writeback_bytes_ = other.writeback_bytes_;
   block_ = std::move(other.block_);
   rows_in_block_ = other.rows_in_block_;
   rows_written_ = other.rows_written_;
   deferred_error_ = std::move(other.deferred_error_);
   closed_ = other.closed_;
+  other.fd_ = -1;
   other.closed_ = true;
   return *this;
 }
@@ -310,17 +343,18 @@ Status ColumnStoreWriter::FlushBlock() {
       std::fill(column + rows_in_block_, column + block_rows_, 0.0);
     }
   }
-  const size_t payload_bytes = block_.size() * sizeof(double);
-  const uint64_t block_hash = ColumnStoreHash(block_.data(), payload_bytes);
+  const size_t payload_values = names_.size() * block_rows_;
+  const uint64_t block_hash =
+      ColumnStoreHash(block_.data(), payload_values * sizeof(double));
+  std::memcpy(block_.data() + payload_values, &block_hash, sizeof(block_hash));
+  const size_t block_bytes = block_.size() * sizeof(double);
   Status status = [&]() -> Status {
     RR_FAILPOINT(fp_block_write);
-    file_.write(reinterpret_cast<const char*>(block_.data()),
-                static_cast<std::streamsize>(payload_bytes));
-    file_.write(reinterpret_cast<const char*>(&block_hash),
-                sizeof(block_hash));
-    if (!file_) {
+    const int error = WriteFully(fd_, block_.data(), block_bytes, file_bytes_);
+    if (error != 0) {
       return Status::IoError(StorePrefix(path_) + "block write failed after " +
-                             std::to_string(rows_written_) + " records");
+                             std::to_string(rows_written_) +
+                             " records: " + std::strerror(error));
     }
     return Status::OK();
   }();
@@ -328,8 +362,21 @@ Status ColumnStoreWriter::FlushBlock() {
     deferred_error_ = status;  // A lost block must never seal.
     return status;
   }
+  file_bytes_ += block_bytes;
+  // The disk writes back every page this block completed while the next
+  // block fills, so the seal's fsync finds the file mostly on disk. The
+  // page the next block still writes into waits for it, so no page is
+  // written back while still being filled, and a store smaller than a
+  // page never asks.
+  static const uint64_t page_bytes =
+      static_cast<uint64_t>(::sysconf(_SC_PAGESIZE));
+  const uint64_t complete = file_bytes_ / page_bytes * page_bytes;
+  if (complete > writeback_bytes_) {
+    StartWriteback(fd_, writeback_bytes_, complete - writeback_bytes_);
+    writeback_bytes_ = complete;
+  }
   m_blocks_written.Add(1);
-  m_bytes_written.Add(payload_bytes + sizeof(block_hash));
+  m_bytes_written.Add(block_bytes);
   rows_in_block_ = 0;
   return Status::OK();
 }
@@ -342,7 +389,10 @@ Status ColumnStoreWriter::Close() {
     // The store never reached its final name; don't leave the temp file
     // masquerading as work in progress (best-effort — a crash-grade
     // failure leaves it for RecoverShardedStore's orphan sweep).
-    if (file_.is_open()) file_.close();
+    if (fd_ >= 0) {
+      ::close(fd_);
+      fd_ = -1;
+    }
     std::remove(temp_path_.c_str());
   }
   return sealed;
@@ -350,22 +400,23 @@ Status ColumnStoreWriter::Close() {
 
 Status ColumnStoreWriter::Seal() {
   if (!deferred_error_.ok()) return deferred_error_;
-  if (!file_.is_open()) {
+  if (fd_ < 0) {
     return Status::IoError(StorePrefix(path_) + "file is not open");
   }
+  const uint64_t seal_start_nanos = trace::NowNanos();
   RR_RETURN_NOT_OK(FlushBlock());
   RR_FAILPOINT(fp_seal);
   // Patch the record count and re-seal the header (docs/FORMAT.md §2).
   PatchU64(&header_prefix_, kNumRecordsOffset, rows_written_);
-  const uint64_t header_hash =
-      ColumnStoreHash(header_prefix_.data(), header_prefix_.size());
-  file_.seekp(0);
-  file_.write(header_prefix_.data(),
-              static_cast<std::streamsize>(header_prefix_.size()));
-  file_.write(reinterpret_cast<const char*>(&header_hash), sizeof(header_hash));
-  file_.close();
-  if (file_.fail()) {
-    return Status::IoError(StorePrefix(path_) + "closing write failed");
+  std::string header = header_prefix_;
+  AppendU64(&header,
+            ColumnStoreHash(header_prefix_.data(), header_prefix_.size()));
+  int error = WriteFully(fd_, header.data(), header.size(), 0);
+  if (::close(fd_) != 0 && error == 0) error = errno;
+  fd_ = -1;
+  if (error != 0) {
+    return Status::IoError(StorePrefix(path_) +
+                           "closing write failed: " + std::strerror(error));
   }
   // Durable finalization (docs/FORMAT.md §8): the sealed bytes reach the
   // platters before the rename publishes them, and the rename reaches
@@ -374,6 +425,7 @@ Status ColumnStoreWriter::Seal() {
   seams.before_fsync = &fp_fsync;
   seams.before_rename = &fp_rename;
   RR_RETURN_NOT_OK(PublishTempFile(temp_path_, path_, seams));
+  h_seal_nanos.Record(trace::NowNanos() - seal_start_nanos);
   m_seals.Add(1);
   return Status::OK();
 }

@@ -35,7 +35,6 @@
 #define RANDRECON_DATA_COLUMN_STORE_H_
 
 #include <cstdint>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -75,11 +74,15 @@ struct ColumnStoreOptions {
 
 /// Streams row-major record chunks into a column-store file.
 ///
-/// All bytes stream into the temp file TempPathFor(path) ("<path>.tmp");
-/// Close() flushes the final partial block, patches the record count +
-/// the real header checksum, and publishes the temp over `path` with
-/// PublishTempFile (common/file_io.h: fsync, rename, fsync the parent
-/// directory) — the rename protocol of docs/FORMAT.md §8. `path` therefore either
+/// All bytes stream into the temp file TempPathFor(path) ("<path>.tmp")
+/// through a POSIX fd, one write per block; after each block the writer
+/// starts the writeback of the pages that block completed
+/// (StartWriteback, common/file_io.h), so the disk works while the next
+/// block fills. Close() flushes the final
+/// partial block, patches the record count + the real header checksum,
+/// and publishes the temp over `path` with PublishTempFile (fsync,
+/// rename, fsync the parent directory) — the rename protocol of
+/// docs/FORMAT.md §8; that fsync stays the one durability point. `path` therefore either
 /// does not exist or holds a complete sealed store at every instant; a
 /// crash leaves at worst an orphan ".tmp" whose header carries an
 /// intentionally mismatched checksum, so even a reader pointed straight
@@ -90,7 +93,8 @@ class ColumnStoreWriter {
  public:
   /// Opens `path`'s temp file for writing and emits the unsealed header.
   /// Fails with InvalidArgument on empty/duplicate names or
-  /// block_rows == 0, and IoError if the temp file can't be created.
+  /// block_rows == 0, and IoError naming the errno if the temp file can't
+  /// be created or written (the temp is removed then).
   static Result<ColumnStoreWriter> Create(const std::string& path,
                                           std::vector<std::string> column_names,
                                           ColumnStoreOptions options = {});
@@ -115,9 +119,9 @@ class ColumnStoreWriter {
 
   /// Flushes the final partial block, patches the header record count and
   /// checksum, fsyncs, and atomically renames the temp file to the final
-  /// path. Idempotent; IoError on write/fsync/rename failure (the temp
-  /// file is removed best-effort then — a failed store never reaches its
-  /// final name).
+  /// path. Idempotent; IoError naming the errno on write/fsync/rename
+  /// failure (the temp file is removed best-effort then — a failed store
+  /// never reaches its final name).
   Status Close();
 
   /// Records appended so far.
@@ -126,11 +130,12 @@ class ColumnStoreWriter {
   size_t num_attributes() const { return names_.size(); }
 
  private:
-  ColumnStoreWriter(std::ofstream file, std::string path,
+  ColumnStoreWriter(int fd, std::string path,
                     std::vector<std::string> names, size_t block_rows,
                     size_t header_bytes, std::string header_prefix);
 
-  /// Writes the buffered block (zero-padded to full size) + checksum.
+  /// Writes the buffered block (zero-padded to full size) + checksum in
+  /// one write and starts the writeback of the pages it completed.
   /// Failures are sticky (recorded in deferred_error_).
   Status FlushBlock();
 
@@ -138,7 +143,7 @@ class ColumnStoreWriter {
   /// can clean up the temp file on any failure path.
   Status Seal();
 
-  std::ofstream file_;
+  int fd_ = -1;            ///< The temp file; -1 once closed.
   std::string path_;       ///< The final path the sealed store renames to.
   std::string temp_path_;  ///< TempPathFor(path_): where bytes stream.
   std::vector<std::string> names_;
@@ -147,7 +152,12 @@ class ColumnStoreWriter {
   /// Header bytes before the checksum field, with the record count still
   /// zeroed — Close() patches the count in this image and re-hashes it.
   std::string header_prefix_;
-  /// One block in columnar layout: column j at [j * block_rows, ...).
+  /// Bytes written to the temp so far: where the next block goes.
+  uint64_t file_bytes_;
+  /// Leading bytes whose writeback has been started (whole pages).
+  uint64_t writeback_bytes_ = 0;
+  /// One block in columnar layout, column j at [j * block_rows, ...),
+  /// then one slot for its checksum, so a block leaves in one write.
   std::vector<double> block_;
   size_t rows_in_block_ = 0;
   size_t rows_written_ = 0;

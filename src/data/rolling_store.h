@@ -12,6 +12,11 @@
 //     shard to `shard_rows` rows (splitting a chunk across shards when
 //     needed) seals it: flush + header patch + fsync + atomic rename,
 //     then a reopen that digests the sealed header and block hashes.
+//     The seal runs inline on the writer's thread but seldom waits
+//     long: the column-store writer starts each block's writeback as
+//     it writes it (StartWriteback, common/file_io.h), so the fsync
+//     finds the shard mostly on disk and stays the one durability
+//     point.
 //   * Publish writes a NEW manifest over every sealed, retained shard
 //     through the same write-temp → fsync → atomic-rename path every
 //     ".rrcm" already uses (docs/FORMAT.md §7–8), then applies

@@ -1,10 +1,12 @@
 // common/file_io: the durable publish (fsync → rename → directory fsync,
-// no temp left on failure, seams firing at their steps) and FileSeries
-// (naming, the one series-name parser, directory listing, retention).
+// no temp left on failure, seams firing at their steps), the writeback
+// hint, and FileSeries (naming, the one series-name parser, directory
+// listing, retention).
 
 #include "common/file_io.h"
 
 #include <dirent.h>
+#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -231,6 +233,44 @@ TEST_F(FileIoTest, PublishTempFileRenamesAClosedTempIntoPlace) {
   EXPECT_EQ(PublishTempFile(TempPathFor(path), dir_ + "/other").code(),
             StatusCode::kIoError);
   EXPECT_FALSE(FileExists(dir_ + "/other"));
+}
+
+// StartWriteback is only a hint: the bytes it asks the kernel to write
+// back stay exactly what was written, and the publish after it still
+// fsyncs and renames as usual.
+TEST_F(FileIoTest, StartWritebackLeavesTheBytesAndThePublishIntact) {
+  const std::string path = dir_ + "/store.rrcs";
+  std::string bytes(3 * 4096 + 123, '\0');
+  for (size_t i = 0; i < bytes.size(); ++i) bytes[i] = static_cast<char>(i * 7);
+  const int fd = ::open(TempPathFor(path).c_str(),
+                        O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::write(fd, bytes.data(), 4096), 4096);
+  StartWriteback(fd, 0, 4096);
+  const size_t rest = bytes.size() - 4096;
+  ASSERT_EQ(::write(fd, bytes.data() + 4096, rest),
+            static_cast<ssize_t>(rest));
+  StartWriteback(fd, 4096, rest);
+  StartWriteback(fd, bytes.size(), 1 << 20);  // Past the end: no effect.
+  ASSERT_EQ(::close(fd), 0);
+  ASSERT_TRUE(PublishTempFile(TempPathFor(path), path).ok());
+  EXPECT_EQ(Slurp(path), bytes);
+  EXPECT_EQ(ListDir(dir_), std::vector<std::string>{"store.rrcs"});
+}
+
+// An fd that refuses the hint (a pipe: sync_file_range fails with
+// ESPIPE) is ignored; the pipe still carries what was written.
+TEST_F(FileIoTest, StartWritebackIgnoresAnFdThatRefusesIt) {
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  ASSERT_EQ(::write(fds[1], "x", 1), 1);
+  StartWriteback(fds[1], 0, 1);
+  StartWriteback(fds[0], 0, 1);
+  char byte = 0;
+  EXPECT_EQ(::read(fds[0], &byte, 1), 1);
+  EXPECT_EQ(byte, 'x');
+  ::close(fds[0]);
+  ::close(fds[1]);
 }
 
 TEST(JoinPathTest, UsesExactlyOneSeparator) {

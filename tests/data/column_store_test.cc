@@ -8,6 +8,9 @@
 
 #include "data/column_store.h"
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -16,6 +19,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/failpoint.h"
+#include "common/file_io.h"
+#include "common/metrics.h"
 #include "data/csv.h"
 #include "linalg/matrix_util.h"
 #include "stats/rng.h"
@@ -579,6 +585,73 @@ TEST(ColumnStoreReaderTest, MoveAssignmentReleasesTheOldMapping) {
   Matrix second_buffer(60, 2);
   ASSERT_TRUE(reader.ReadRows(0, 60, &second_buffer).ok());
   EXPECT_TRUE(second_buffer == second);
+}
+
+// The writer goes through a POSIX fd, so a failed write names its errno.
+// The temp path is a symlink to /dev/full, whose every write fails with
+// ENOSPC: Create must fail at the header, name the cause, and leave
+// neither the final name nor the temp behind.
+TEST(ColumnStoreTest, WriteErrorsNameTheirCause) {
+  struct stat device;
+  if (::stat("/dev/full", &device) != 0) GTEST_SKIP() << "no /dev/full";
+  ScratchFile file("full_disk.rrcs");
+  const std::string temp = TempPathFor(file.path());
+  std::remove(temp.c_str());
+  ASSERT_EQ(::symlink("/dev/full", temp.c_str()), 0);
+  const auto writer = ColumnStoreWriter::Create(file.path(), Names(2));
+  struct stat left;
+  const bool temp_left = ::lstat(temp.c_str(), &left) == 0;
+  std::remove(temp.c_str());
+  ASSERT_FALSE(writer.ok());
+  EXPECT_EQ(writer.status().code(), StatusCode::kIoError);
+  EXPECT_NE(writer.status().message().find("No space left on device"),
+            std::string::npos)
+      << writer.status().ToString();
+  EXPECT_FALSE(temp_left);
+  EXPECT_NE(::stat(file.path().c_str(), &left), 0);
+}
+
+uint64_t CounterValue(const char* name) {
+  for (const metrics::CounterSnapshot& c : metrics::Snapshot().counters) {
+    if (c.name == name) return c.value;
+  }
+  ADD_FAILURE() << "no counter named " << name;
+  return 0;
+}
+
+uint64_t HistogramCount(const char* name) {
+  for (const metrics::HistogramSnapshot& h : metrics::Snapshot().histograms) {
+    if (h.name == name) return h.count;
+  }
+  ADD_FAILURE() << "no histogram named " << name;
+  return 0;
+}
+
+// store.seal_nanos times each seal's stall (last flush through the
+// published rename): one sample per seal, like the store.seals counter,
+// and none for a seal that fails.
+TEST(ColumnStoreTest, EverySealRecordsItsStall) {
+  ScratchFile first("seal_a.rrcs");
+  ScratchFile second("seal_b.rrcs");
+  stats::Rng rng(21);
+  const uint64_t seals = CounterValue("store.seals");
+  const uint64_t stalls = HistogramCount("store.seal_nanos");
+  WriteStore(first.path(), rng.GaussianMatrix(40, 3), /*block_rows=*/16);
+  EXPECT_EQ(CounterValue("store.seals"), seals + 1);
+  EXPECT_EQ(HistogramCount("store.seal_nanos"), stalls + 1);
+  WriteStore(second.path(), rng.GaussianMatrix(32, 3), /*block_rows=*/16);
+  EXPECT_EQ(CounterValue("store.seals"), seals + 2);
+  EXPECT_EQ(HistogramCount("store.seal_nanos"), stalls + 2);
+
+  // A seal whose rename fails publishes nothing and records no stall.
+  ASSERT_TRUE(ArmFailpoint("store.rename", FailpointAction::kError).ok());
+  auto created = ColumnStoreWriter::Create(first.path() + ".x", Names(3));
+  ASSERT_TRUE(created.ok());
+  ColumnStoreWriter writer = std::move(created).value();
+  EXPECT_EQ(writer.Close().code(), StatusCode::kIoError);
+  DisarmAllFailpoints();
+  EXPECT_EQ(CounterValue("store.seals"), seals + 2);
+  EXPECT_EQ(HistogramCount("store.seal_nanos"), stalls + 2);
 }
 
 TEST(ColumnStoreHashTest, MatchesPinnedVectors) {

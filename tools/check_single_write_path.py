@@ -1,18 +1,21 @@
 #!/usr/bin/env python3
 """Keep one durable-write path: fail unless src/common/file_io.cc holds
-the only call to rename( and the only call to opendir( in src/, and
-unless WriteShardManifest( is called exactly twice: once by the shard
-writer (src/data/rolling_store.cc) and once by the manifest rebuild
-(src/data/store_recovery.cc).
+the only call in src/ to each of rename(, opendir(, fsync( and
+sync_file_range(, and unless WriteShardManifest( is called exactly
+twice: once by the shard writer (src/data/rolling_store.cc) and once by
+the manifest rebuild (src/data/store_recovery.cc).
 
 Every durable publish goes through common/file_io (fsync the temp,
 rename, fsync the directory) and every versioned-series scan through its
-FileSeries. A second call site is a second publish or scan path that
-skips that discipline; a third manifest writer is a second copy of the
-seal-then-publish protocol. Both .cc and .h files are scanned, so an
-inline function in a header counts too. Comments and string literals do
-not count: headers and comments name rename( on purpose. Neither does
-the declaration or definition of WriteShardManifest itself.
+FileSeries. Writers start writeback early only through its
+StartWriteback hint, so the hint stays beside the one fsync that makes
+the bytes durable. A second call site is a second publish, sync or scan
+path that skips that discipline; a third manifest writer is a second
+copy of the seal-then-publish protocol. Both .cc and .h files are
+scanned, so an inline function in a header counts too. Comments and
+string literals do not count: headers and comments name rename( and
+fsync( on purpose. Neither does the declaration or definition of
+WriteShardManifest itself.
 
 Usage: python3 tools/check_single_write_path.py [repo_root]
 Exit status 0 when the invariant holds, 1 otherwise (sites listed).
@@ -27,6 +30,8 @@ OWNER = "src/common/file_io.cc"
 OWNERS = {
     "rename": [OWNER],
     "opendir": [OWNER],
+    "fsync": [OWNER],
+    "sync_file_range": [OWNER],
     "WriteShardManifest": ["src/data/rolling_store.cc",
                            "src/data/store_recovery.cc"],
 }
