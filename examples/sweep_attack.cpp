@@ -14,7 +14,8 @@
 // already covers are excluded from the standalone list, so a directory
 // holding "reports.rrcm" + its shards yields ONE logical job, not one
 // per shard file — unless --per_shard=true, which expands each manifest
-// into independent per-shard jobs (pipeline::MakePerShardJobs) for
+// into independent per-shard jobs (pipeline::MakePerShardJobsDegraded:
+// shards that fail the manifest check are excluded and reported) for
 // shard-parallel scheduling.
 //
 // Every job runs the same attack configuration under an independent

@@ -8,7 +8,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 
 #include "common/failpoint.h"
 
@@ -88,19 +87,40 @@ Status PublishTempFile(const std::string& temp_path, const std::string& path,
   return published;
 }
 
+int WriteFully(int fd, const void* data, size_t size, uint64_t offset) {
+  const char* bytes = static_cast<const char*>(data);
+  while (size > 0) {
+    const ssize_t written =
+        ::pwrite(fd, bytes, size, static_cast<off_t>(offset));
+    if (written < 0) {
+      if (errno == EINTR) continue;
+      return errno;
+    }
+    if (written == 0) return EIO;  // No progress: never spin.
+    bytes += written;
+    size -= static_cast<size_t>(written);
+    offset += static_cast<uint64_t>(written);
+  }
+  return 0;
+}
+
 Status WriteFileAtomic(const std::string& path, const std::string& bytes,
                        const PublishSeams& seams) {
   const std::string temp_path = TempPathFor(path);
-  std::ofstream file(temp_path, std::ios::binary | std::ios::trunc);
-  if (!file.is_open()) {
+  const int fd =
+      ::open(temp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (fd < 0) {
     return Status::IoError("cannot create temp file '" + temp_path +
                            "': " + std::strerror(errno));
   }
-  file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  file.close();
-  if (file.fail()) {
+  const int write_error = WriteFully(fd, bytes.data(), bytes.size(), 0);
+  const int close_error = ::close(fd) != 0 ? errno : 0;
+  if (write_error != 0 || close_error != 0) {
     std::remove(temp_path.c_str());
-    return Status::IoError("cannot write temp file '" + temp_path + "'");
+    return Status::IoError(
+        std::string(write_error != 0 ? "cannot write" : "cannot close") +
+        " temp file '" + temp_path + "': " +
+        std::strerror(write_error != 0 ? write_error : close_error));
   }
   return PublishTempFile(temp_path, path, seams);
 }

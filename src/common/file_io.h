@@ -83,8 +83,16 @@ struct PublishSeams {
 Status PublishTempFile(const std::string& temp_path, const std::string& path,
                        const PublishSeams& seams = {});
 
-/// Writes `bytes` to TempPathFor(path), then PublishTempFile. No temp
-/// survives a failure.
+/// pwrite(2)s all `size` bytes of `data` to `fd` at `offset`, retrying
+/// short writes and EINTR. Returns 0, or the errno of the failed write
+/// (EIO when a write makes no progress). Every durable file's bytes leave
+/// through here.
+int WriteFully(int fd, const void* data, size_t size, uint64_t offset);
+
+/// Writes `bytes` to TempPathFor(path) through a POSIX fd (created like a
+/// column store's temp: mode 0666 before the umask), then
+/// PublishTempFile. An open, write or close failure is an IoError naming
+/// its errno; no temp survives a failure.
 Status WriteFileAtomic(const std::string& path, const std::string& bytes,
                        const PublishSeams& seams = {});
 

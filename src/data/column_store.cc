@@ -90,25 +90,6 @@ std::string StorePrefix(const std::string& path) {
   return "column store '" + path + "': ";
 }
 
-/// pwrite(2)s all `size` bytes at `offset`, retrying short writes and
-/// EINTR. Returns 0, or the errno of the failed write.
-int WriteFully(int fd, const void* data, size_t size, uint64_t offset) {
-  const char* bytes = static_cast<const char*>(data);
-  while (size > 0) {
-    const ssize_t written =
-        ::pwrite(fd, bytes, size, static_cast<off_t>(offset));
-    if (written < 0) {
-      if (errno == EINTR) continue;
-      return errno;
-    }
-    if (written == 0) return EIO;  // No progress: never spin.
-    bytes += written;
-    size -= static_cast<size_t>(written);
-    offset += static_cast<uint64_t>(written);
-  }
-  return 0;
-}
-
 // The IO seams of the single-file store (common/failpoint.h). Shards of
 // a sharded store are ordinary column stores, so these fire for shard
 // files too; the sharded layer adds its own shard.* / manifest.* points.
@@ -129,7 +110,6 @@ metrics::Histogram h_seal_nanos("store.seal_nanos");
 metrics::Counter m_opens("store.opens");
 metrics::Counter m_blocks_verified("store.blocks_verified");
 metrics::Counter m_verify_short_circuits("store.verify_short_circuits");
-metrics::Counter m_rows_read("store.rows_read");
 
 }  // namespace
 
@@ -557,7 +537,7 @@ Result<ColumnStoreReader> ColumnStoreReader::Open(const std::string& path,
   // Ceil-div spelled without `num_records + block_rows - 1`, which wraps
   // for a hostile num_records near UINT64_MAX: a wrapped num_blocks_ of 0
   // would let a resealed header-only file pass the size cross-check below
-  // and send ReadRows past the mapping. This form cannot overflow, so the
+  // and send reads past the mapping. This form cannot overflow, so the
   // lie is caught as a size disagreement like any other.
   reader.num_blocks_ = reader.num_records_ / reader.block_rows_ +
                        (reader.num_records_ % reader.block_rows_ != 0 ? 1 : 0);
@@ -577,13 +557,6 @@ Result<ColumnStoreReader> ColumnStoreReader::Open(const std::string& path,
         " bytes — truncated file or record-count disagreement");
   }
   reader.block_verified_.assign(reader.num_blocks_, 0);
-  if (options.eager_verify) {
-    // Archival mode: verify the whole data section up front (block-
-    // parallel; per-block work is disjoint) so later reads serve from an
-    // already-proven mapping and a corrupt tail fails at Open, not
-    // mid-stream.
-    RR_RETURN_NOT_OK(reader.VerifyBlocksInRange(0, reader.num_blocks_));
-  }
   m_opens.Add(1);
   return reader;
 }
@@ -689,61 +662,6 @@ Status ColumnStoreReader::VerifyBlocksInRange(size_t block_begin,
   return Status::OK();
 }
 
-Status ColumnStoreReader::ReadRows(size_t row_begin, size_t num_rows,
-                                   linalg::Matrix* buffer) {
-  RR_CHECK_EQ(buffer->cols(), names_.size())
-      << "ColumnStoreReader: buffer width mismatch";
-  RR_CHECK(num_rows <= buffer->rows())
-      << "ColumnStoreReader: num_rows exceeds buffer";
-  return ReadRowsInto(row_begin, num_rows, buffer->data());
-}
-
-Status ColumnStoreReader::ReadRowsInto(size_t row_begin, size_t num_rows,
-                                       double* rows) {
-  const size_t m = names_.size();
-  if (row_begin + num_rows > num_records_ || row_begin + num_rows < row_begin) {
-    return Status::InvalidArgument(
-        StorePrefix(path_) + "row range [" + std::to_string(row_begin) + ", " +
-        std::to_string(row_begin + num_rows) + ") exceeds the " +
-        std::to_string(num_records_) + "-record store");
-  }
-  if (num_rows == 0) return Status::OK();
-  const size_t block_begin = row_begin / block_rows_;
-  const size_t block_end = (row_begin + num_rows - 1) / block_rows_ + 1;
-  // Verify first (the parallel sweep collects the lowest failing block),
-  // then gather. A multi-block read gathers block-parallel: every block's
-  // rows land in a disjoint slice of the caller's buffer and each copy is
-  // value-preserving, so the filled bytes are identical for any thread
-  // count (determinism contract 1's "self-contained index" case).
-  RR_RETURN_NOT_OK(VerifyBlocksInRange(block_begin, block_end));
-  ParallelFor(
-      block_begin, block_end,
-      [&](size_t begin, size_t end) {
-        std::vector<const double*> columns(m);
-        for (size_t block = begin; block < end; ++block) {
-          const size_t first_row = std::max(row_begin, block * block_rows_);
-          const size_t local = first_row - block * block_rows_;
-          const size_t take = std::min((block + 1) * block_rows_,
-                                       row_begin + num_rows) -
-                              first_row;
-          const size_t out_row = first_row - row_begin;
-          const double* payload =
-              reinterpret_cast<const double*>(block_payload(block));
-          // Mapped block-local columns gather into the caller's row-major
-          // rows.
-          for (size_t j = 0; j < m; ++j) {
-            columns[j] = payload + j * block_rows_;
-          }
-          linalg::kernels::ColumnsToRows(columns.data(), local, take, m,
-                                         /*offset=*/nullptr,
-                                         rows + out_row * m, m);
-        }
-      },
-      options_.parallel);
-  m_rows_read.Add(num_rows);
-  return Status::OK();
-}
-
 uint64_t ColumnStoreReader::stored_block_hash(size_t block) const {
   RR_CHECK(block < num_blocks_) << "stored_block_hash: block out of range";
   return LoadU64(block_payload(block) + block_stride_ - sizeof(uint64_t));
@@ -771,13 +689,6 @@ Status WriteColumnStore(const Dataset& dataset, const std::string& path,
   return writer.Close();
 }
 
-Result<Dataset> ReadColumnStoreDataset(const std::string& path) {
-  RR_ASSIGN_OR_RETURN(ColumnStoreReader reader, ColumnStoreReader::Open(path));
-  linalg::Matrix records(reader.num_records(), reader.num_attributes());
-  RR_RETURN_NOT_OK(reader.ReadRows(0, reader.num_records(), &records));
-  return Dataset::Create(std::move(records), reader.attribute_names());
-}
-
 Result<RecordFileFormat> DetectRecordFileFormat(const std::string& path) {
   std::ifstream file(path, std::ios::binary);
   if (!file.is_open()) {
@@ -801,7 +712,6 @@ Result<Dataset> ReadRecords(const std::string& path) {
                       DetectRecordFileFormat(path));
   switch (format) {
     case RecordFileFormat::kColumnStore:
-      return ReadColumnStoreDataset(path);
     case RecordFileFormat::kShardManifest:
       return ReadShardedStoreDataset(path);
     case RecordFileFormat::kCsv:

@@ -22,9 +22,13 @@
 //     record count + header checksum on Close(). Wrapped by
 //     pipeline::ColumnStoreChunkSink so any pipeline can emit a store.
 //   * ColumnStoreReader  — memory-maps the file (POSIX mmap, read-only),
-//     validates the header eagerly and each block's checksum lazily on
-//     first touch. Wrapped by pipeline::ColumnStoreRecordSource as a
-//     rewindable RecordSource.
+//     validates the header eagerly and serves each block's columns
+//     zero-copy, verifying the block's checksum on first touch
+//     (BlockColumn) or a whole range at once, block-parallel
+//     (VerifyBlocksInRange). It gathers no rows itself: every read of a
+//     store, a lone file included, goes through
+//     data::ShardedStoreReader (data/shard_store.h), which opens a lone
+//     `.rrcs` as a one-shard store and is the one row gather.
 //
 // Every corruption path (truncation, bad magic/version, checksum
 // mismatch, header/row-count disagreement) fails with a Status naming
@@ -169,10 +173,6 @@ class ColumnStoreWriter {
 
 /// Reader knobs.
 struct ColumnStoreReadOptions {
-  /// Verify EVERY block checksum at Open (archival reads: pay the whole
-  /// scan up front, fail fast, and serve later reads without per-touch
-  /// verification). The default verifies lazily on first touch.
-  bool eager_verify = false;
   /// Worker budget for block-parallel verification and gathers. Results
   /// are bitwise identical for any setting (disjoint per-block work, no
   /// cross-block floating-point accumulation).
@@ -181,20 +181,17 @@ struct ColumnStoreReadOptions {
 
 /// Memory-mapped column-store reader: zero-copy in the sense that file
 /// bytes are consumed straight from the page cache — no read() buffering,
-/// no parsing; ReadRows() is a strided gather from mapped columns into
-/// the caller's row-major buffer. A ReadRows spanning many blocks
-/// verifies and gathers them in parallel (per-block work is disjoint, so
-/// the filled buffer is bitwise identical for any thread count).
+/// no parsing; BlockColumn() points into the mapping.
 ///
 /// Open() validates magic, version, header checksum and the exact file
 /// size implied by the header (which catches both truncation and a
 /// header/row-count disagreement); block checksums are verified lazily,
-/// once, on first touch — or all up front with
-/// ColumnStoreReadOptions::eager_verify. Instances are move-only and
-/// single-threaded (the lazy verification bitmap is unsynchronized
-/// between calls; the block-parallel paths touch disjoint blocks);
-/// concurrent readers should each Open() the file — the kernel shares
-/// the pages.
+/// once, on first touch — a caller that wants the whole file proven up
+/// front (recovery) calls VerifyBlocksInRange(0, num_blocks()).
+/// Instances are move-only and single-threaded (the lazy verification
+/// bitmap is unsynchronized between calls; the block-parallel verify
+/// touches disjoint blocks); concurrent readers should each Open() the
+/// file — the kernel shares the pages.
 class ColumnStoreReader {
  public:
   /// Maps `path` and validates its header. IoError if the file can't be
@@ -214,16 +211,6 @@ class ColumnStoreReader {
   size_t block_rows() const { return block_rows_; }
   size_t num_blocks() const { return num_blocks_; }
   const std::vector<std::string>& attribute_names() const { return names_; }
-
-  /// Fills the leading rows of `buffer` (whose column count must equal
-  /// num_attributes()) with records [row_begin, row_begin + num_rows).
-  /// The range must lie within the store and num_rows within the buffer.
-  /// InvalidArgument (naming block and offset) on a checksum mismatch.
-  Status ReadRows(size_t row_begin, size_t num_rows, linalg::Matrix* buffer);
-
-  /// ReadRows into a raw row-major buffer of num_attributes()-wide rows —
-  /// the pointer form sharded readers target mid-buffer with.
-  Status ReadRowsInto(size_t row_begin, size_t num_rows, double* rows);
 
   /// Zero-copy pointer to column `column` of block `block` — block-local
   /// row r of that column is ptr[r], valid for rows_in_block(block) rows.
@@ -281,9 +268,6 @@ class ColumnStoreReader {
 Status WriteColumnStore(const Dataset& dataset, const std::string& path,
                         ColumnStoreOptions options = {});
 
-/// Reads a whole column store into memory as a Dataset.
-Result<Dataset> ReadColumnStoreDataset(const std::string& path);
-
 /// Record-file formats the auto-detecting loaders understand.
 enum class RecordFileFormat {
   kCsv,
@@ -301,6 +285,8 @@ Result<RecordFileFormat> DetectRecordFileFormat(const std::string& path);
 
 /// Loads `path` as a Dataset whatever its format (sniffed, not by
 /// extension) — the in-memory counterpart of pipeline::OpenRecordSource.
+/// Both store formats load through ReadShardedStoreDataset
+/// (data/shard_store.h).
 Result<Dataset> ReadRecords(const std::string& path);
 
 }  // namespace data

@@ -12,6 +12,7 @@
 #include "common/failpoint.h"
 #include "common/file_io.h"
 #include "common/metrics.h"
+#include "linalg/kernels.h"
 
 namespace randrecon {
 namespace data {
@@ -80,6 +81,7 @@ metrics::Counter m_shards_opened("shard.shards_opened");
 metrics::Counter m_shard_open_hits("shard.open_hits");  ///< Lazy-verify hits.
 metrics::Counter m_manifests_written("shard.manifests_written");
 metrics::Counter m_manifests_read("shard.manifests_read");
+metrics::Counter m_rows_read("store.rows_read");
 
 /// A shard path from a manifest may only address files under the
 /// manifest's directory: relative, with no "." / ".." / empty
@@ -224,9 +226,16 @@ std::string ManifestDirectory(const std::string& manifest_path) {
                                     : manifest_path.substr(0, slash + 1);
 }
 
-Result<ShardManifest> ReadShardManifest(const std::string& manifest_path) {
-  const std::string prefix = ManifestPrefix(manifest_path);
-  std::ifstream file(manifest_path, std::ios::binary);
+namespace {
+
+/// The whole manifest file at `path`, each byte read once. When
+/// `column_store` is given and the file starts with the column-store
+/// magic, sets it and returns no bytes: a lone store is mapped by its own
+/// reader, never read here.
+Result<std::string> ReadManifestImage(const std::string& path,
+                                      bool* column_store) {
+  const std::string prefix = ManifestPrefix(path);
+  std::ifstream file(path, std::ios::binary);
   if (!file.is_open()) {
     return Status::IoError(prefix + "cannot open");
   }
@@ -236,6 +245,14 @@ Result<ShardManifest> ReadShardManifest(const std::string& manifest_path) {
     return Status::IoError(prefix + "cannot determine file size");
   }
   const size_t size = static_cast<size_t>(signed_size);
+  std::string buffer(std::min(size, sizeof(kColumnStoreMagic)), '\0');
+  file.seekg(0);
+  file.read(&buffer[0], static_cast<std::streamsize>(buffer.size()));
+  if (column_store != nullptr &&
+      buffer == std::string(kColumnStoreMagic, sizeof(kColumnStoreMagic))) {
+    *column_store = true;
+    return std::string();
+  }
   if (size > kMaxManifestBytes) {
     return Status::InvalidArgument(
         prefix + "file is " + std::to_string(size) +
@@ -247,13 +264,21 @@ Result<ShardManifest> ReadShardManifest(const std::string& manifest_path) {
         prefix + "file is " + std::to_string(size) +
         " bytes, smaller than the minimum manifest");
   }
-  std::string buffer(size, '\0');
-  file.seekg(0);
-  file.read(&buffer[0], static_cast<std::streamsize>(size));
-  if (file.gcount() != signed_size) {
+  const size_t head = buffer.size();
+  buffer.resize(size);
+  file.read(&buffer[head], static_cast<std::streamsize>(size - head));
+  if (!file || static_cast<size_t>(file.gcount()) != size - head) {
     return Status::IoError(prefix + "short read");
   }
-  const uint8_t* bytes = reinterpret_cast<const uint8_t*>(buffer.data());
+  return buffer;
+}
+
+/// Parses and validates the manifest image read from `path`.
+Result<ShardManifest> ParseManifestImage(const std::string& path,
+                                         const std::string& image) {
+  const std::string prefix = ManifestPrefix(path);
+  const size_t size = image.size();
+  const uint8_t* bytes = reinterpret_cast<const uint8_t*>(image.data());
 
   if (std::memcmp(bytes, kShardManifestMagic, sizeof(kShardManifestMagic)) !=
       0) {
@@ -354,6 +379,14 @@ Result<ShardManifest> ReadShardManifest(const std::string& manifest_path) {
   return manifest;
 }
 
+}  // namespace
+
+Result<ShardManifest> ReadShardManifest(const std::string& manifest_path) {
+  RR_ASSIGN_OR_RETURN(const std::string image,
+                      ReadManifestImage(manifest_path, nullptr));
+  return ParseManifestImage(manifest_path, image);
+}
+
 Status WriteShardManifest(const ShardManifest& manifest,
                           const std::string& manifest_path) {
   const std::string prefix = ManifestPrefix(manifest_path);
@@ -387,20 +420,53 @@ Status WriteShardManifest(const ShardManifest& manifest,
 // ---------------------------------------------------------------------------
 
 ShardedStoreReader::ShardedStoreReader(ShardManifest manifest,
-                                       std::string directory,
+                                       const std::string& path,
                                        ColumnStoreReadOptions store_options)
     : manifest_(std::move(manifest)),
-      directory_(std::move(directory)),
+      manifest_path_(path),
+      directory_(ManifestDirectory(path)),
       store_options_(store_options),
       shards_(manifest_.shards.size()) {}
 
 Result<ShardedStoreReader> ShardedStoreReader::Open(
-    const std::string& manifest_path, ColumnStoreReadOptions store_options) {
-  RR_ASSIGN_OR_RETURN(ShardManifest manifest,
-                      ReadShardManifest(manifest_path));
-  ShardedStoreReader reader(std::move(manifest),
-                            ManifestDirectory(manifest_path), store_options);
-  reader.manifest_path_ = manifest_path;
+    const std::string& path, ColumnStoreReadOptions store_options) {
+  bool column_store = false;
+  RR_ASSIGN_OR_RETURN(const std::string image,
+                      ReadManifestImage(path, &column_store));
+  if (!column_store) {
+    RR_ASSIGN_OR_RETURN(ShardManifest manifest,
+                        ParseManifestImage(path, image));
+    return ShardedStoreReader(std::move(manifest), path, store_options);
+  }
+  // A lone column store is a one-shard store whose one entry is the file
+  // itself, described by the file's own header.
+  ShardManifest manifest;
+  manifest.shards.resize(1);
+  manifest.shards[0].relative_path = path.substr(ManifestDirectory(path).size());
+  ShardedStoreReader reader(std::move(manifest), path, store_options);
+  RR_ASSIGN_OR_RETURN(ColumnStoreReader store, reader.MapShard(0));
+  ShardManifestEntry& entry = reader.manifest_.shards[0];
+  entry.row_count = store.num_records();
+  entry.seal_digest = ComputeShardSealDigest(store);
+  reader.manifest_.num_records = store.num_records();
+  reader.manifest_.column_names = store.attribute_names();
+  reader.shards_[0] = std::make_unique<ColumnStoreReader>(std::move(store));
+  return reader;
+}
+
+ShardedStoreReader ShardedStoreReader::ShardView(
+    const ShardManifest& manifest, const std::string& manifest_path,
+    size_t shard, ColumnStoreReadOptions store_options) {
+  RR_CHECK(shard < manifest.shards.size())
+      << "ShardedStoreReader::ShardView: shard out of range";
+  ShardManifest view;
+  view.version = manifest.version;
+  view.column_names = manifest.column_names;
+  view.shards.push_back(manifest.shards[shard]);
+  view.shards[0].row_begin = 0;
+  view.num_records = view.shards[0].row_count;
+  ShardedStoreReader reader(std::move(view), manifest_path, store_options);
+  reader.first_shard_ = shard;
   return reader;
 }
 
@@ -411,9 +477,22 @@ std::string ShardedStoreReader::shard_path(size_t shard) const {
 }
 
 std::string ShardedStoreReader::ShardPrefix(size_t shard) const {
+  if (shard_path(shard) == manifest_path_) return "";  // A lone store.
   return "sharded store '" + manifest_path_ + "': shard " +
-         std::to_string(shard) + " ('" +
+         std::to_string(first_shard_ + shard) + " ('" +
          manifest_.shards[shard].relative_path + "'): ";
+}
+
+Result<ColumnStoreReader> ShardedStoreReader::MapShard(size_t shard) const {
+  Result<ColumnStoreReader> opened =
+      ColumnStoreReader::Open(shard_path(shard), store_options_);
+  if (!opened.ok()) {
+    // Missing file (IoError) and structural corruption (InvalidArgument,
+    // e.g. truncation) keep their codes; the shard is named either way.
+    return Status(opened.status().code(),
+                  ShardPrefix(shard) + opened.status().message());
+  }
+  return opened;
 }
 
 Result<ColumnStoreReader*> ShardedStoreReader::shard(size_t shard) {
@@ -423,15 +502,7 @@ Result<ColumnStoreReader*> ShardedStoreReader::shard(size_t shard) {
     return shards_[shard].get();
   }
   const ShardManifestEntry& entry = manifest_.shards[shard];
-  Result<ColumnStoreReader> opened =
-      ColumnStoreReader::Open(shard_path(shard), store_options_);
-  if (!opened.ok()) {
-    // Missing file (IoError) and structural corruption (InvalidArgument,
-    // e.g. truncation) keep their codes; the shard is named either way.
-    return Status(opened.status().code(),
-                  ShardPrefix(shard) + opened.status().message());
-  }
-  ColumnStoreReader reader = std::move(opened).value();
+  RR_ASSIGN_OR_RETURN(ColumnStoreReader reader, MapShard(shard));
   if (reader.attribute_names() != manifest_.column_names) {
     return Status::InvalidArgument(
         ShardPrefix(shard) +
@@ -488,16 +559,17 @@ Status ShardedStoreReader::ReadRows(size_t row_begin, size_t num_rows,
                            }) -
           manifest_.shards.begin()) -
       1;
-  // Pass 1 (serial): resolve the spanned shards, opening and
-  // manifest-validating each on first touch. Every spanned shard
-  // appears in exactly one span.
-  struct Span {
-    size_t shard;
-    size_t local;
-    size_t take;
-    size_t out_row;
+  // Serial, in record order: open and check each spanned shard on first
+  // touch, verify its spanned blocks (block-parallel), and cut the range
+  // into (shard, block) pieces. So the lowest failing shard, and within
+  // it the lowest failing block, is the error for any thread count.
+  struct Piece {
+    size_t local;    ///< First row inside the block.
+    size_t take;     ///< Rows copied from the block.
+    size_t out_row;  ///< Where they land in `buffer`.
   };
-  std::vector<Span> spans;
+  std::vector<Piece> pieces;
+  std::vector<const double*> columns;  ///< Piece i's m columns at [i * m).
   size_t out_row = 0;
   while (out_row < num_rows) {
     const ShardManifestEntry& entry = manifest_.shards[shard_index];
@@ -509,31 +581,40 @@ Status ShardedStoreReader::ReadRows(size_t row_begin, size_t num_rows,
       continue;
     }
     RR_ASSIGN_OR_RETURN(ColumnStoreReader * reader, shard(shard_index));
-    (void)reader;
-    spans.push_back({shard_index, local, take, out_row});
+    const size_t block_rows = reader->block_rows();
+    const size_t block_begin = local / block_rows;
+    const size_t block_end = (local + take - 1) / block_rows + 1;
+    const Status verified = reader->VerifyBlocksInRange(block_begin, block_end);
+    if (!verified.ok()) {
+      return Status(verified.code(),
+                    ShardPrefix(shard_index) + verified.message());
+    }
+    for (size_t block = block_begin; block < block_end; ++block) {
+      const size_t first = std::max(local, block * block_rows);
+      const size_t last = std::min(local + take, (block + 1) * block_rows);
+      pieces.push_back({first - block * block_rows, last - first,
+                        out_row + first - local});
+      for (size_t j = 0; j < m; ++j) {
+        RR_ASSIGN_OR_RETURN(const double* column, reader->BlockColumn(block, j));
+        columns.push_back(column);
+      }
+    }
     out_row += take;
     if (local + take == entry.row_count) ++shard_index;
   }
-  // Pass 2 (shard-parallel): each span gathers into a disjoint slice of
-  // the caller's buffer from its own shard reader, so the filled bytes
-  // are bitwise identical for any thread count and the surviving error
-  // (lowest shard) is deterministic. Within a single span the shard's
-  // own block-parallel ReadRows takes over (nested calls run inline).
-  std::vector<Status> statuses(spans.size());
+  // One parallel loop over the pieces: each copies its block's rows into
+  // a disjoint slice of `buffer`, and a copy preserves values, so the
+  // filled bytes do not depend on the thread count or on the split.
   ParallelForEach(
-      0, spans.size(),
+      0, pieces.size(),
       [&](size_t i) {
-        const Span& span = spans[i];
-        statuses[i] = shards_[span.shard]->ReadRowsInto(
-            span.local, span.take, buffer->data() + span.out_row * m);
+        const Piece& piece = pieces[i];
+        linalg::kernels::ColumnsToRows(columns.data() + i * m, piece.local,
+                                       piece.take, m, /*offset=*/nullptr,
+                                       buffer->row_data(piece.out_row), m);
       },
       store_options_.parallel);
-  for (size_t i = 0; i < spans.size(); ++i) {
-    if (!statuses[i].ok()) {
-      return Status(statuses[i].code(),
-                    ShardPrefix(spans[i].shard) + statuses[i].message());
-    }
-  }
+  m_rows_read.Add(num_rows);
   return Status::OK();
 }
 
@@ -541,9 +622,9 @@ Status ShardedStoreReader::ReadRows(size_t row_begin, size_t num_rows,
 // Dataset convenience + cleanup.
 // ---------------------------------------------------------------------------
 
-Result<Dataset> ReadShardedStoreDataset(const std::string& manifest_path) {
+Result<Dataset> ReadShardedStoreDataset(const std::string& path) {
   RR_ASSIGN_OR_RETURN(ShardedStoreReader reader,
-                      ShardedStoreReader::Open(manifest_path));
+                      ShardedStoreReader::Open(path));
   // Validate every shard BEFORE sizing the n x m buffer: the manifest's
   // record count is attacker-controlled until each shard's header (and
   // its header-vs-file-size cross-check) confirms it, and materializing

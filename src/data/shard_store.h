@@ -18,12 +18,16 @@
 //     manifest, never a manifest describing data that was not fully
 //     written.
 //   * ShardedStoreReader — presents the shards as one O(1)-seekable
-//     logical stream. Shards are opened lazily on first touch; opening a
-//     shard validates its schema, row count and seal digest against the
-//     manifest, so every corruption path (missing/truncated shard,
-//     swapped shards, a shard resealed after the manifest was written,
-//     row-span overlap/gap, schema mismatch) fails with a Status naming
-//     the offending shard — never a crash or a silently wrong stream.
+//     logical stream, and is the only reader of column stores: a lone
+//     `.rrcs` opens as a one-shard store. Shards are opened lazily on
+//     first touch, and shard() is the one place a shard file is checked
+//     against its manifest entry (schema, row count, seal digest), so
+//     every corruption path (missing/truncated shard, swapped shards, a
+//     shard resealed after the manifest was written, row-span
+//     overlap/gap, schema mismatch) fails with a Status naming the
+//     offending shard — never a crash or a silently wrong stream.
+//     ReadRows is the one row gather: it verifies the spanned blocks,
+//     then copies every (shard, block) piece in one parallel loop.
 //
 // The wrapped pipeline adapters (ShardedRecordSource, ShardedChunkSink)
 // and the job-per-shard batch decomposition live in src/pipeline/ —
@@ -118,7 +122,7 @@ std::string ManifestDirectory(const std::string& manifest_path);
 /// manifest checksum, exact file size, path safety, and contiguous row
 /// spans (an overlap or gap is an InvalidArgument naming the shard).
 /// Does NOT open any shard — per-shard validation happens lazily in
-/// ShardedStoreReader.
+/// ShardedStoreReader::shard.
 Result<ShardManifest> ReadShardManifest(const std::string& manifest_path);
 
 /// Serializes `manifest` (docs/FORMAT.md §7) to `manifest_path` through
@@ -139,11 +143,26 @@ Status WriteShardManifest(const ShardManifest& manifest,
 /// manifest.
 class ShardedStoreReader {
  public:
-  /// Fails like ReadShardManifest; `store_options` applies to every
-  /// shard open (eager whole-shard verification, block parallelism).
+  /// Opens `path`: a manifest (fails like ReadShardManifest; no shard is
+  /// touched), or a lone column-store file, which is a one-shard store —
+  /// its one entry is the file itself, rows [0, n), with the file's own
+  /// names and seal digest. The lone file is mapped and its header
+  /// validated here (failing like ColumnStoreReader::Open). A manifest
+  /// costs no file I/O beyond ReadShardManifest's (each byte read once);
+  /// a lone store, only its leading magic before the map.
+  /// `store_options` applies to every shard.
   static Result<ShardedStoreReader> Open(
-      const std::string& manifest_path,
-      ColumnStoreReadOptions store_options = {});
+      const std::string& path, ColumnStoreReadOptions store_options = {});
+
+  /// A one-shard view of entry `shard` of `manifest` (parsed from
+  /// `manifest_path`), its rows renumbered from 0: the store a per-shard
+  /// job attacks. Touches no file; the shard is opened and checked
+  /// against its entry, seal digest included, on first use. Errors name
+  /// the shard by its index in `manifest`.
+  static ShardedStoreReader ShardView(const ShardManifest& manifest,
+                                      const std::string& manifest_path,
+                                      size_t shard,
+                                      ColumnStoreReadOptions store_options = {});
 
   ShardedStoreReader(ShardedStoreReader&&) = default;
   ShardedStoreReader& operator=(ShardedStoreReader&&) = default;
@@ -160,39 +179,54 @@ class ShardedStoreReader {
   }
   const ShardManifest& manifest() const { return manifest_; }
 
-  /// Absolute-ish path of shard `shard` (manifest directory + relative
-  /// path) — what a per-shard batch job opens directly.
+  /// Path of shard `shard` (manifest directory + relative path).
   std::string shard_path(size_t shard) const;
 
   /// Fills the leading rows of `buffer` with logical records
   /// [row_begin, row_begin + num_rows), opening the spanned shards on
-  /// demand. Errors name the offending shard.
+  /// demand. The spanned blocks are verified first, so the lowest
+  /// failing (shard, block) is the error whatever the thread count; the
+  /// blocks are then gathered in one parallel loop, each into its own
+  /// slice of `buffer`, so the filled bytes do not depend on the thread
+  /// count either. Errors name the offending shard.
   Status ReadRows(size_t row_begin, size_t num_rows, linalg::Matrix* buffer);
 
-  /// The lazily-opened, manifest-validated reader for shard `shard` —
-  /// columnar consumers iterate its blocks zero-copy. The pointer stays
-  /// valid for the life of this ShardedStoreReader.
+  /// The lazily-opened reader for shard `shard`, checked against its
+  /// manifest entry: the file opens, its schema and row count match, and
+  /// its seal digest equals the entry's. Block checksums are NOT verified
+  /// here (a pin runs this for every shard on every cycle); reads verify
+  /// the blocks they touch. The pointer stays valid for the life of this
+  /// ShardedStoreReader.
   Result<ColumnStoreReader*> shard(size_t shard);
 
  private:
-  ShardedStoreReader(ShardManifest manifest, std::string directory,
+  ShardedStoreReader(ShardManifest manifest, const std::string& path,
                      ColumnStoreReadOptions store_options);
 
   /// "sharded store '<manifest>': shard K ('<path>'): " — every
-  /// shard-level failure is prefixed so the offending shard is named.
+  /// shard-level failure is prefixed so the offending shard is named. A
+  /// lone column store's own messages already name its file: "".
   std::string ShardPrefix(size_t shard) const;
+
+  /// Maps shard `shard`'s file and validates its header; the one open
+  /// of a store file behind every read.
+  Result<ColumnStoreReader> MapShard(size_t shard) const;
 
   ShardManifest manifest_;
   std::string manifest_path_;
   std::string directory_;
   ColumnStoreReadOptions store_options_;
+  /// Index of manifest_.shards[0] in the manifest messages name shards
+  /// by (non-zero only for a ShardView).
+  size_t first_shard_ = 0;
   /// Lazily opened shard readers (null until first touch). unique_ptr
   /// keeps ColumnStoreReader pointers stable across vector growth.
   std::vector<std::unique_ptr<ColumnStoreReader>> shards_;
 };
 
-/// Reads a whole sharded store into memory as a Dataset.
-Result<Dataset> ReadShardedStoreDataset(const std::string& manifest_path);
+/// Reads a whole store — a manifest and its shards, or a lone column
+/// store — into memory as a Dataset.
+Result<Dataset> ReadShardedStoreDataset(const std::string& path);
 
 /// Cleanup of a sharded-store output (after a failed write or
 /// verification): removes the manifest if present, every shard the

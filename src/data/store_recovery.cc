@@ -70,19 +70,20 @@ Status Quarantine(const std::string& path, const std::string& prefix,
 }
 
 /// True iff every shard the manifest names verifies bitwise against it:
-/// the file opens with every block checksum passing, and its schema, row
-/// count and seal digest match the manifest's record of it.
+/// the file passes the reader's check against its entry (schema, row
+/// count, seal digest) and every block checksum passes.
 bool ManifestStoreIsValid(const ShardManifest& manifest,
-                          const std::string& directory,
-                          const ColumnStoreReadOptions& probe_options) {
-  for (const ShardManifestEntry& entry : manifest.shards) {
-    Result<ColumnStoreReader> probe =
-        ColumnStoreReader::Open(directory + entry.relative_path, probe_options);
-    if (!probe.ok()) return false;
-    const ColumnStoreReader& reader = probe.value();
-    if (reader.attribute_names() != manifest.column_names) return false;
-    if (reader.num_records() != entry.row_count) return false;
-    if (ComputeShardSealDigest(reader) != entry.seal_digest) return false;
+                          const std::string& manifest_path,
+                          const ColumnStoreReadOptions& options) {
+  for (size_t s = 0; s < manifest.shards.size(); ++s) {
+    ShardedStoreReader view =
+        ShardedStoreReader::ShardView(manifest, manifest_path, s, options);
+    Result<ColumnStoreReader*> shard = view.shard(0);
+    if (!shard.ok() ||
+        !shard.value()->VerifyBlocksInRange(0, shard.value()->num_blocks())
+             .ok()) {
+      return false;
+    }
   }
   return true;
 }
@@ -96,8 +97,6 @@ Result<StoreRecoveryReport> RecoverShardedStore(
   const std::string prefix = RecoveryPrefix(manifest_path);
   const std::string directory = ManifestDirectory(manifest_path);
   const std::string stem = ShardStemForManifest(manifest_path);
-  ColumnStoreReadOptions probe_options = options.store_options;
-  probe_options.eager_verify = true;
 
   StoreRecoveryReport report;
 
@@ -131,7 +130,8 @@ Result<StoreRecoveryReport> RecoverShardedStore(
   // shards it does not name (strays from an interrupted rewrite).
   Result<ShardManifest> existing = ReadShardManifest(manifest_path);
   if (existing.ok() &&
-      ManifestStoreIsValid(existing.value(), directory, probe_options)) {
+      ManifestStoreIsValid(existing.value(), manifest_path,
+                           options.store_options)) {
     std::set<std::string> named;
     for (const ShardManifestEntry& entry : existing.value().shards) {
       named.insert(entry.relative_path);
@@ -160,21 +160,25 @@ Result<StoreRecoveryReport> RecoverShardedStore(
   for (size_t index = 0; index < num_indexes; ++index) {
     const std::string shard_path = directory + ShardFileName(stem, index);
     if (prefix_open && FileExists(shard_path)) {
+      // No entry to check this file against: it must open and every
+      // block checksum must pass.
       Result<ColumnStoreReader> probe =
-          ColumnStoreReader::Open(shard_path, probe_options);
-      if (probe.ok() && probe.value().num_records() > 0 &&
-          (entries.empty() ||
-           probe.value().attribute_names() == column_names)) {
-        const ColumnStoreReader& reader = probe.value();
-        if (entries.empty()) column_names = reader.attribute_names();
-        ShardManifestEntry entry;
-        entry.relative_path = ShardFileName(stem, index);
-        entry.row_begin = total_records;
-        entry.row_count = reader.num_records();
-        entry.seal_digest = ComputeShardSealDigest(reader);
-        total_records += entry.row_count;
-        entries.push_back(std::move(entry));
-        continue;
+          ColumnStoreReader::Open(shard_path, options.store_options);
+      if (probe.ok()) {
+        ColumnStoreReader reader = std::move(probe).value();
+        if (reader.VerifyBlocksInRange(0, reader.num_blocks()).ok() &&
+            reader.num_records() > 0 &&
+            (entries.empty() || reader.attribute_names() == column_names)) {
+          if (entries.empty()) column_names = reader.attribute_names();
+          ShardManifestEntry entry;
+          entry.relative_path = ShardFileName(stem, index);
+          entry.row_begin = total_records;
+          entry.row_count = reader.num_records();
+          entry.seal_digest = ComputeShardSealDigest(reader);
+          total_records += entry.row_count;
+          entries.push_back(std::move(entry));
+          continue;
+        }
       }
     }
     prefix_open = false;

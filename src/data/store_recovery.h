@@ -12,8 +12,9 @@
 //   1. Orphan temp files (shard and manifest ".tmp") are removed — by
 //      protocol a temp is never the only copy of sealed data.
 //   2. If the existing manifest parses and EVERY shard it names
-//      verifies bitwise (eager whole-file checksum scan + seal digest),
-//      the store is already valid and is left untouched.
+//      verifies bitwise (ShardedStoreReader::shard's check against its
+//      entry, seal digest included, plus a whole-file block checksum
+//      scan), the store is already valid and is left untouched.
 //   3. Otherwise the manifest is rebuilt from the conventional shard
 //      files ("<stem>.shard-NNNNN.rrcs"): the maximal contiguous prefix
 //      of sealed, schema-consistent, fully-verified shards starting at
@@ -44,9 +45,9 @@ namespace data {
 
 /// Recovery knobs.
 struct StoreRecoveryOptions {
-  /// Applied to every shard probe. `eager_verify` is forced on — a shard
-  /// joins the recovered prefix only after every block checksum passes,
-  /// so the recovered store is bitwise-trustworthy, not just
+  /// Applied to every shard probe. Every probe verifies every block
+  /// checksum — a shard joins the recovered prefix only after they all
+  /// pass, so the recovered store is bitwise-trustworthy, not just
   /// plausible-looking.
   ColumnStoreReadOptions store_options;
 };

@@ -120,8 +120,7 @@ struct AttackSchedulerOptions {
   /// Observation only: the attack math never reads trace state, so
   /// cycle output stays bitwise identical either way.
   bool trace_cycles = false;
-  /// Shard-open options for the pinned snapshot (eager verification,
-  /// block parallelism).
+  /// Shard-open options for the pinned snapshot (block parallelism).
   data::ColumnStoreReadOptions store_options;
 };
 

@@ -106,7 +106,7 @@ class CsvChunkSink final : public ChunkSink {
 /// Appends reconstructed records to a binary column store
 /// (data::ColumnStoreWriter) — the native-format counterpart of
 /// CsvChunkSink: bitwise-exact f64 values (CSV rounds at `precision`),
-/// and the output is itself attackable through ColumnStoreRecordSource
+/// and the output is itself attackable through ShardedRecordSource
 /// without a parse.
 class ColumnStoreChunkSink final : public ChunkSink {
  public:

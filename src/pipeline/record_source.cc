@@ -84,41 +84,10 @@ Result<CsvRecordSource> CsvRecordSource::FromString(std::string text) {
   return CsvRecordSource(std::move(reader));
 }
 
-Result<ColumnStoreRecordSource> ColumnStoreRecordSource::Open(
-    const std::string& path, data::ColumnStoreReadOptions options) {
-  RR_ASSIGN_OR_RETURN(data::ColumnStoreReader reader,
-                      data::ColumnStoreReader::Open(path, options));
-  return ColumnStoreRecordSource(std::move(reader));
-}
-
-Result<size_t> ColumnStoreRecordSource::NextChunk(linalg::Matrix* buffer) {
-  RR_CHECK_EQ(buffer->cols(), reader_.num_attributes())
-      << "ColumnStoreRecordSource: chunk buffer width mismatch";
-  RR_FAILPOINT(fp_next_chunk);
-  const size_t rows =
-      std::min(buffer->rows(), reader_.num_records() - next_row_);
-  if (rows > 0) {
-    RR_RETURN_NOT_OK(reader_.ReadRows(next_row_, rows, buffer));
-    next_row_ += rows;
-  }
-  return rows;
-}
-
-Result<size_t> ColumnStoreRecordSource::NextBlockColumns(
-    std::vector<const double*>* columns) {
-  if (next_block_ == reader_.num_blocks()) return size_t{0};
-  RR_ASSIGN_OR_RETURN(const size_t rows,
-                      ServeBlock(&reader_, next_block_, columns));
-  ++next_block_;
-  return rows;
-}
-
 Result<ShardedRecordSource> ShardedRecordSource::Open(
-    const std::string& manifest_path,
-    data::ColumnStoreReadOptions store_options) {
+    const std::string& path, data::ColumnStoreReadOptions store_options) {
   RR_ASSIGN_OR_RETURN(data::ShardedStoreReader reader,
-                      data::ShardedStoreReader::Open(manifest_path,
-                                                     store_options));
+                      data::ShardedStoreReader::Open(path, store_options));
   return ShardedRecordSource(std::move(reader));
 }
 

@@ -12,19 +12,21 @@
 //   * MatrixRecordSource      — an in-memory record matrix, chunked.
 //   * CsvRecordSource         — a CSV file/string via data::CsvChunkReader,
 //                               never holding the table in full.
-//   * ColumnStoreRecordSource — a memory-mapped binary column store via
-//                               data::ColumnStoreReader (docs/FORMAT.md);
+//   * ShardedRecordSource     — the one store-backed source: a sharded
+//                               store (manifest + shards) or a lone
+//                               memory-mapped column store, which opens
+//                               as a one-shard store (docs/FORMAT.md);
 //                               the native backend, ~10-100x CSV ingest.
-//   * ShardedRecordSource     — a sharded store (manifest + shards), opened
-//                               from a path or handed an already-pinned
-//                               rolling-store snapshot.
+//                               Opened from a path, handed an
+//                               already-pinned rolling-store snapshot, or
+//                               handed a one-shard view of a manifest.
 //   * MvnRecordSource         — a seeded synthetic N(µ, Σ) population of
 //                               fixed size, regenerated per pass.
 //   * PerturbingRecordSource  — decorator turning any source X into the
 //                               attacker-visible stream Y = X + R.
 //
 // Column blocks (ColumnarBlockStream) are how the attack's pass 1 reads
-// every source: the two store-backed sources serve their mapped blocks
+// every source: the store-backed source serves its mapped blocks
 // zero-copy, and every other source reaches the same interface through
 // TransposingBlockStream, which transposes each row-major chunk once.
 //
@@ -189,62 +191,18 @@ class CsvRecordSource final : public RecordSource {
   data::CsvChunkReader reader_;
 };
 
-/// Streams a memory-mapped column-store file (data::ColumnStoreReader):
-/// record n's bytes are at a closed-form offset, so chunking is a strided
-/// gather out of the page cache and Reset() is free. Block checksums are
-/// verified on first touch — a column-block sweep entering the file
-/// verifies all of its blocks at once, block-parallel; a corrupt block
-/// surfaces as the reader's InvalidArgument naming the lowest failing
-/// block, never a crash. Also serves its blocks as zero-copy column
-/// slices (BlockColumn).
-class ColumnStoreRecordSource final : public RecordSource,
-                                      public ColumnarBlockStream {
- public:
-  /// Fails like data::ColumnStoreReader::Open (bad magic/version,
-  /// checksum or size mismatch, unreadable file). `options` enables
-  /// eager whole-file verification and block-parallel reads.
-  static Result<ColumnStoreRecordSource> Open(
-      const std::string& path, data::ColumnStoreReadOptions options = {});
-
-  const std::vector<std::string>& attribute_names() const {
-    return reader_.attribute_names();
-  }
-  size_t num_records() const { return reader_.num_records(); }
-  size_t num_attributes() const override { return reader_.num_attributes(); }
-  Status Reset() override {
-    next_row_ = 0;
-    return Status::OK();
-  }
-  Result<size_t> NextChunk(linalg::Matrix* buffer) override;
-
-  ColumnarBlockStream* columnar_blocks() override { return this; }
-  Status ResetBlocks() override {
-    next_block_ = 0;
-    return Status::OK();
-  }
-  Result<size_t> NextBlockColumns(
-      std::vector<const double*>* columns) override;
-  /// Slices point into the mapping, which lives as long as the source.
-  bool blocks_stay_valid() const override { return true; }
-
- private:
-  explicit ColumnStoreRecordSource(data::ColumnStoreReader reader)
-      : reader_(std::move(reader)) {}
-
-  data::ColumnStoreReader reader_;
-  size_t next_row_ = 0;
-  size_t next_block_ = 0;
-};
-
-/// Streams a sharded store (manifest + N `.rrcs` shards,
-/// data::ShardedStoreReader) as ONE logical record stream — shard
-/// boundaries are invisible to consumers, so the attack over a manifest
-/// is bitwise identical to the attack over the equivalent single file.
+/// Streams a store (data::ShardedStoreReader: a manifest + N `.rrcs`
+/// shards, or a lone `.rrcs` as one shard) as ONE logical record stream
+/// — shard boundaries are invisible to consumers, so the attack over a
+/// manifest is bitwise identical to the attack over the equivalent
+/// single file. Record n's bytes are at a closed-form offset, so
+/// NextChunk is a gather out of the page cache and Reset() is free.
 /// Shards open lazily; every shard-level failure (missing/truncated/
-/// swapped/resealed shard, schema mismatch) surfaces as a Status naming
-/// the shard. Serves its column blocks across shards (each shard's
-/// blocks in order), verifying each shard's blocks block-parallel as the
-/// sweep enters it.
+/// swapped/resealed shard, schema mismatch, a block checksum mismatch)
+/// surfaces as a Status naming the shard and, for a block, the lowest
+/// failing one. Serves its column blocks zero-copy across shards (each
+/// shard's blocks in order), verifying each shard's blocks
+/// block-parallel as the sweep enters it.
 ///
 /// The attack scheduler constructs one over a pinned rolling-store
 /// snapshot (data::RollingStoreSnapshotReader::ReleaseReader): every shard
@@ -255,13 +213,16 @@ class ColumnStoreRecordSource final : public RecordSource,
 class ShardedRecordSource final : public RecordSource,
                                   public ColumnarBlockStream {
  public:
-  /// Fails like data::ReadShardManifest; shard files are not touched
-  /// until their rows are. `store_options` applies to every shard open.
+  /// Fails like data::ShardedStoreReader::Open: a manifest's shard files
+  /// are not touched until their rows are; a lone column store is mapped
+  /// and its header validated here. `store_options` applies to every
+  /// shard (block-parallel verification and gathers).
   static Result<ShardedRecordSource> Open(
-      const std::string& manifest_path,
+      const std::string& path,
       data::ColumnStoreReadOptions store_options = {});
 
-  /// Streams an already-opened reader (e.g. a pinned snapshot's).
+  /// Streams an already-opened reader (a pinned snapshot's, or a
+  /// per-shard job's data::ShardedStoreReader::ShardView).
   explicit ShardedRecordSource(data::ShardedStoreReader reader)
       : reader_(std::move(reader)) {}
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <thread>
 
 #include "common/file_io.h"
@@ -14,7 +15,7 @@
 #include "common/stopwatch.h"
 #include "common/trace.h"
 #include "data/shard_store.h"
-#include "pipeline/source_factory.h"
+#include "pipeline/record_source.h"
 
 namespace randrecon {
 namespace pipeline {
@@ -166,17 +167,10 @@ std::vector<PipelineJobResult> RunPipelineJobs(
   return results;
 }
 
-Result<std::vector<PipelineJob>> MakePerShardJobs(
-    const std::string& manifest_path, const PipelineJob& prototype) {
-  RR_ASSIGN_OR_RETURN(const data::ShardManifest manifest,
-                      data::ReadShardManifest(manifest_path));
-  return MakePerShardJobs(manifest, data::ManifestDirectory(manifest_path),
-                          prototype);
-}
-
 std::vector<PipelineJob> MakePerShardJobs(const data::ShardManifest& manifest,
-                                          const std::string& directory,
+                                          const std::string& manifest_path,
                                           const PipelineJob& prototype) {
+  const auto shared = std::make_shared<const data::ShardManifest>(manifest);
   std::vector<PipelineJob> jobs;
   jobs.reserve(manifest.shards.size());
   for (size_t s = 0; s < manifest.shards.size(); ++s) {
@@ -185,14 +179,14 @@ std::vector<PipelineJob> MakePerShardJobs(const data::ShardManifest& manifest,
     job.noise = prototype.noise;
     job.attack = prototype.attack;
     job.retry = prototype.retry;
-    // Shards are ordinary sealed column stores, so each job opens its
-    // shard file directly — the store's own header and block checksums
-    // still guard it, and a missing/corrupt shard fails just this job.
-    const std::string shard_path = directory + manifest.shards[s].relative_path;
-    job.disguised = [shard_path]() -> Result<std::unique_ptr<RecordSource>> {
-      RR_ASSIGN_OR_RETURN(OpenedRecordSource opened,
-                          OpenRecordSource(shard_path));
-      return std::move(opened.source);
+    // Each job reads a one-shard view of the manifest, so its first read
+    // checks the shard file against entry s — seal digest included — and
+    // a missing, swapped or corrupt shard fails just this job.
+    job.disguised = [shared, manifest_path,
+                     s]() -> Result<std::unique_ptr<RecordSource>> {
+      return std::unique_ptr<RecordSource>(
+          std::make_unique<ShardedRecordSource>(
+              data::ShardedStoreReader::ShardView(*shared, manifest_path, s)));
     };
     jobs.push_back(std::move(job));
   }
@@ -204,43 +198,6 @@ namespace {
 bool FileExists(const std::string& path) {
   struct stat st;
   return ::stat(path.c_str(), &st) == 0;
-}
-
-/// OK iff the shard file matches the manifest's record of it (opens,
-/// schema, row count, seal digest). The error message is the exclusion
-/// reason, so it names the mismatch precisely.
-Status ProbeShard(const std::string& shard_path,
-                  const data::ShardManifest& manifest,
-                  const data::ShardManifestEntry& entry,
-                  const data::ColumnStoreReadOptions& probe_options) {
-  Result<data::ColumnStoreReader> probe =
-      data::ColumnStoreReader::Open(shard_path, probe_options);
-  if (!probe.ok()) {
-    // A shard recovery renamed aside is the common cause of a missing
-    // file — say so when the quarantined copy is sitting right there.
-    if (FileExists(shard_path + kQuarantineFileSuffix)) {
-      return Status::FailedPrecondition(
-          "shard was quarantined by recovery ('" + shard_path +
-          kQuarantineFileSuffix + "'); " + probe.status().ToString());
-    }
-    return probe.status();
-  }
-  const data::ColumnStoreReader& reader = probe.value();
-  if (reader.attribute_names() != manifest.column_names) {
-    return Status::InvalidArgument("shard schema does not match the manifest");
-  }
-  if (reader.num_records() != entry.row_count) {
-    return Status::InvalidArgument(
-        "shard holds " + std::to_string(reader.num_records()) +
-        " records where the manifest promises " +
-        std::to_string(entry.row_count));
-  }
-  if (data::ComputeShardSealDigest(reader) != entry.seal_digest) {
-    return Status::InvalidArgument(
-        "shard seal digest does not match the manifest (resealed or "
-        "swapped shard file)");
-  }
-  return Status::OK();
 }
 
 }  // namespace
@@ -299,25 +256,32 @@ Result<PerShardJobSet> MakePerShardJobsDegraded(
     data::ColumnStoreReadOptions probe_options) {
   RR_ASSIGN_OR_RETURN(const data::ShardManifest manifest,
                       data::ReadShardManifest(manifest_path));
-  const std::string directory = data::ManifestDirectory(manifest_path);
   // Build jobs exactly the way the non-degraded decomposition does (same
   // names, same factories — a healthy store yields the identical batch),
   // then keep only the shards that pass the probe.
   std::vector<PipelineJob> all_jobs =
-      MakePerShardJobs(manifest, directory, prototype);
+      MakePerShardJobs(manifest, manifest_path, prototype);
   PerShardJobSet set;
   set.total_shards = manifest.shards.size();
   set.total_rows = manifest.num_records;
   for (size_t s = 0; s < manifest.shards.size(); ++s) {
     const data::ShardManifestEntry& entry = manifest.shards[s];
-    const std::string shard_path = directory + entry.relative_path;
+    data::ShardedStoreReader view = data::ShardedStoreReader::ShardView(
+        manifest, manifest_path, s, probe_options);
+    const std::string shard_path = view.shard_path(0);
     m_shard_probes.Add(1);
-    const Status probed = ProbeShard(shard_path, manifest, entry,
-                                     probe_options);
+    Status probed = view.shard(0).status();
     if (probed.ok()) {
       set.jobs.push_back(std::move(all_jobs[s]));
       set.shard_of_job.push_back(s);
       continue;
+    }
+    // A shard recovery renamed aside is the common cause of a missing
+    // file — say so when the quarantined copy is sitting right there.
+    if (FileExists(shard_path + kQuarantineFileSuffix)) {
+      probed = Status::FailedPrecondition(
+          "shard was quarantined by recovery ('" + shard_path +
+          kQuarantineFileSuffix + "'); " + probed.ToString());
     }
     ShardExclusion exclusion;
     exclusion.shard_index = s;

@@ -86,34 +86,30 @@ std::vector<PipelineJobResult> RunPipelineJobs(
     const PipelineRunnerOptions& options = {});
 
 /// Job-per-shard decomposition of a sharded store: expands `prototype`
-/// into one job per shard of the manifest at `manifest_path`. Job k is
-/// named "<prototype.name>/shard-<k>" and attacks shard k's records as
-/// an independent stream (its own moments, eigenbasis, reconstruction) —
-/// the natural unit when shards are separate report logs, and the
-/// natural work item for RunPipelineJobs' dynamic scheduling. The
-/// prototype's noise and attack options are copied to every shard job;
-/// its disguised/reference factories and sink describe a whole-stream
-/// job and are deliberately NOT inherited (a per-shard reference or sink
-/// needs per-shard alignment the caller must wire explicitly).
+/// into one job per shard of `manifest`, parsed from `manifest_path`.
+/// Job k is named "<prototype.name>/shard-<k>" and attacks shard k's
+/// records as an independent stream (its own moments, eigenbasis,
+/// reconstruction) — the natural unit when shards are separate report
+/// logs, and the natural work item for RunPipelineJobs' dynamic
+/// scheduling. The prototype's noise, attack and retry options are
+/// copied to every shard job; its disguised/reference factories and sink
+/// describe a whole-stream job and are deliberately NOT inherited (a
+/// per-shard reference or sink needs per-shard alignment the caller must
+/// wire explicitly).
+///
+/// Job k reads data::ShardedStoreReader::ShardView(manifest, k): the
+/// shard file is checked against entry k — schema, row count and seal
+/// digest — when the job first reads it, so a job attacks exactly the
+/// bytes the manifest names. A missing, swapped or corrupt shard fails
+/// only its own job, at run time, preserving batch isolation.
 ///
 /// Determinism: each shard job's numbers are a pure function of that
 /// shard's bytes (contract 6 — the scheduler never changes numbers), and
 /// attacking the WHOLE manifest as one stream remains bitwise identical
 /// to the equivalent single-file attack (contract 7) — decomposition is
 /// a scheduling choice, never a numerics choice.
-///
-/// Fails like data::ReadShardManifest (missing/corrupt manifest, bad
-/// spans); a missing or corrupt shard FILE fails only its own job, at
-/// run time, preserving batch isolation.
-Result<std::vector<PipelineJob>> MakePerShardJobs(
-    const std::string& manifest_path, const PipelineJob& prototype);
-
-/// As above over an already-parsed manifest — for callers (like the
-/// sweep driver) that have read it anyway; never re-reads the file.
-/// `directory` is the prefix shard relative paths join onto
-/// (data::ManifestDirectory of the manifest's path).
 std::vector<PipelineJob> MakePerShardJobs(const data::ShardManifest& manifest,
-                                          const std::string& directory,
+                                          const std::string& manifest_path,
                                           const PipelineJob& prototype);
 
 /// One shard a degraded sweep left out, with enough identity (index,
@@ -125,7 +121,7 @@ struct ShardExclusion {
   uint64_t row_begin = 0;
   uint64_t row_count = 0;
   /// Why the shard was excluded — the probe failure, verbatim (missing
-  /// file, checksum mismatch, seal-digest drift, quarantined by
+  /// file, structural corruption, seal-digest drift, quarantined by
   /// recovery, ...).
   std::string reason;
 };
@@ -162,15 +158,17 @@ struct PerShardJobSet {
 };
 
 /// Degraded-mode job-per-shard decomposition: like MakePerShardJobs, but
-/// each shard is probed up front (file opens, schema, row count and seal
-/// digest match the manifest) and shards that fail the probe are skipped
-/// with a ShardExclusion instead of producing a job doomed to fail — the
-/// batch covers every healthy shard of a store that recovery (or rot)
-/// has left partially usable. `probe_options` tunes the probe's reads
-/// (eager whole-shard verification is NOT forced; the per-block
-/// checksums still guard the jobs' own reads). Fails only like
-/// data::ReadShardManifest — with no readable manifest there is no job
-/// set to build.
+/// each shard is probed up front with the same check its job runs
+/// (data::ShardedStoreReader::shard on the job's one-shard view: the
+/// file opens, and its schema, row count and seal digest match the
+/// manifest) and shards that fail the probe are skipped with a
+/// ShardExclusion instead of producing a job doomed to fail — the batch
+/// covers every healthy shard of a store that recovery (or rot) has left
+/// partially usable. A shard swapped after the probe still fails its
+/// job on the digest. `probe_options` tunes the probe's reads (block
+/// checksums are not verified up front; they still guard the jobs' own
+/// reads). Fails only like data::ReadShardManifest — with no readable
+/// manifest there is no job set to build.
 Result<PerShardJobSet> MakePerShardJobsDegraded(
     const std::string& manifest_path, const PipelineJob& prototype,
     data::ColumnStoreReadOptions probe_options = {});

@@ -31,31 +31,18 @@ Result<OpenedRecordSource> OpenRecordSource(
                       data::DetectRecordFileFormat(path));
   OpenedRecordSource opened;
   opened.format = format;
-  switch (format) {
-    case data::RecordFileFormat::kColumnStore: {
-      RR_ASSIGN_OR_RETURN(ColumnStoreRecordSource source,
-                          ColumnStoreRecordSource::Open(path, options.store));
-      opened.attribute_names = source.attribute_names();
-      opened.num_records = source.num_records();
-      opened.source =
-          std::make_unique<ColumnStoreRecordSource>(std::move(source));
-      break;
-    }
-    case data::RecordFileFormat::kShardManifest: {
-      RR_ASSIGN_OR_RETURN(ShardedRecordSource source,
-                          ShardedRecordSource::Open(path, options.store));
-      opened.attribute_names = source.attribute_names();
-      opened.num_records = source.num_records();
-      opened.source = std::make_unique<ShardedRecordSource>(std::move(source));
-      break;
-    }
-    case data::RecordFileFormat::kCsv: {
-      RR_ASSIGN_OR_RETURN(CsvRecordSource source, CsvRecordSource::Open(path));
-      opened.attribute_names = source.attribute_names();
-      opened.source = std::make_unique<CsvRecordSource>(std::move(source));
-      break;
-    }
+  if (format == data::RecordFileFormat::kCsv) {
+    RR_ASSIGN_OR_RETURN(CsvRecordSource source, CsvRecordSource::Open(path));
+    opened.attribute_names = source.attribute_names();
+    opened.source = std::make_unique<CsvRecordSource>(std::move(source));
+    return opened;
   }
+  // A manifest, or a lone column store read as a one-shard store.
+  RR_ASSIGN_OR_RETURN(ShardedRecordSource source,
+                      ShardedRecordSource::Open(path, options.store));
+  opened.attribute_names = source.attribute_names();
+  opened.num_records = source.num_records();
+  opened.source = std::make_unique<ShardedRecordSource>(std::move(source));
   return opened;
 }
 

@@ -42,16 +42,16 @@ struct OpenedRecordSource {
 
 /// Per-backend open knobs (each applies only where meaningful).
 struct RecordSourceOptions {
-  /// Column-store and sharded backends: eager whole-file verification
-  /// and block-parallel reads (data::ColumnStoreReadOptions). Ignored
-  /// for CSV.
+  /// Column-store and sharded backends: block-parallel verification and
+  /// reads (data::ColumnStoreReadOptions). Ignored for CSV.
   data::ColumnStoreReadOptions store;
 };
 
 /// Opens `path` as whichever source its leading bytes identify: a
-/// ColumnStoreRecordSource, a ShardedRecordSource (manifest magic), or a
-/// CsvRecordSource. Fails like the matching Open (unreadable file,
-/// malformed header/manifest, ...).
+/// ShardedRecordSource for both store formats (a manifest, or a lone
+/// column store as a one-shard store) or a CsvRecordSource. `format`
+/// still says which of the three the file is. Fails like the matching
+/// Open (unreadable file, malformed header/manifest, ...).
 Result<OpenedRecordSource> OpenRecordSource(const std::string& path,
                                             const RecordSourceOptions& options);
 Result<OpenedRecordSource> OpenRecordSource(const std::string& path);

@@ -203,6 +203,27 @@ TEST_F(FileIoTest, WriteFileAtomicPublishesWholeFilesAndLeavesNoTemp) {
   EXPECT_EQ(unwritable.code(), StatusCode::kIoError);
 }
 
+// WriteFileAtomic writes through the store's fd primitive, so a failed
+// write names its errno. The temp path is a symlink to /dev/full, whose
+// every write fails with ENOSPC: the publish must fail naming the cause
+// and leave neither the final name nor the temp behind.
+TEST_F(FileIoTest, WriteFileAtomicNamesItsErrno) {
+  struct stat device;
+  if (::stat("/dev/full", &device) != 0) GTEST_SKIP() << "no /dev/full";
+  const std::string path = dir_ + "/m.rrcm";
+  const std::string temp = TempPathFor(path);
+  ASSERT_EQ(::symlink("/dev/full", temp.c_str()), 0);
+  const Status status = WriteFileAtomic(path, std::string(4096, 'x'));
+  struct stat left;
+  const bool temp_left = ::lstat(temp.c_str(), &left) == 0;
+  EXPECT_EQ(status.code(), StatusCode::kIoError);
+  EXPECT_NE(status.message().find("No space left on device"),
+            std::string::npos)
+      << status.ToString();
+  EXPECT_FALSE(temp_left);
+  EXPECT_FALSE(FileExists(path));
+}
+
 TEST_F(FileIoTest, SeamFaultsLeaveThePreviousFileAndNoTemp) {
   const std::string path = dir_ + "/out.json";
   ASSERT_TRUE(WriteFileAtomic(path, "published\n").ok());

@@ -23,6 +23,7 @@
 #include "common/file_io.h"
 #include "common/metrics.h"
 #include "data/csv.h"
+#include "data/shard_store.h"
 #include "linalg/matrix_util.h"
 #include "stats/rng.h"
 
@@ -103,13 +104,31 @@ void WriteStore(const std::string& path, const Matrix& records,
   ASSERT_TRUE(store_writer.Close().ok());
 }
 
+/// Every record of the store at `path`, read the way every store is: a
+/// lone `.rrcs` opens as a one-shard ShardedStoreReader.
 Matrix ReadAll(const std::string& path) {
-  auto reader = ColumnStoreReader::Open(path);
+  auto reader = ShardedStoreReader::Open(path);
   EXPECT_TRUE(reader.ok()) << reader.status().ToString();
-  ColumnStoreReader store_reader = std::move(reader).value();
+  ShardedStoreReader store_reader = std::move(reader).value();
   Matrix records(store_reader.num_records(), store_reader.num_attributes());
   EXPECT_TRUE(
       store_reader.ReadRows(0, store_reader.num_records(), &records).ok());
+  return records;
+}
+
+/// Every record of `reader`, rebuilt from its zero-copy block columns.
+Matrix ReadThroughBlocks(ColumnStoreReader* reader) {
+  Matrix records(reader->num_records(), reader->num_attributes());
+  for (size_t block = 0; block < reader->num_blocks(); ++block) {
+    for (size_t j = 0; j < reader->num_attributes(); ++j) {
+      auto column = reader->BlockColumn(block, j);
+      EXPECT_TRUE(column.ok()) << column.status().ToString();
+      if (!column.ok()) return records;
+      for (size_t r = 0; r < reader->rows_in_block(block); ++r) {
+        records(block * reader->block_rows() + r, j) = column.value()[r];
+      }
+    }
+  }
   return records;
 }
 
@@ -160,9 +179,9 @@ TEST(ColumnStoreTest, ReadRowsServesRandomSlices) {
   stats::Rng rng(13);
   const Matrix records = rng.GaussianMatrix(300, 4);
   WriteStore(file.path(), records, /*block_rows=*/32);
-  auto reader = ColumnStoreReader::Open(file.path());
+  auto reader = ShardedStoreReader::Open(file.path());
   ASSERT_TRUE(reader.ok());
-  ColumnStoreReader store = std::move(reader).value();
+  ShardedStoreReader store = std::move(reader).value();
 
   // A slice straddling three blocks, starting mid-block.
   Matrix slice(70, 4);
@@ -199,7 +218,7 @@ TEST(ColumnStoreTest, DatasetHelpersRoundTrip) {
                                  {"age", "income", "score"});
   ASSERT_TRUE(dataset.ok());
   ASSERT_TRUE(WriteColumnStore(dataset.value(), file.path()).ok());
-  auto read_back = ReadColumnStoreDataset(file.path());
+  auto read_back = ReadShardedStoreDataset(file.path());
   ASSERT_TRUE(read_back.ok()) << read_back.status().ToString();
   EXPECT_TRUE(read_back.value().records() == dataset.value().records());
   EXPECT_EQ(read_back.value().attribute_names(),
@@ -249,7 +268,7 @@ TEST(ColumnStoreTest, CsvStoreCsvRoundTripIsBitwise) {
 
   // Hop 2: the parsed values through the store — must be bitwise.
   ASSERT_TRUE(WriteColumnStore(parsed.value(), store_file.path()).ok());
-  auto from_store = ReadColumnStoreDataset(store_file.path());
+  auto from_store = ReadShardedStoreDataset(store_file.path());
   ASSERT_TRUE(from_store.ok());
   EXPECT_TRUE(from_store.value().records() == parsed.value().records());
 
@@ -402,10 +421,10 @@ TEST_F(ColumnStoreCorruptionTest, BlockChecksumMismatchNamesBlockAndOffset) {
   bytes[block1_offset + 5] ^= 0xFF;
   WriteFileBytes(file_.path(), bytes);
 
-  auto reader = ColumnStoreReader::Open(file_.path());
+  auto reader = ShardedStoreReader::Open(file_.path());
   ASSERT_TRUE(reader.ok()) << "damage is inside a block, Open must succeed: "
                            << reader.status().ToString();
-  ColumnStoreReader store = std::move(reader).value();
+  ShardedStoreReader store = std::move(reader).value();
 
   // Block 0 is intact and must still serve.
   Matrix buffer(64, 3);
@@ -422,24 +441,35 @@ TEST_F(ColumnStoreCorruptionTest, BlockChecksumMismatchNamesBlockAndOffset) {
       << status.ToString();
 }
 
-TEST_F(ColumnStoreCorruptionTest, EagerVerifyFailsAtOpenNamingTheBlock) {
+TEST_F(ColumnStoreCorruptionTest, WholeFileVerifyNamesTheBlock) {
   std::string bytes = bytes_;
   const size_t block_stride = 3 * 64 * 8 + 8;
   const size_t header_bytes = bytes.size() - 3 * block_stride;
   bytes[header_bytes + 2 * block_stride + 9] ^= 0xFF;  // Damage block 2.
   WriteFileBytes(file_.path(), bytes);
 
-  // Lazy open still succeeds (the damage sits in an untouched block)...
+  // Open still succeeds (the damage sits in an untouched block)...
   ASSERT_TRUE(ColumnStoreReader::Open(file_.path()).ok());
 
-  // ...but the archival eager mode proves the whole file at Open and
-  // fails there, naming the block — at any thread count.
+  // ...but proving the whole file (what recovery does) and reading every
+  // row both fail, naming the block — at any thread count.
   for (const int threads : {1, 4}) {
     ColumnStoreReadOptions options;
-    options.eager_verify = true;
     options.parallel.num_threads = threads;
-    const Status status =
-        ColumnStoreReader::Open(file_.path(), options).status();
+    auto opened = ColumnStoreReader::Open(file_.path(), options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    ColumnStoreReader store = std::move(opened).value();
+    Status status = store.VerifyBlocksInRange(0, store.num_blocks());
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("block 2 checksum mismatch"),
+              std::string::npos)
+        << status.ToString();
+
+    auto reader = ShardedStoreReader::Open(file_.path(), options);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    ShardedStoreReader sharded = std::move(reader).value();
+    Matrix buffer(130, 3);
+    status = sharded.ReadRows(0, 130, &buffer);
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
     EXPECT_NE(status.message().find("block 2 checksum mismatch"),
               std::string::npos)
@@ -459,10 +489,10 @@ TEST(ColumnStoreTest, ParallelReadRowsMatchesSerialBitwise) {
   for (const int threads : {1, 2, 8}) {
     ColumnStoreReadOptions options;
     options.parallel.num_threads = threads;
-    auto reader = ColumnStoreReader::Open(file.path(), options);
+    auto reader = ShardedStoreReader::Open(file.path(), options);
     ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-    ColumnStoreReader store = std::move(reader).value();
-    for (const auto range : {std::pair<size_t, size_t>{0, 1000},
+    ShardedStoreReader store = std::move(reader).value();
+    for (const auto& range : {std::pair<size_t, size_t>{0, 1000},
                              {3, 997},     // misaligned on both ends
                              {64, 128},    // exactly one block
                              {100, 101}}) {
@@ -549,13 +579,13 @@ TEST(ColumnStoreWriterTest, MoveAssignmentSealsTheAbandonedStore) {
   ASSERT_TRUE(b.ok());
   writer = std::move(b).value();
 
-  auto first_back = ReadColumnStoreDataset(first.path());
+  auto first_back = ReadShardedStoreDataset(first.path());
   ASSERT_TRUE(first_back.ok()) << first_back.status().ToString();
   EXPECT_TRUE(first_back.value().records() == chunk);
 
   ASSERT_TRUE(writer.Append(chunk, 3).ok());
   ASSERT_TRUE(writer.Close().ok());
-  auto second_back = ReadColumnStoreDataset(second.path());
+  auto second_back = ReadShardedStoreDataset(second.path());
   ASSERT_TRUE(second_back.ok()) << second_back.status().ToString();
   EXPECT_TRUE(second_back.value().records() == chunk);
 }
@@ -572,8 +602,7 @@ TEST(ColumnStoreReaderTest, MoveAssignmentReleasesTheOldMapping) {
   auto opened = ColumnStoreReader::Open(first_file.path());
   ASSERT_TRUE(opened.ok());
   ColumnStoreReader reader = std::move(opened).value();
-  Matrix buffer(50, 2);
-  ASSERT_TRUE(reader.ReadRows(0, 50, &buffer).ok());
+  EXPECT_TRUE(ReadThroughBlocks(&reader) == first);
 
   // Re-point the same reader at the second store (the sharded-scan
   // pattern); the first mapping must be released, not leaked or doubly
@@ -582,9 +611,7 @@ TEST(ColumnStoreReaderTest, MoveAssignmentReleasesTheOldMapping) {
   ASSERT_TRUE(reopened.ok());
   reader = std::move(reopened).value();
   EXPECT_EQ(reader.num_records(), 60u);
-  Matrix second_buffer(60, 2);
-  ASSERT_TRUE(reader.ReadRows(0, 60, &second_buffer).ok());
-  EXPECT_TRUE(second_buffer == second);
+  EXPECT_TRUE(ReadThroughBlocks(&reader) == second);
 }
 
 // The writer goes through a POSIX fd, so a failed write names its errno.

@@ -1,6 +1,7 @@
-// ColumnStoreRecordSource / ColumnStoreChunkSink / source-factory tests,
-// including the acceptance sweep: streaming SF and PCA-DR attacks over a
-// memory-mapped column store (its own zero-copy blocks) must produce
+// Lone column-store source (a ShardedRecordSource over one `.rrcs`,
+// opened as a one-shard store) / ColumnStoreChunkSink / source-factory
+// tests, including the acceptance sweep: streaming SF and PCA-DR attacks
+// over a memory-mapped column store (its own zero-copy blocks) must produce
 // BITWISE identical covariance and reconstruction output to the
 // CsvRecordSource path (row-major chunks through TransposingBlockStream)
 // on round-tripped data, for store block sizes {7, 4096} x chunk sizes
@@ -15,6 +16,7 @@
 
 #include "data/column_store.h"
 #include "data/csv.h"
+#include "data/shard_store.h"
 #include "data/synthetic.h"
 #include "linalg/matrix_util.h"
 #include "perturb/schemes.h"
@@ -98,10 +100,11 @@ class ColumnStoreSourceTest : public ::testing::Test {
 };
 
 TEST_F(ColumnStoreSourceTest, StreamsTheRoundTrippedRecordsBitwise) {
-  auto source = ColumnStoreRecordSource::Open(store_.path());
+  auto source = ShardedRecordSource::Open(store_.path());
   ASSERT_TRUE(source.ok()) << source.status().ToString();
-  ColumnStoreRecordSource store_source = std::move(source).value();
+  ShardedRecordSource store_source = std::move(source).value();
   EXPECT_EQ(store_source.num_records(), kRecords);
+  EXPECT_EQ(store_source.num_shards(), 1u);
   EXPECT_TRUE(Drain(&store_source, 64) == round_tripped_);
   ASSERT_TRUE(store_source.Reset().ok());
   EXPECT_TRUE(Drain(&store_source, 10) == round_tripped_);
@@ -109,9 +112,9 @@ TEST_F(ColumnStoreSourceTest, StreamsTheRoundTrippedRecordsBitwise) {
 
 TEST_F(ColumnStoreSourceTest, ChunkSizeDoesNotChangeTheStream) {
   for (const size_t chunk : {size_t{1}, size_t{7}, size_t{64}, kRecords}) {
-    auto source = ColumnStoreRecordSource::Open(store_.path());
+    auto source = ShardedRecordSource::Open(store_.path());
     ASSERT_TRUE(source.ok());
-    ColumnStoreRecordSource store_source = std::move(source).value();
+    ShardedRecordSource store_source = std::move(source).value();
     EXPECT_TRUE(Drain(&store_source, chunk) == round_tripped_)
         << "chunk=" << chunk;
   }
@@ -238,7 +241,7 @@ TEST_F(ColumnStoreSourceTest, ColumnStoreChunkSinkRoundTripsTheAttackOutput) {
   ASSERT_TRUE(store_sink.Close().ok());
 
   // The persisted reconstruction equals the collected one bitwise.
-  auto read_back = data::ReadColumnStoreDataset(out.path());
+  auto read_back = data::ReadShardedStoreDataset(out.path());
   ASSERT_TRUE(read_back.ok()) << read_back.status().ToString();
   EXPECT_TRUE(read_back.value().records() == collect.ToMatrix());
 }
@@ -286,12 +289,12 @@ TEST_F(ColumnStoreSourceTest, VerifyStreamsComparesRecordsNotVacuously) {
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
 }
 
-TEST(ColumnStoreRecordSourceTest, OpenFailsCleanlyOnCsvInput) {
+TEST(ShardedRecordSourceTest, OpenFailsCleanlyOnCsvInput) {
   ScratchFile csv{"not_a_store.csv"};
   std::ofstream file(csv.path());
   file << "a,b\n1,2\n";
   file.close();
-  auto source = ColumnStoreRecordSource::Open(csv.path());
+  auto source = ShardedRecordSource::Open(csv.path());
   EXPECT_FALSE(source.ok());
   EXPECT_EQ(source.status().code(), StatusCode::kInvalidArgument);
 }

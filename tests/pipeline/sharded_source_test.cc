@@ -372,13 +372,15 @@ TEST_F(ShardedSourceTest, PerShardJobsDecomposeTheManifest) {
       perturb::NoiseModel::IndependentGaussian(kAttributes, kSigma);
   prototype.attack.attack = StreamingAttack::kSpectralFiltering;
 
-  auto jobs = MakePerShardJobs(misaligned_.path(), prototype);
-  ASSERT_TRUE(jobs.ok()) << jobs.status().ToString();
+  auto manifest = data::ReadShardManifest(misaligned_.path());
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  const std::vector<PipelineJob> jobs =
+      MakePerShardJobs(manifest.value(), misaligned_.path(), prototype);
   const size_t expected_shards = (kRecords + 97 - 1) / 97;
-  ASSERT_EQ(jobs.value().size(), expected_shards);
-  EXPECT_EQ(jobs.value()[0].name, "sweep/shard-0");
+  ASSERT_EQ(jobs.size(), expected_shards);
+  EXPECT_EQ(jobs[0].name, "sweep/shard-0");
 
-  const auto results = RunPipelineJobs(jobs.value());
+  const auto results = RunPipelineJobs(jobs);
   ASSERT_EQ(results.size(), expected_shards);
   size_t total_records = 0;
   for (size_t s = 0; s < results.size(); ++s) {
@@ -392,8 +394,6 @@ TEST_F(ShardedSourceTest, PerShardJobsDecomposeTheManifest) {
   // Shard jobs are ordinary single-file attacks: job k's report matches
   // an attack run directly over shard k's file (scheduling never changes
   // numbers).
-  auto manifest = data::ReadShardManifest(misaligned_.path());
-  ASSERT_TRUE(manifest.ok());
   const std::string shard0 = data::ManifestDirectory(misaligned_.path()) +
                              manifest.value().shards[0].relative_path;
   auto opened = OpenRecordSource(shard0);
@@ -407,6 +407,76 @@ TEST_F(ShardedSourceTest, PerShardJobsDecomposeTheManifest) {
   EXPECT_EQ(direct.value().eigenvalues, results[0].report.eigenvalues);
   EXPECT_EQ(direct.value().rmse_vs_disguised,
             results[0].report.rmse_vs_disguised);
+}
+
+// A per-shard job attacks exactly the bytes its manifest entry names: a
+// shard file swapped for another valid store with the same schema and
+// row count AFTER the degraded probe passed fails its job on the seal
+// digest, and every other job still equals the direct attack over its
+// shard file, bitwise.
+TEST_F(ShardedSourceTest, PerShardJobsAreBoundToTheirManifest) {
+  PipelineJob prototype;
+  prototype.name = "bound";
+  prototype.noise =
+      perturb::NoiseModel::IndependentGaussian(kAttributes, kSigma);
+  prototype.attack.attack = StreamingAttack::kPcaDr;
+  auto job_set = MakePerShardJobsDegraded(misaligned_.path(), prototype);
+  ASSERT_TRUE(job_set.ok()) << job_set.status().ToString();
+  ASSERT_FALSE(job_set.value().degraded());
+  const size_t num_shards = job_set.value().jobs.size();
+  ASSERT_EQ(num_shards, (kRecords + 97 - 1) / 97);
+
+  // Shard 1's file, a sealed 97-row store of the same schema, replaces
+  // shard 2's.
+  auto manifest = data::ReadShardManifest(misaligned_.path());
+  ASSERT_TRUE(manifest.ok());
+  const std::string directory = data::ManifestDirectory(misaligned_.path());
+  auto shard_path = [&](size_t s) {
+    return directory + manifest.value().shards[s].relative_path;
+  };
+  ASSERT_EQ(manifest.value().shards[1].row_count,
+            manifest.value().shards[2].row_count);
+  {
+    std::ifstream from(shard_path(1), std::ios::binary);
+    std::ofstream to(shard_path(2), std::ios::binary | std::ios::trunc);
+    ASSERT_TRUE(from.is_open() && to.is_open());
+    to << from.rdbuf();
+  }
+
+  const auto results = RunPipelineJobs(job_set.value().jobs);
+  ASSERT_EQ(results.size(), num_shards);
+  for (size_t s = 0; s < num_shards; ++s) {
+    ASSERT_EQ(job_set.value().shard_of_job[s], s);
+    if (s == 2) {
+      EXPECT_FALSE(results[s].status.ok());
+      EXPECT_NE(results[s].status.message().find("seal digest mismatch"),
+                std::string::npos)
+          << results[s].status.ToString();
+      continue;
+    }
+    ASSERT_TRUE(results[s].status.ok()) << results[s].status.ToString();
+    auto opened = OpenRecordSource(shard_path(s));
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    NullChunkSink null_sink;
+    auto direct = StreamingAttackPipeline(prototype.attack)
+                      .Run(opened.value().source.get(), prototype.noise,
+                           &null_sink);
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+    const StreamingAttackReport& job = results[s].report;
+    auto same_bits = [](const linalg::Vector& a, const linalg::Vector& b) {
+      return a.size() == b.size() &&
+             std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+    };
+    EXPECT_EQ(job.num_records, direct.value().num_records) << "shard " << s;
+    EXPECT_EQ(job.num_components, direct.value().num_components);
+    EXPECT_TRUE(same_bits(job.mean, direct.value().mean)) << "shard " << s;
+    EXPECT_TRUE(same_bits(job.eigenvalues, direct.value().eigenvalues))
+        << "shard " << s;
+    EXPECT_EQ(std::memcmp(&job.rmse_vs_disguised,
+                          &direct.value().rmse_vs_disguised, sizeof(double)),
+              0)
+        << "shard " << s;
+  }
 }
 
 TEST_F(ShardedSourceTest, CorruptShardFailsItsJobNotTheBatch) {

@@ -598,7 +598,7 @@ TEST(StreamingAttackTest, SinksAndReferenceNeverChangeTheReport) {
 class CountingStoreSource final : public RecordSource,
                                   public ColumnarBlockStream {
  public:
-  explicit CountingStoreSource(ColumnStoreRecordSource* inner)
+  explicit CountingStoreSource(ShardedRecordSource* inner)
       : inner_(inner) {}
   size_t num_attributes() const override { return inner_->num_attributes(); }
   Status Reset() override { return inner_->Reset(); }
@@ -618,7 +618,7 @@ class CountingStoreSource final : public RecordSource,
   size_t records_served() const { return records_served_; }
 
  private:
-  ColumnStoreRecordSource* inner_;
+  ShardedRecordSource* inner_;
   size_t next_chunk_calls_ = 0;
   size_t records_served_ = 0;
 };
@@ -631,9 +631,9 @@ TEST(StreamingAttackTest, MetricsOnlyRunSkipsTheProjectionPass) {
   ASSERT_TRUE(data::WriteColumnStore(data::Dataset(fixture.disguised), path,
                                      store_options)
                   .ok());
-  auto opened = ColumnStoreRecordSource::Open(path);
+  auto opened = ShardedRecordSource::Open(path);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  ColumnStoreRecordSource store = std::move(opened).value();
+  ShardedRecordSource store = std::move(opened).value();
   CountingStoreSource counting(&store);
 
   metrics::ResetAllMetrics();
@@ -691,9 +691,9 @@ TEST(StreamingAttackTest, HeldStoreBlocksGiveTheBlockAtATimeBits) {
     const auto expected = attack.Run(&in_memory, fixture.noise, &sink);
     ASSERT_TRUE(expected.ok()) << expected.status().ToString();
 
-    auto opened_store = ColumnStoreRecordSource::Open(path);
+    auto opened_store = ShardedRecordSource::Open(path);
     ASSERT_TRUE(opened_store.ok()) << opened_store.status().ToString();
-    ColumnStoreRecordSource store = std::move(opened_store).value();
+    ShardedRecordSource store = std::move(opened_store).value();
     auto opened_sharded = ShardedRecordSource::Open(manifest);
     ASSERT_TRUE(opened_sharded.ok()) << opened_sharded.status().ToString();
     ShardedRecordSource sharded = std::move(opened_sharded).value();

@@ -1,21 +1,32 @@
 #!/usr/bin/env python3
-"""Keep one durable-write path: fail unless src/common/file_io.cc holds
-the only call in src/ to each of rename(, opendir(, fsync( and
-sync_file_range(, and unless WriteShardManifest( is called exactly
-twice: once by the shard writer (src/data/rolling_store.cc) and once by
-the manifest rebuild (src/data/store_recovery.cc).
+"""Keep one durable-write path and one store read path.
+
+Fail unless src/common/file_io.cc holds the only call in src/ to each of
+rename(, opendir(, fsync(, sync_file_range( and pwrite(; unless
+WriteShardManifest( is called exactly twice: once by the shard writer
+(src/data/rolling_store.cc) and once by the manifest rebuild
+(src/data/store_recovery.cc); and unless ColumnStoreReader::Open( is
+called exactly three times: by the shard check (src/data/shard_store.cc),
+by the seal's digest reopen (src/data/rolling_store.cc) and by the
+stray-shard rebuild (src/data/store_recovery.cc), which has no manifest
+entry to check a file against.
 
 Every durable publish goes through common/file_io (fsync the temp,
 rename, fsync the directory) and every versioned-series scan through its
-FileSeries. Writers start writeback early only through its
-StartWriteback hint, so the hint stays beside the one fsync that makes
-the bytes durable. A second call site is a second publish, sync or scan
-path that skips that discipline; a third manifest writer is a second
-copy of the seal-then-publish protocol. Both .cc and .h files are
-scanned, so an inline function in a header counts too. Comments and
-string literals do not count: headers and comments name rename( and
-fsync( on purpose. Neither does the declaration or definition of
-WriteShardManifest itself.
+FileSeries. Every durable byte leaves through its WriteFully, so every
+write error names its errno. Writers start writeback early only through
+its StartWriteback hint, so the hint stays beside the one fsync that
+makes the bytes durable. A second call site is a second publish, write,
+sync or scan path that skips that discipline; a third manifest writer is
+a second copy of the seal-then-publish protocol. Every read of a store
+goes through data::ShardedStoreReader, whose shard() checks each shard
+file against its manifest entry before anything reads it; a fourth
+ColumnStoreReader::Open( is a read path that skips that check. Both .cc
+and .h files are scanned, so an inline function in a header counts too.
+Comments and string literals do not count: headers and comments name
+rename( and fsync( on purpose. Neither do the declarations or
+definitions of WriteShardManifest and ColumnStoreReader::Open
+themselves.
 
 Usage: python3 tools/check_single_write_path.py [repo_root]
 Exit status 0 when the invariant holds, 1 otherwise (sites listed).
@@ -32,13 +43,18 @@ OWNERS = {
     "opendir": [OWNER],
     "fsync": [OWNER],
     "sync_file_range": [OWNER],
+    "pwrite": [OWNER],
     "WriteShardManifest": ["src/data/rolling_store.cc",
                            "src/data/store_recovery.cc"],
+    "ColumnStoreReader::Open": ["src/data/rolling_store.cc",
+                                "src/data/shard_store.cc",
+                                "src/data/store_recovery.cc"],
 }
-# A call, not a longer name that ends in it, nor the `Status` return
-# type of its declaration or definition.
+# A call, not a longer name that ends in it, nor the `Status` or
+# `Result<...>` return type of its declaration or definition.
 CALLS = {
-    name: re.compile(r"(?<![A-Za-z0-9_])(?<!Status )" + name + r"\s*\(")
+    name: re.compile(r"(?<![A-Za-z0-9_])(?<!Status )(?<!> )" +
+                     re.escape(name) + r"\s*\(")
     for name in OWNERS
 }
 # A // comment, a /* */ comment, or a string or character literal.
