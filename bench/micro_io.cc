@@ -10,7 +10,7 @@
 // divergence is a bug, not precision. The benchmark then times:
 //   * write_csv / write_store  — streaming each file out;
 //   * ingest_csv / ingest_store — a full chunked drain of each source
-//     (the store pays its lazy per-block checksum verification here);
+//     (the store verifies each block checksum once, on its first read);
 //   * e2e_sf_csv / e2e_sf_store — the two-pass streaming SF attack,
 //     whose wall clock at n >= 1e6 was dominated by CSV parsing;
 //   * sharded ingest — the same records behind a shard manifest

@@ -68,6 +68,7 @@
 #include "common/metrics.h"
 #include "common/run_report.h"
 #include "common/trace.h"
+#include "data/byte_codec.h"
 #include "data/rolling_store.h"
 #include "net/metrics_recorder.h"
 #include "net/stats_server.h"
@@ -108,7 +109,7 @@ void PrintCycle(const pipeline::SchedulerCycleResult& result) {
                 static_cast<unsigned long long>(result.version),
                 static_cast<unsigned long long>(result.snapshot_rows),
                 result.snapshot_shards,
-                data::ManifestHashHex(result.manifest_hash).c_str());
+                data::HexU64(result.manifest_hash).c_str());
   } else if (!result.status.ok()) {
     std::printf(" (%s)", result.status.ToString().c_str());
   }

@@ -217,20 +217,15 @@ int RunSweep(const SweepInputs& inputs, double sigma,
       // Degraded decomposition: a store that recovery left partially
       // usable still sweeps — healthy shards become jobs, quarantined
       // or rotten shards are named in the report instead of failing.
-      auto job_set = pipeline::MakePerShardJobsDegraded(path, job);
-      if (!job_set.ok()) {
-        jobs.push_back(std::move(job));  // Fails in-job with the reason.
-        continue;
-      }
-      for (auto& shard_job : job_set.value().jobs) {
+      pipeline::PerShardJobSet job_set =
+          pipeline::MakePerShardJobsDegraded(manifest->second, path, job);
+      for (auto& shard_job : job_set.jobs) {
         jobs.push_back(std::move(shard_job));
       }
-      if (job_set.value().degraded()) {
-        degraded_notes.push_back(path + ": " +
-                                 job_set.value().DegradedSummary());
+      if (job_set.degraded()) {
+        degraded_notes.push_back(path + ": " + job_set.DegradedSummary());
       }
-      for (const pipeline::ShardExclusion& exclusion :
-           job_set.value().excluded) {
+      for (const pipeline::ShardExclusion& exclusion : job_set.excluded) {
         exclusions.push_back({path, exclusion});
       }
       continue;

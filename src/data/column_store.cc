@@ -17,16 +17,10 @@
 #include "common/file_io.h"
 #include "common/metrics.h"
 #include "common/trace.h"
+#include "data/byte_codec.h"
 #include "data/csv.h"
 #include "data/shard_store.h"
 #include "linalg/kernels.h"
-
-// The format is little-endian on disk and the reader/writer serialize
-// integers and doubles with memcpy, so a little-endian host is required
-// (every target this library builds for). A big-endian port would add
-// byte swaps at the (de)serialization points below.
-static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
-              "column store I/O assumes a little-endian host");
 
 namespace randrecon {
 namespace data {
@@ -51,39 +45,12 @@ constexpr uint64_t kHashP3 = 0x165667B19E3779F9ull;
 
 inline uint64_t Rotl64(uint64_t v, int s) { return (v << s) | (v >> (64 - s)); }
 
-void AppendU32(std::string* out, uint32_t value) {
-  out->append(reinterpret_cast<const char*>(&value), sizeof(value));
-}
-
-void AppendU64(std::string* out, uint64_t value) {
-  out->append(reinterpret_cast<const char*>(&value), sizeof(value));
-}
-
 void PatchU32(std::string* buffer, size_t offset, uint32_t value) {
   std::memcpy(&(*buffer)[offset], &value, sizeof(value));
 }
 
 void PatchU64(std::string* buffer, size_t offset, uint64_t value) {
   std::memcpy(&(*buffer)[offset], &value, sizeof(value));
-}
-
-uint32_t LoadU32(const uint8_t* bytes) {
-  uint32_t value;
-  std::memcpy(&value, bytes, sizeof(value));
-  return value;
-}
-
-uint64_t LoadU64(const uint8_t* bytes) {
-  uint64_t value;
-  std::memcpy(&value, bytes, sizeof(value));
-  return value;
-}
-
-std::string HexU64(uint64_t value) {
-  char buffer[19];
-  std::snprintf(buffer, sizeof(buffer), "0x%016llx",
-                static_cast<unsigned long long>(value));
-  return buffer;
 }
 
 std::string StorePrefix(const std::string& path) {
@@ -109,7 +76,6 @@ metrics::Counter m_seals("store.seals");
 metrics::Histogram h_seal_nanos("store.seal_nanos");
 metrics::Counter m_opens("store.opens");
 metrics::Counter m_blocks_verified("store.blocks_verified");
-metrics::Counter m_verify_short_circuits("store.verify_short_circuits");
 
 }  // namespace
 
@@ -414,8 +380,7 @@ Status ColumnStoreWriter::Seal() {
 // Reader.
 // ---------------------------------------------------------------------------
 
-Result<ColumnStoreReader> ColumnStoreReader::Open(const std::string& path,
-                                                  ColumnStoreReadOptions options) {
+Result<ColumnStoreReader> ColumnStoreReader::Open(const std::string& path) {
   const std::string prefix = StorePrefix(path);
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
@@ -447,7 +412,6 @@ Result<ColumnStoreReader> ColumnStoreReader::Open(const std::string& path,
   reader.fd_ = fd;
   reader.mapping_ = static_cast<const uint8_t*>(raw_mapping);
   reader.file_size_ = file_size;
-  reader.options_ = options;
   const uint8_t* bytes = reader.mapping_;
 
   // From here every failure path destroys `reader`, which unmaps/closes.
@@ -556,7 +520,6 @@ Result<ColumnStoreReader> ColumnStoreReader::Open(const std::string& path,
         std::to_string(file_size) +
         " bytes — truncated file or record-count disagreement");
   }
-  reader.block_verified_.assign(reader.num_blocks_, 0);
   m_opens.Add(1);
   return reader;
 }
@@ -579,9 +542,7 @@ ColumnStoreReader& ColumnStoreReader::operator=(
   num_blocks_ = other.num_blocks_;
   block_stride_ = other.block_stride_;
   header_hash_ = other.header_hash_;
-  options_ = other.options_;
   names_ = std::move(other.names_);
-  block_verified_ = std::move(other.block_verified_);
   other.fd_ = -1;
   other.mapping_ = nullptr;
   return *this;
@@ -606,56 +567,33 @@ size_t ColumnStoreReader::rows_in_block(size_t block) const {
   return std::min(block_rows_, num_records_ - begin);
 }
 
-Status ColumnStoreReader::VerifyBlock(size_t block) {
-  if (block_verified_[block]) {
-    m_verify_short_circuits.Add(1);
-    return Status::OK();
-  }
-  RR_FAILPOINT(fp_read_block);
-  const uint8_t* payload = block_payload(block);
-  const size_t payload_bytes = block_stride_ - sizeof(uint64_t);
-  const uint64_t stored = LoadU64(payload + payload_bytes);
-  const uint64_t computed = ColumnStoreHash(payload, payload_bytes);
-  if (stored != computed) {
-    return Status::InvalidArgument(
-        StorePrefix(path_) + "block " + std::to_string(block) +
-        " checksum mismatch at offset " +
-        std::to_string(header_bytes_ + block * block_stride_) + " — stored " +
-        HexU64(stored) + ", computed " + HexU64(computed) +
-        " (see docs/FORMAT.md)");
-  }
-  block_verified_[block] = 1;
-  m_blocks_verified.Add(1);
-  return Status::OK();
-}
-
-Status ColumnStoreReader::VerifyBlocksInRange(size_t block_begin,
-                                              size_t block_end) {
-  if (block_begin >= block_end) return Status::OK();
-  // Hot-path short circuit: chunked streaming re-reads ranges whose
-  // blocks were all verified on an earlier pass — skip the status
-  // vector and the pool dispatch entirely then (a byte scan is ~free
-  // next to the gather that follows).
-  bool all_verified = true;
-  for (size_t block = block_begin; block < block_end && all_verified;
-       ++block) {
-    all_verified = block_verified_[block] != 0;
-  }
-  if (all_verified) {
-    m_verify_short_circuits.Add(block_end - block_begin);
-    return Status::OK();
-  }
+Status ColumnStoreReader::VerifyBlocks(const ParallelOptions& parallel) const {
   // One task per block, claimed by whichever thread is free: each writes
-  // only its own bitmap byte and status slot, so the pass is thread-safe
-  // and the surviving diagnostic (lowest failing block) is thread-count
-  // independent.
-  std::vector<Status> statuses(block_end - block_begin);
+  // only its own status slot, so the surviving diagnostic (lowest failing
+  // block) is thread-count independent.
+  const size_t payload_bytes = block_stride_ - sizeof(uint64_t);
+  std::vector<Status> statuses(num_blocks_);
   ParallelForEach(
-      block_begin, block_end,
+      0, num_blocks_,
       [&](size_t block) {
-        statuses[block - block_begin] = VerifyBlock(block);
+        statuses[block] = [&]() -> Status {
+          RR_FAILPOINT(fp_read_block);
+          const uint8_t* payload = block_payload(block);
+          const uint64_t stored = LoadU64(payload + payload_bytes);
+          const uint64_t computed = ColumnStoreHash(payload, payload_bytes);
+          if (stored != computed) {
+            return Status::InvalidArgument(
+                StorePrefix(path_) + "block " + std::to_string(block) +
+                " checksum mismatch at offset " +
+                std::to_string(header_bytes_ + block * block_stride_) +
+                " — stored " + HexU64(stored) + ", computed " +
+                HexU64(computed) + " (see docs/FORMAT.md)");
+          }
+          m_blocks_verified.Add(1);
+          return Status::OK();
+        }();
       },
-      options_.parallel);
+      parallel);
   for (Status& status : statuses) {
     if (!status.ok()) return std::move(status);
   }
@@ -667,11 +605,10 @@ uint64_t ColumnStoreReader::stored_block_hash(size_t block) const {
   return LoadU64(block_payload(block) + block_stride_ - sizeof(uint64_t));
 }
 
-Result<const double*> ColumnStoreReader::BlockColumn(size_t block,
-                                                     size_t column) {
+const double* ColumnStoreReader::BlockColumn(size_t block,
+                                             size_t column) const {
   RR_CHECK(block < num_blocks_ && column < names_.size())
       << "BlockColumn: index out of range";
-  RR_RETURN_NOT_OK(VerifyBlock(block));
   return reinterpret_cast<const double*>(block_payload(block)) +
          column * block_rows_;
 }

@@ -23,12 +23,14 @@
 //     pipeline::ColumnStoreChunkSink so any pipeline can emit a store.
 //   * ColumnStoreReader  — memory-maps the file (POSIX mmap, read-only),
 //     validates the header eagerly and serves each block's columns
-//     zero-copy, verifying the block's checksum on first touch
-//     (BlockColumn) or a whole range at once, block-parallel
-//     (VerifyBlocksInRange). It gathers no rows itself: every read of a
-//     store, a lone file included, goes through
+//     zero-copy (BlockColumn); VerifyBlocks checks every block checksum
+//     of the file, block-parallel. An immutable view after Open: it
+//     decides nothing about when blocks are verified and gathers no rows.
+//     Every read of a store, a lone file included, goes through
 //     data::ShardedStoreReader (data/shard_store.h), which opens a lone
-//     `.rrcs` as a one-shard store and is the one row gather.
+//     `.rrcs` as a one-shard store, verifies each shard's blocks once,
+//     on the first read that touches the shard, and is the one row
+//     gather.
 //
 // Every corruption path (truncation, bad magic/version, checksum
 // mismatch, header/row-count disagreement) fails with a Status naming
@@ -171,34 +173,23 @@ class ColumnStoreWriter {
   bool closed_ = false;
 };
 
-/// Reader knobs.
-struct ColumnStoreReadOptions {
-  /// Worker budget for block-parallel verification and gathers. Results
-  /// are bitwise identical for any setting (disjoint per-block work, no
-  /// cross-block floating-point accumulation).
-  ParallelOptions parallel;
-};
-
 /// Memory-mapped column-store reader: zero-copy in the sense that file
 /// bytes are consumed straight from the page cache — no read() buffering,
 /// no parsing; BlockColumn() points into the mapping.
 ///
 /// Open() validates magic, version, header checksum and the exact file
 /// size implied by the header (which catches both truncation and a
-/// header/row-count disagreement); block checksums are verified lazily,
-/// once, on first touch — a caller that wants the whole file proven up
-/// front (recovery) calls VerifyBlocksInRange(0, num_blocks()).
-/// Instances are move-only and single-threaded (the lazy verification
-/// bitmap is unsynchronized between calls; the block-parallel verify
-/// touches disjoint blocks); concurrent readers should each Open() the
-/// file — the kernel shares the pages.
+/// header/row-count disagreement). Block checksums are checked only by
+/// VerifyBlocks, whole file at once; when that happens is the caller's
+/// decision (data::ShardedStoreReader::VerifiedShard for reads, recovery
+/// for its stray-shard rebuild). Move-only and immutable after Open, so
+/// its const methods are safe to call from any number of threads.
 class ColumnStoreReader {
  public:
   /// Maps `path` and validates its header. IoError if the file can't be
   /// opened or mapped, InvalidArgument naming the offending field/offset
   /// on any structural corruption.
-  static Result<ColumnStoreReader> Open(const std::string& path,
-                                        ColumnStoreReadOptions options = {});
+  static Result<ColumnStoreReader> Open(const std::string& path);
 
   ColumnStoreReader(ColumnStoreReader&& other) noexcept;
   ColumnStoreReader& operator=(ColumnStoreReader&& other) noexcept;
@@ -214,13 +205,14 @@ class ColumnStoreReader {
 
   /// Zero-copy pointer to column `column` of block `block` — block-local
   /// row r of that column is ptr[r], valid for rows_in_block(block) rows.
-  /// Verifies the block's checksum on first touch.
-  Result<const double*> BlockColumn(size_t block, size_t column);
+  /// Checks nothing: callers verify the file first (VerifyBlocks).
+  const double* BlockColumn(size_t block, size_t column) const;
 
-  /// Verifies every unverified block in [block_begin, block_end) —
-  /// block-parallel; on failure returns the LOWEST failing block's error
-  /// so the diagnostic is deterministic across thread counts.
-  Status VerifyBlocksInRange(size_t block_begin, size_t block_end);
+  /// Verifies every block checksum of the file (docs/FORMAT.md §3),
+  /// block-parallel. On failure returns the LOWEST failing block's error,
+  /// naming the block and its byte offset, so the diagnostic is the same
+  /// for any thread count.
+  Status VerifyBlocks(const ParallelOptions& parallel) const;
 
   /// Valid records in `block` (block_rows() except for a final partial).
   size_t rows_in_block(size_t block) const;
@@ -237,9 +229,6 @@ class ColumnStoreReader {
 
  private:
   ColumnStoreReader() = default;
-
-  /// Lazily verifies block `block`'s checksum (docs/FORMAT.md §3).
-  Status VerifyBlock(size_t block);
 
   /// Unmaps and closes, leaving the reader empty (moves, destructor).
   void ReleaseMapping();
@@ -258,9 +247,7 @@ class ColumnStoreReader {
   size_t num_blocks_ = 0;
   size_t block_stride_ = 0;  ///< Payload + trailing checksum, in bytes.
   uint64_t header_hash_ = 0;
-  ColumnStoreReadOptions options_;
   std::vector<std::string> names_;
-  std::vector<uint8_t> block_verified_;
 };
 
 /// Writes a whole Dataset as a column store (bitwise-exact f64 values,

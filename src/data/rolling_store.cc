@@ -378,7 +378,7 @@ Result<RollingStoreSnapshotReader> RollingStoreSnapshotReader::Pin(
   // never fail on a shard open — retention may unlink files under us,
   // but the mmaps hold the sealed bytes until this reader dies.
   for (size_t s = 0; s < reader.num_shards(); ++s) {
-    Result<ColumnStoreReader*> shard = reader.shard(s);
+    Result<const ColumnStoreReader*> shard = reader.shard(s);
     if (!shard.ok()) {
       // A shard the manifest names but the pin cannot validate has two
       // causes with opposite semantics: real damage (propagate), or the

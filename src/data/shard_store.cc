@@ -12,6 +12,7 @@
 #include "common/failpoint.h"
 #include "common/file_io.h"
 #include "common/metrics.h"
+#include "data/byte_codec.h"
 #include "linalg/kernels.h"
 
 namespace randrecon {
@@ -37,33 +38,6 @@ constexpr size_t kMinShardEntryBytes = 4 + 3 * sizeof(uint64_t);
 /// hostile or corrupt and must fail as a Status, not a bad_alloc.
 constexpr size_t kMaxManifestBytes = 64u << 20;
 
-void AppendU32(std::string* out, uint32_t value) {
-  out->append(reinterpret_cast<const char*>(&value), sizeof(value));
-}
-
-void AppendU64(std::string* out, uint64_t value) {
-  out->append(reinterpret_cast<const char*>(&value), sizeof(value));
-}
-
-uint32_t LoadU32(const uint8_t* bytes) {
-  uint32_t value;
-  std::memcpy(&value, bytes, sizeof(value));
-  return value;
-}
-
-uint64_t LoadU64(const uint8_t* bytes) {
-  uint64_t value;
-  std::memcpy(&value, bytes, sizeof(value));
-  return value;
-}
-
-std::string HexU64(uint64_t value) {
-  char buffer[19];
-  std::snprintf(buffer, sizeof(buffer), "0x%016llx",
-                static_cast<unsigned long long>(value));
-  return buffer;
-}
-
 std::string ManifestPrefix(const std::string& path) {
   return "shard manifest '" + path + "': ";
 }
@@ -78,7 +52,8 @@ Failpoint fp_manifest_rename("manifest.rename");  ///< Before the rename.
 // failpoints they observe; the per-shard store.* counters in
 // column_store.cc tick underneath these for every shard file.
 metrics::Counter m_shards_opened("shard.shards_opened");
-metrics::Counter m_shard_open_hits("shard.open_hits");  ///< Lazy-verify hits.
+/// shard() calls that found the shard already open.
+metrics::Counter m_shard_open_hits("shard.open_hits");
 metrics::Counter m_manifests_written("shard.manifests_written");
 metrics::Counter m_manifests_read("shard.manifests_read");
 metrics::Counter m_rows_read("store.rows_read");
@@ -195,10 +170,6 @@ uint64_t ComputeShardSealDigest(const ColumnStoreReader& reader) {
     words.push_back(reader.stored_block_hash(block));
   }
   return ColumnStoreHash(words.data(), words.size() * sizeof(uint64_t));
-}
-
-std::string ManifestHashHex(uint64_t manifest_hash) {
-  return HexU64(manifest_hash);
 }
 
 std::string ShardFileName(const std::string& stem, size_t shard_index) {
@@ -426,7 +397,8 @@ ShardedStoreReader::ShardedStoreReader(ShardManifest manifest,
       manifest_path_(path),
       directory_(ManifestDirectory(path)),
       store_options_(store_options),
-      shards_(manifest_.shards.size()) {}
+      shards_(manifest_.shards.size()),
+      verified_(manifest_.shards.size(), false) {}
 
 Result<ShardedStoreReader> ShardedStoreReader::Open(
     const std::string& path, ColumnStoreReadOptions store_options) {
@@ -450,7 +422,8 @@ Result<ShardedStoreReader> ShardedStoreReader::Open(
   entry.seal_digest = ComputeShardSealDigest(store);
   reader.manifest_.num_records = store.num_records();
   reader.manifest_.column_names = store.attribute_names();
-  reader.shards_[0] = std::make_unique<ColumnStoreReader>(std::move(store));
+  reader.shards_[0] =
+      std::make_unique<const ColumnStoreReader>(std::move(store));
   return reader;
 }
 
@@ -484,8 +457,7 @@ std::string ShardedStoreReader::ShardPrefix(size_t shard) const {
 }
 
 Result<ColumnStoreReader> ShardedStoreReader::MapShard(size_t shard) const {
-  Result<ColumnStoreReader> opened =
-      ColumnStoreReader::Open(shard_path(shard), store_options_);
+  Result<ColumnStoreReader> opened = ColumnStoreReader::Open(shard_path(shard));
   if (!opened.ok()) {
     // Missing file (IoError) and structural corruption (InvalidArgument,
     // e.g. truncation) keep their codes; the shard is named either way.
@@ -495,7 +467,7 @@ Result<ColumnStoreReader> ShardedStoreReader::MapShard(size_t shard) const {
   return opened;
 }
 
-Result<ColumnStoreReader*> ShardedStoreReader::shard(size_t shard) {
+Result<const ColumnStoreReader*> ShardedStoreReader::shard(size_t shard) {
   RR_CHECK(shard < shards_.size()) << "ShardedStoreReader: shard out of range";
   if (shards_[shard] != nullptr) {
     m_shard_open_hits.Add(1);
@@ -528,9 +500,22 @@ Result<ColumnStoreReader*> ShardedStoreReader::shard(size_t shard) {
         " (shard files swapped, or the shard was resealed after the manifest "
         "was written)");
   }
-  shards_[shard] = std::make_unique<ColumnStoreReader>(std::move(reader));
+  shards_[shard] =
+      std::make_unique<const ColumnStoreReader>(std::move(reader));
   m_shards_opened.Add(1);
   return shards_[shard].get();
+}
+
+Result<const ColumnStoreReader*> ShardedStoreReader::VerifiedShard(
+    size_t shard) {
+  RR_ASSIGN_OR_RETURN(const ColumnStoreReader* reader, this->shard(shard));
+  if (verified_[shard]) return reader;
+  const Status verified = reader->VerifyBlocks(store_options_.parallel);
+  if (!verified.ok()) {
+    return Status(verified.code(), ShardPrefix(shard) + verified.message());
+  }
+  verified_[shard] = true;
+  return reader;
 }
 
 Status ShardedStoreReader::ReadRows(size_t row_begin, size_t num_rows,
@@ -559,10 +544,11 @@ Status ShardedStoreReader::ReadRows(size_t row_begin, size_t num_rows,
                            }) -
           manifest_.shards.begin()) -
       1;
-  // Serial, in record order: open and check each spanned shard on first
-  // touch, verify its spanned blocks (block-parallel), and cut the range
-  // into (shard, block) pieces. So the lowest failing shard, and within
-  // it the lowest failing block, is the error for any thread count.
+  // Serial, in record order: take each spanned shard verified (opened,
+  // checked and, on its first read, every block verified block-parallel)
+  // and cut the range into (shard, block) pieces. So the lowest failing
+  // shard, and within it the lowest failing block, is the error for any
+  // thread count.
   struct Piece {
     size_t local;    ///< First row inside the block.
     size_t take;     ///< Rows copied from the block.
@@ -580,23 +566,18 @@ Status ShardedStoreReader::ReadRows(size_t row_begin, size_t num_rows,
       ++shard_index;
       continue;
     }
-    RR_ASSIGN_OR_RETURN(ColumnStoreReader * reader, shard(shard_index));
+    RR_ASSIGN_OR_RETURN(const ColumnStoreReader* reader,
+                        VerifiedShard(shard_index));
     const size_t block_rows = reader->block_rows();
     const size_t block_begin = local / block_rows;
     const size_t block_end = (local + take - 1) / block_rows + 1;
-    const Status verified = reader->VerifyBlocksInRange(block_begin, block_end);
-    if (!verified.ok()) {
-      return Status(verified.code(),
-                    ShardPrefix(shard_index) + verified.message());
-    }
     for (size_t block = block_begin; block < block_end; ++block) {
       const size_t first = std::max(local, block * block_rows);
       const size_t last = std::min(local + take, (block + 1) * block_rows);
       pieces.push_back({first - block * block_rows, last - first,
                         out_row + first - local});
       for (size_t j = 0; j < m; ++j) {
-        RR_ASSIGN_OR_RETURN(const double* column, reader->BlockColumn(block, j));
-        columns.push_back(column);
+        columns.push_back(reader->BlockColumn(block, j));
       }
     }
     out_row += take;
@@ -631,8 +612,7 @@ Result<Dataset> ReadShardedStoreDataset(const std::string& path) {
   // the table from a hostile count must fail as a Status, not OOM. The
   // opens are not wasted — every shard is about to be read anyway.
   for (size_t s = 0; s < reader.num_shards(); ++s) {
-    RR_ASSIGN_OR_RETURN(ColumnStoreReader * shard, reader.shard(s));
-    (void)shard;
+    RR_RETURN_NOT_OK(reader.shard(s).status());
   }
   linalg::Matrix records(reader.num_records(), reader.num_attributes());
   RR_RETURN_NOT_OK(reader.ReadRows(0, reader.num_records(), &records));

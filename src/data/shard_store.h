@@ -26,8 +26,12 @@
 //     shard resealed after the manifest was written, row-span
 //     overlap/gap, schema mismatch) fails with a Status naming the
 //     offending shard — never a crash or a silently wrong stream.
-//     ReadRows is the one row gather: it verifies the spanned blocks,
-//     then copies every (shard, block) piece in one parallel loop.
+//     VerifiedShard is the one place block checksums are checked on the
+//     read path: a shard's blocks are all verified once per reader,
+//     block-parallel, on the first read that touches the shard (a
+//     ReadRows, or a columnar sweep entering it). ReadRows is the one
+//     row gather: it verifies each spanned shard that way, then copies
+//     every (shard, block) piece in one parallel loop.
 //
 // The wrapped pipeline adapters (ShardedRecordSource, ShardedChunkSink)
 // and the job-per-shard batch decomposition live in src/pipeline/ —
@@ -62,6 +66,14 @@ extern const char kShardManifestExtension[];
 /// reads.
 constexpr uint32_t kShardManifestVersion = 1;
 
+/// Reader knobs.
+struct ColumnStoreReadOptions {
+  /// Worker budget for block-parallel verification and gathers. Results
+  /// are bitwise identical for any setting (disjoint per-block work, no
+  /// cross-block floating-point accumulation).
+  ParallelOptions parallel;
+};
+
 /// One shard's manifest entry (docs/FORMAT.md §7.2).
 struct ShardManifestEntry {
   /// Shard file path relative to the manifest's directory. Validated on
@@ -92,13 +104,10 @@ struct ShardManifest {
   /// are byte-identical iff their hashes match. Populated by
   /// ReadShardManifest; ignored by WriteShardManifest (which computes
   /// the hash from the serialized image). The attack scheduler uses it
-  /// as the snapshot identity in versioned report series.
+  /// as the snapshot identity in versioned report series (spelled by
+  /// HexU64, data/byte_codec.h).
   uint64_t manifest_hash = 0;
 };
-
-/// `manifest_hash` rendered the way reports and errors spell digests:
-/// 16 lowercase hex digits, "0x"-prefixed.
-std::string ManifestHashHex(uint64_t manifest_hash);
 
 /// The per-shard seal digest of the manifest format: RRH64 over the
 /// little-endian u64 sequence [header_hash, block_hash 0, 1, ...] of a
@@ -138,9 +147,10 @@ Status WriteShardManifest(const ShardManifest& manifest,
 ///
 /// Shards are opened lazily: the manifest is parsed and span-validated
 /// up front, each shard file is mapped and checked (schema, row count,
-/// seal digest) on first touch. Move-only and single-threaded, like
-/// ColumnStoreReader; concurrent consumers should each Open() the
-/// manifest.
+/// seal digest) on first touch, and its blocks are verified once, on the
+/// first read of any of its rows. Move-only and single-threaded (it
+/// remembers which shards are open and verified); concurrent consumers
+/// should each Open() the manifest.
 class ShardedStoreReader {
  public:
   /// Opens `path`: a manifest (fails like ReadShardManifest; no shard is
@@ -183,9 +193,10 @@ class ShardedStoreReader {
   std::string shard_path(size_t shard) const;
 
   /// Fills the leading rows of `buffer` with logical records
-  /// [row_begin, row_begin + num_rows), opening the spanned shards on
-  /// demand. The spanned blocks are verified first, so the lowest
-  /// failing (shard, block) is the error whatever the thread count; the
+  /// [row_begin, row_begin + num_rows). Each spanned shard comes from
+  /// VerifiedShard, in record order, so a read touching any row of a
+  /// shard fails if any block of that shard is corrupt, and the lowest
+  /// failing (shard, block) is the error whatever the thread count. The
   /// blocks are then gathered in one parallel loop, each into its own
   /// slice of `buffer`, so the filled bytes do not depend on the thread
   /// count either. Errors name the offending shard.
@@ -193,11 +204,18 @@ class ShardedStoreReader {
 
   /// The lazily-opened reader for shard `shard`, checked against its
   /// manifest entry: the file opens, its schema and row count match, and
-  /// its seal digest equals the entry's. Block checksums are NOT verified
-  /// here (a pin runs this for every shard on every cycle); reads verify
-  /// the blocks they touch. The pointer stays valid for the life of this
-  /// ShardedStoreReader.
-  Result<ColumnStoreReader*> shard(size_t shard);
+  /// its seal digest equals the entry's. O(blocks): block checksums are
+  /// NOT verified here (a pin runs this for every shard on every cycle,
+  /// and the degraded probe for every shard of a store). The pointer
+  /// stays valid for the life of this ShardedStoreReader.
+  Result<const ColumnStoreReader*> shard(size_t shard);
+
+  /// shard(shard), with every block checksum of the shard verified
+  /// (ColumnStoreReader::VerifyBlocks, block-parallel): the one accessor
+  /// every read goes through. The blocks are verified once per reader,
+  /// on the first call; errors name the shard, the lowest failing block
+  /// and its byte offset.
+  Result<const ColumnStoreReader*> VerifiedShard(size_t shard);
 
  private:
   ShardedStoreReader(ShardManifest manifest, const std::string& path,
@@ -221,7 +239,9 @@ class ShardedStoreReader {
   size_t first_shard_ = 0;
   /// Lazily opened shard readers (null until first touch). unique_ptr
   /// keeps ColumnStoreReader pointers stable across vector growth.
-  std::vector<std::unique_ptr<ColumnStoreReader>> shards_;
+  std::vector<std::unique_ptr<const ColumnStoreReader>> shards_;
+  /// verified_[s]: shard s's blocks passed VerifiedShard's check.
+  std::vector<bool> verified_;
 };
 
 /// Reads a whole store — a manifest and its shards, or a lone column

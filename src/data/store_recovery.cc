@@ -71,19 +71,15 @@ Status Quarantine(const std::string& path, const std::string& prefix,
 
 /// True iff every shard the manifest names verifies bitwise against it:
 /// the file passes the reader's check against its entry (schema, row
-/// count, seal digest) and every block checksum passes.
+/// count, seal digest) and every block checksum passes — what any read
+/// of the shard checks (ShardedStoreReader::VerifiedShard).
 bool ManifestStoreIsValid(const ShardManifest& manifest,
                           const std::string& manifest_path,
                           const ColumnStoreReadOptions& options) {
   for (size_t s = 0; s < manifest.shards.size(); ++s) {
     ShardedStoreReader view =
         ShardedStoreReader::ShardView(manifest, manifest_path, s, options);
-    Result<ColumnStoreReader*> shard = view.shard(0);
-    if (!shard.ok() ||
-        !shard.value()->VerifyBlocksInRange(0, shard.value()->num_blocks())
-             .ok()) {
-      return false;
-    }
+    if (!view.VerifiedShard(0).ok()) return false;
   }
   return true;
 }
@@ -162,11 +158,10 @@ Result<StoreRecoveryReport> RecoverShardedStore(
     if (prefix_open && FileExists(shard_path)) {
       // No entry to check this file against: it must open and every
       // block checksum must pass.
-      Result<ColumnStoreReader> probe =
-          ColumnStoreReader::Open(shard_path, options.store_options);
+      Result<ColumnStoreReader> probe = ColumnStoreReader::Open(shard_path);
       if (probe.ok()) {
         ColumnStoreReader reader = std::move(probe).value();
-        if (reader.VerifyBlocksInRange(0, reader.num_blocks()).ok() &&
+        if (reader.VerifyBlocks(options.store_options.parallel).ok() &&
             reader.num_records() > 0 &&
             (entries.empty() || reader.attribute_names() == column_names)) {
           if (entries.empty()) column_names = reader.attribute_names();

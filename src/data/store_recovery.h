@@ -12,9 +12,9 @@
 //   1. Orphan temp files (shard and manifest ".tmp") are removed — by
 //      protocol a temp is never the only copy of sealed data.
 //   2. If the existing manifest parses and EVERY shard it names
-//      verifies bitwise (ShardedStoreReader::shard's check against its
-//      entry, seal digest included, plus a whole-file block checksum
-//      scan), the store is already valid and is left untouched.
+//      verifies bitwise (ShardedStoreReader::VerifiedShard: the check
+//      against its entry, seal digest included, plus every block
+//      checksum), the store is already valid and is left untouched.
 //   3. Otherwise the manifest is rebuilt from the conventional shard
 //      files ("<stem>.shard-NNNNN.rrcs"): the maximal contiguous prefix
 //      of sealed, schema-consistent, fully-verified shards starting at
@@ -38,7 +38,7 @@
 #include <vector>
 
 #include "common/result.h"
-#include "data/column_store.h"
+#include "data/shard_store.h"
 
 namespace randrecon {
 namespace data {

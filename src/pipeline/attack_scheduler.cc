@@ -16,6 +16,7 @@
 #include "common/run_report.h"
 #include "common/stopwatch.h"
 #include "common/trace.h"
+#include "data/byte_codec.h"
 #include "data/rolling_store.h"
 #include "pipeline/record_source.h"
 
@@ -208,19 +209,20 @@ SchedulerCycleResult AttackScheduler::Tick() {
     due = true;
   }
   if (!due && options_.min_new_rows > 0) {
-    // Cheap trigger probe: parse the manifest, pin nothing. Signed
-    // delta — retention can shrink the published window, which never
-    // fires the growth trigger.
+    // Cheap trigger probe: parse the manifest, pin nothing, and count
+    // the rows of shards the last report did not attack. Not a size
+    // delta: retention holds a full window's size constant.
     Result<data::ShardManifest> parsed =
         data::ReadShardManifest(manifest_path_);
     if (parsed.ok()) {
-      const int64_t delta =
-          static_cast<int64_t>(parsed.value().num_records) -
-          static_cast<int64_t>(last_report_rows_);
-      if (!have_last_report_ ||
-          delta >= static_cast<int64_t>(options_.min_new_rows)) {
-        due = true;
+      uint64_t new_rows = 0;
+      for (const data::ShardManifestEntry& entry : parsed.value().shards) {
+        if (!std::binary_search(attacked_digests_.begin(),
+                                attacked_digests_.end(), entry.seal_digest)) {
+          new_rows += entry.row_count;
+        }
       }
+      due = attacked_digests_.empty() || new_rows >= options_.min_new_rows;
     }
   }
   if (!due) {
@@ -261,37 +263,33 @@ SchedulerCycleResult AttackScheduler::RunCycleLocked() {
     m_skipped_no_manifest.Add(1);
     return result;
   }
-  const data::ShardManifest& manifest = parsed.value();
+  // The snapshot attacked: this parse until the job pins its own.
+  data::ShardManifest attacked = std::move(parsed).value();
   if (!options_.attack_unchanged && have_last_report_ &&
-      manifest.manifest_hash == last_manifest_hash_) {
+      attacked.manifest_hash == last_manifest_hash_) {
     result.outcome = CycleOutcome::kSkippedUnchanged;
     ++skipped_unchanged_;
     m_skipped_unchanged.Add(1);
     return result;
   }
 
-  // The snapshot identity the report names MUST be the pinned one: a
-  // writer can republish between the trigger parse above and the pin
-  // inside the job, and the bitwise contract is against what was
-  // actually attacked. The trigger-time parse is only the fallback for
-  // cycles whose factory never got to pin.
-  struct PinnedIdentity {
+  // The snapshot the report names, and the degraded fallback
+  // decomposes, MUST be the pinned one: a writer can republish between
+  // the parse above and the pin inside the job, and the bitwise contract
+  // is against what was actually attacked. The parse is only the
+  // fallback for cycles whose factory never got to pin.
+  struct PinnedManifest {
     std::mutex mutex;
     bool have = false;
-    uint64_t manifest_hash = 0;
-    uint64_t rows = 0;
-    size_t shards = 0;
+    data::ShardManifest manifest;
   };
-  auto pinned = std::make_shared<PinnedIdentity>();
-  result.manifest_hash = manifest.manifest_hash;
-  result.snapshot_rows = manifest.num_records;
-  result.snapshot_shards = manifest.shards.size();
+  auto pinned = std::make_shared<PinnedManifest>();
 
   PipelineJob job;
   job.name = manifest_path_;
   job.attack = options_.attack;
   job.noise = perturb::NoiseModel::IndependentGaussian(
-      std::max<size_t>(1, manifest.column_names.size()), options_.sigma);
+      std::max<size_t>(1, attacked.column_names.size()), options_.sigma);
   job.retry = options_.retry;
   const std::string manifest_path = manifest_path_;
   const data::ColumnStoreReadOptions store_options = options_.store_options;
@@ -303,9 +301,7 @@ SchedulerCycleResult AttackScheduler::RunCycleLocked() {
     {
       std::lock_guard<std::mutex> lock(pinned->mutex);
       pinned->have = true;
-      pinned->manifest_hash = snapshot.manifest().manifest_hash;
-      pinned->rows = snapshot.manifest().num_records;
-      pinned->shards = snapshot.manifest().shards.size();
+      pinned->manifest = snapshot.manifest();
     }
     return std::unique_ptr<RecordSource>(
         new ShardedRecordSource(std::move(snapshot).ReleaseReader()));
@@ -318,12 +314,11 @@ SchedulerCycleResult AttackScheduler::RunCycleLocked() {
   PipelineJobResult& whole = whole_results.front();
   {
     std::lock_guard<std::mutex> lock(pinned->mutex);
-    if (pinned->have) {
-      result.manifest_hash = pinned->manifest_hash;
-      result.snapshot_rows = pinned->rows;
-      result.snapshot_shards = pinned->shards;
-    }
+    if (pinned->have) attacked = std::move(pinned->manifest);
   }
+  result.manifest_hash = attacked.manifest_hash;
+  result.snapshot_rows = attacked.num_records;
+  result.snapshot_shards = attacked.shards.size();
 
   bool publishable = false;
   if (whole.status.ok()) {
@@ -335,23 +330,22 @@ SchedulerCycleResult AttackScheduler::RunCycleLocked() {
     result.status = whole.status;
     result.jobs.push_back(std::move(whole));
     // The whole-stream job failed past its retries — cover what can
-    // be covered and NAME the rest, the sweep driver's discipline.
-    Result<PerShardJobSet> job_set = MakePerShardJobsDegraded(
-        manifest_path_, job, options_.store_options);
-    if (job_set.ok()) {
-      result.excluded = std::move(job_set.value().excluded);
-      if (!job_set.value().jobs.empty()) {
-        std::vector<PipelineJobResult> shard_results =
-            RunPipelineJobs(job_set.value().jobs, runner_options);
-        size_t ok_shards = 0;
-        for (PipelineJobResult& shard_result : shard_results) {
-          if (shard_result.status.ok()) ++ok_shards;
-          result.jobs.push_back(std::move(shard_result));
-        }
-        if (ok_shards > 0) {
-          result.outcome = CycleOutcome::kDegraded;
-          publishable = true;
-        }
+    // be covered of the attacked snapshot and NAME the rest, the sweep
+    // driver's discipline.
+    PerShardJobSet job_set =
+        MakePerShardJobsDegraded(attacked, manifest_path_, job);
+    result.excluded = std::move(job_set.excluded);
+    if (!job_set.jobs.empty()) {
+      std::vector<PipelineJobResult> shard_results =
+          RunPipelineJobs(job_set.jobs, runner_options);
+      size_t ok_shards = 0;
+      for (PipelineJobResult& shard_result : shard_results) {
+        if (shard_result.status.ok()) ++ok_shards;
+        result.jobs.push_back(std::move(shard_result));
+      }
+      if (ok_shards > 0) {
+        result.outcome = CycleOutcome::kDegraded;
+        publishable = true;
       }
     }
   }
@@ -360,7 +354,7 @@ SchedulerCycleResult AttackScheduler::RunCycleLocked() {
     result.rows_since_last_report =
         static_cast<int64_t>(result.snapshot_rows) -
         static_cast<int64_t>(last_report_rows_);
-    const Status published = PublishLocked(&result);
+    const Status published = PublishLocked(attacked, &result);
     if (!published.ok()) {
       // The attack succeeded but nothing durable exists — that is a
       // failed cycle, and the version was not consumed.
@@ -393,7 +387,8 @@ SchedulerCycleResult AttackScheduler::RunCycleLocked() {
   return result;
 }
 
-Status AttackScheduler::PublishLocked(SchedulerCycleResult* result) {
+Status AttackScheduler::PublishLocked(const data::ShardManifest& attacked,
+                                      SchedulerCycleResult* result) {
   const uint64_t version = next_version_;
   const bool degraded = result->outcome == CycleOutcome::kDegraded;
   const std::string path = reports_.Path(version);
@@ -448,7 +443,7 @@ Status AttackScheduler::PublishLocked(SchedulerCycleResult* result) {
   std::string series_json =
       "{\"version\":" + std::to_string(version) + ",\"manifest\":\"" +
       report::JsonEscape(manifest_path_) + "\",\"manifest_hash\":\"" +
-      data::ManifestHashHex(result->manifest_hash) +
+      data::HexU64(result->manifest_hash) +
       "\",\"snapshot_rows\":" + std::to_string(result->snapshot_rows) +
       ",\"snapshot_shards\":" + std::to_string(result->snapshot_shards) +
       ",\"rows_since_last_report\":" +
@@ -491,6 +486,11 @@ Status AttackScheduler::PublishLocked(SchedulerCycleResult* result) {
   last_manifest_hash_ = result->manifest_hash;
   last_report_rows_ = result->snapshot_rows;
   have_last_report_ = true;
+  attacked_digests_.clear();
+  for (const data::ShardManifestEntry& entry : attacked.shards) {
+    attacked_digests_.push_back(entry.seal_digest);
+  }
+  std::sort(attacked_digests_.begin(), attacked_digests_.end());
   ++reports_published_;
   m_reports_published.Add(1);
   g_last_version.Set(static_cast<int64_t>(version));
@@ -623,7 +623,7 @@ void AttackScheduler::UpdateStatusLocked() {
               std::to_string(last_published_version_));
   json.append(",\"last_report_rows\":" + std::to_string(last_report_rows_));
   json.append(",\"last_manifest_hash\":\"" +
-              (have_last_report_ ? data::ManifestHashHex(last_manifest_hash_)
+              (have_last_report_ ? data::HexU64(last_manifest_hash_)
                                  : std::string("")) +
               "\"");
   json.append(",\"have_last_report\":");

@@ -5,7 +5,8 @@
 // An IngestService (pipeline/ingest.h) keeps appending perturbed records
 // into a rolling sharded store, republishing its manifest after every
 // rotation. The scheduler closes the loop: on a configurable cadence
-// (and/or once the published manifest has grown by `min_new_rows`), it
+// (and/or once `min_new_rows` rows the last report did not attack are
+// published), it
 // pins a RollingStoreSnapshotReader snapshot of the latest published
 // manifest, re-runs the streaming SF / PCA-DR attack over it through the
 // existing PipelineRunner (inheriting retry, deadline and degraded-shard
@@ -63,7 +64,7 @@
 
 #include "common/file_io.h"
 #include "common/result.h"
-#include "data/column_store.h"
+#include "data/shard_store.h"
 #include "pipeline/retry.h"
 #include "pipeline/runner.h"
 #include "pipeline/streaming_attack.h"
@@ -81,10 +82,14 @@ struct AttackSchedulerOptions {
   /// every whole cadence slot that passed unobserved beyond the one
   /// being served is counted under scheduler.overruns.
   uint64_t cadence_nanos = 0;
-  /// Also fire once the PUBLISHED manifest holds at least this many
-  /// rows more than the last report attacked (0 = no rows trigger).
-  /// Evaluated against a cheap manifest parse — no snapshot is pinned
-  /// until the cycle actually runs.
+  /// Also fire once the PUBLISHED manifest's shards that the last report
+  /// did not attack (matched by seal digest) hold at least this many
+  /// rows (0 = no rows trigger). New shards count whatever retention
+  /// retired meanwhile, so the trigger keeps firing on a full retention
+  /// window. A scheduler that has published nothing since Create has no
+  /// baseline: its first rows check fires. Evaluated against a cheap
+  /// manifest parse — no snapshot is pinned until the cycle actually
+  /// runs.
   uint64_t min_new_rows = 0;
   /// Re-attack a snapshot whose manifest hash equals the last report's
   /// (default: skip it, counted under scheduler.skipped_unchanged).
@@ -264,9 +269,11 @@ class AttackScheduler {
   void UpdateStatusLocked();
 
   /// Builds and publishes report `next_version_` for an attacked
-  /// cycle; advances the series state, rewrites latest.json and retires
-  /// the oldest reports beyond retain_reports on success.
-  Status PublishLocked(SchedulerCycleResult* result);
+  /// cycle over snapshot `attacked`; advances the series state (the rows
+  /// trigger's baseline included), rewrites latest.json and retires the
+  /// oldest reports beyond retain_reports on success.
+  Status PublishLocked(const data::ShardManifest& attacked,
+                       SchedulerCycleResult* result);
 
   /// Daemon thread body.
   void DaemonLoop();
@@ -283,6 +290,10 @@ class AttackScheduler {
   uint64_t last_manifest_hash_ = 0;
   uint64_t last_report_rows_ = 0;
   bool have_last_report_ = false;
+  /// Seal digests of the shards the last report this instance published
+  /// attacked, sorted: the rows trigger's baseline. Empty until the
+  /// first publish (a published snapshot names at least one shard).
+  std::vector<uint64_t> attacked_digests_;
   uint64_t cycles_ = 0;
   uint64_t cycles_ok_ = 0;
   uint64_t cycles_degraded_ = 0;

@@ -18,25 +18,6 @@ namespace {
 /// without corrupting any file.
 Failpoint fp_next_chunk("source.next_chunk");
 
-/// Points `columns` at every attribute of one mapped store block and
-/// returns its record count. A sweep entering a store (block 0) first
-/// verifies every block's checksum in parallel, so the first touch of
-/// each file is one block-parallel pass that reports its lowest failing
-/// block; the fetches below then hit the verified bitmap.
-Result<size_t> ServeBlock(data::ColumnStoreReader* reader, size_t block,
-                          std::vector<const double*>* columns) {
-  RR_FAILPOINT(fp_next_chunk);
-  if (block == 0) {
-    RR_RETURN_NOT_OK(reader->VerifyBlocksInRange(0, reader->num_blocks()));
-  }
-  const size_t m = reader->num_attributes();
-  columns->resize(m);
-  for (size_t j = 0; j < m; ++j) {
-    RR_ASSIGN_OR_RETURN((*columns)[j], reader->BlockColumn(block, j));
-  }
-  return reader->rows_in_block(block);
-}
-
 }  // namespace
 
 TransposingBlockStream::TransposingBlockStream(RecordSource* source,
@@ -112,15 +93,22 @@ Result<size_t> ShardedRecordSource::NextBlockColumns(
   // row counts, which is all the moment accumulator needs.
   for (;;) {
     if (block_shard_ == reader_.num_shards()) return size_t{0};
-    RR_ASSIGN_OR_RETURN(data::ColumnStoreReader * shard,
-                        reader_.shard(block_shard_));
+    // Entering a shard verifies all its blocks (block-parallel) on this
+    // reader's first read of it; later blocks and sweeps find it done.
+    RR_ASSIGN_OR_RETURN(const data::ColumnStoreReader* shard,
+                        reader_.VerifiedShard(block_shard_));
     if (block_in_shard_ == shard->num_blocks()) {
       ++block_shard_;
       block_in_shard_ = 0;
       continue;
     }
-    RR_ASSIGN_OR_RETURN(const size_t rows,
-                        ServeBlock(shard, block_in_shard_, columns));
+    RR_FAILPOINT(fp_next_chunk);
+    const size_t m = shard->num_attributes();
+    columns->resize(m);
+    for (size_t j = 0; j < m; ++j) {
+      (*columns)[j] = shard->BlockColumn(block_in_shard_, j);
+    }
+    const size_t rows = shard->rows_in_block(block_in_shard_);
     ++block_in_shard_;
     return rows;
   }

@@ -201,8 +201,11 @@ class CsvRecordSource final : public RecordSource {
 /// swapped/resealed shard, schema mismatch, a block checksum mismatch)
 /// surfaces as a Status naming the shard and, for a block, the lowest
 /// failing one. Serves its column blocks zero-copy across shards (each
-/// shard's blocks in order), verifying each shard's blocks
-/// block-parallel as the sweep enters it.
+/// shard's blocks in order). Both read paths take each shard from
+/// data::ShardedStoreReader::VerifiedShard, so a shard's blocks are
+/// verified once per source, block-parallel, on the first read that
+/// touches it, whichever path that is; rewinds and later passes verify
+/// nothing again.
 ///
 /// The attack scheduler constructs one over a pinned rolling-store
 /// snapshot (data::RollingStoreSnapshotReader::ReleaseReader): every shard

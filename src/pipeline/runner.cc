@@ -251,11 +251,9 @@ std::string PerShardJobSet::DegradedSummary() const {
   return summary;
 }
 
-Result<PerShardJobSet> MakePerShardJobsDegraded(
-    const std::string& manifest_path, const PipelineJob& prototype,
-    data::ColumnStoreReadOptions probe_options) {
-  RR_ASSIGN_OR_RETURN(const data::ShardManifest manifest,
-                      data::ReadShardManifest(manifest_path));
+PerShardJobSet MakePerShardJobsDegraded(const data::ShardManifest& manifest,
+                                        const std::string& manifest_path,
+                                        const PipelineJob& prototype) {
   // Build jobs exactly the way the non-degraded decomposition does (same
   // names, same factories — a healthy store yields the identical batch),
   // then keep only the shards that pass the probe.
@@ -266,8 +264,8 @@ Result<PerShardJobSet> MakePerShardJobsDegraded(
   set.total_rows = manifest.num_records;
   for (size_t s = 0; s < manifest.shards.size(); ++s) {
     const data::ShardManifestEntry& entry = manifest.shards[s];
-    data::ShardedStoreReader view = data::ShardedStoreReader::ShardView(
-        manifest, manifest_path, s, probe_options);
+    data::ShardedStoreReader view =
+        data::ShardedStoreReader::ShardView(manifest, manifest_path, s);
     const std::string shard_path = view.shard_path(0);
     m_shard_probes.Add(1);
     Status probed = view.shard(0).status();

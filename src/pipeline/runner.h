@@ -157,21 +157,21 @@ struct PerShardJobSet {
   std::string DegradedSummary() const;
 };
 
-/// Degraded-mode job-per-shard decomposition: like MakePerShardJobs, but
-/// each shard is probed up front with the same check its job runs
-/// (data::ShardedStoreReader::shard on the job's one-shard view: the
-/// file opens, and its schema, row count and seal digest match the
-/// manifest) and shards that fail the probe are skipped with a
-/// ShardExclusion instead of producing a job doomed to fail — the batch
-/// covers every healthy shard of a store that recovery (or rot) has left
-/// partially usable. A shard swapped after the probe still fails its
-/// job on the digest. `probe_options` tunes the probe's reads (block
-/// checksums are not verified up front; they still guard the jobs' own
-/// reads). Fails only like data::ReadShardManifest — with no readable
-/// manifest there is no job set to build.
-Result<PerShardJobSet> MakePerShardJobsDegraded(
-    const std::string& manifest_path, const PipelineJob& prototype,
-    data::ColumnStoreReadOptions probe_options = {});
+/// Degraded-mode job-per-shard decomposition of `manifest` (parsed from
+/// `manifest_path`; whatever that path holds now is never re-read, so
+/// the jobs and exclusions cover exactly the snapshot the caller has):
+/// like MakePerShardJobs, but each shard is probed up front with the
+/// same check its job runs (data::ShardedStoreReader::shard on the job's
+/// one-shard view: the file opens, and its schema, row count and seal
+/// digest match the entry) and shards that fail the probe are skipped
+/// with a ShardExclusion instead of producing a job doomed to fail — the
+/// batch covers every healthy shard of a store that recovery (or rot)
+/// has left partially usable. A shard swapped after the probe still
+/// fails its job on the digest. The probe is O(blocks) per shard: block
+/// checksums are not verified up front; they guard the jobs' own reads.
+PerShardJobSet MakePerShardJobsDegraded(const data::ShardManifest& manifest,
+                                        const std::string& manifest_path,
+                                        const PipelineJob& prototype);
 
 }  // namespace pipeline
 }  // namespace randrecon

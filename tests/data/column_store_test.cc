@@ -116,16 +116,17 @@ Matrix ReadAll(const std::string& path) {
   return records;
 }
 
-/// Every record of `reader`, rebuilt from its zero-copy block columns.
-Matrix ReadThroughBlocks(ColumnStoreReader* reader) {
-  Matrix records(reader->num_records(), reader->num_attributes());
-  for (size_t block = 0; block < reader->num_blocks(); ++block) {
-    for (size_t j = 0; j < reader->num_attributes(); ++j) {
-      auto column = reader->BlockColumn(block, j);
-      EXPECT_TRUE(column.ok()) << column.status().ToString();
-      if (!column.ok()) return records;
-      for (size_t r = 0; r < reader->rows_in_block(block); ++r) {
-        records(block * reader->block_rows() + r, j) = column.value()[r];
+/// Every record of `reader`, rebuilt from its zero-copy block columns
+/// after the whole file verifies.
+Matrix ReadThroughBlocks(const ColumnStoreReader& reader) {
+  Matrix records(reader.num_records(), reader.num_attributes());
+  const Status verified = reader.VerifyBlocks(ParallelOptions());
+  EXPECT_TRUE(verified.ok()) << verified.ToString();
+  for (size_t block = 0; block < reader.num_blocks(); ++block) {
+    for (size_t j = 0; j < reader.num_attributes(); ++j) {
+      const double* column = reader.BlockColumn(block, j);
+      for (size_t r = 0; r < reader.rows_in_block(block); ++r) {
+        records(block * reader.block_rows() + r, j) = column[r];
       }
     }
   }
@@ -204,10 +205,9 @@ TEST(ColumnStoreTest, BlockColumnIsTheMappedColumn) {
   ASSERT_TRUE(reader.ok());
   ColumnStoreReader store = std::move(reader).value();
 
-  auto column = store.BlockColumn(/*block=*/1, /*column=*/2);
-  ASSERT_TRUE(column.ok()) << column.status().ToString();
+  const double* column = store.BlockColumn(/*block=*/1, /*column=*/2);
   for (size_t r = 0; r < store.rows_in_block(1); ++r) {
-    EXPECT_EQ(column.value()[r], records(40 + r, 2));
+    EXPECT_EQ(column[r], records(40 + r, 2));
   }
 }
 
@@ -426,12 +426,10 @@ TEST_F(ColumnStoreCorruptionTest, BlockChecksumMismatchNamesBlockAndOffset) {
                            << reader.status().ToString();
   ShardedStoreReader store = std::move(reader).value();
 
-  // Block 0 is intact and must still serve.
+  // The first read verifies every block of the file, so even a read of
+  // the intact block 0 names block 1 and its offset.
   Matrix buffer(64, 3);
-  EXPECT_TRUE(store.ReadRows(0, 64, &buffer).ok());
-
-  // Touching block 1 surfaces the mismatch, naming block and offset.
-  const Status status = store.ReadRows(64, 64, &buffer);
+  const Status status = store.ReadRows(0, 64, &buffer);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.message().find("block 1 checksum mismatch"),
             std::string::npos)
@@ -456,10 +454,10 @@ TEST_F(ColumnStoreCorruptionTest, WholeFileVerifyNamesTheBlock) {
   for (const int threads : {1, 4}) {
     ColumnStoreReadOptions options;
     options.parallel.num_threads = threads;
-    auto opened = ColumnStoreReader::Open(file_.path(), options);
+    auto opened = ColumnStoreReader::Open(file_.path());
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
     ColumnStoreReader store = std::move(opened).value();
-    Status status = store.VerifyBlocksInRange(0, store.num_blocks());
+    Status status = store.VerifyBlocks(options.parallel);
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
     EXPECT_NE(status.message().find("block 2 checksum mismatch"),
               std::string::npos)
@@ -602,7 +600,7 @@ TEST(ColumnStoreReaderTest, MoveAssignmentReleasesTheOldMapping) {
   auto opened = ColumnStoreReader::Open(first_file.path());
   ASSERT_TRUE(opened.ok());
   ColumnStoreReader reader = std::move(opened).value();
-  EXPECT_TRUE(ReadThroughBlocks(&reader) == first);
+  EXPECT_TRUE(ReadThroughBlocks(reader) == first);
 
   // Re-point the same reader at the second store (the sharded-scan
   // pattern); the first mapping must be released, not leaked or doubly
@@ -611,7 +609,7 @@ TEST(ColumnStoreReaderTest, MoveAssignmentReleasesTheOldMapping) {
   ASSERT_TRUE(reopened.ok());
   reader = std::move(reopened).value();
   EXPECT_EQ(reader.num_records(), 60u);
-  EXPECT_TRUE(ReadThroughBlocks(&reader) == second);
+  EXPECT_TRUE(ReadThroughBlocks(reader) == second);
 }
 
 // The writer goes through a POSIX fd, so a failed write names its errno.

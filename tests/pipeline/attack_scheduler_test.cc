@@ -24,6 +24,7 @@
 
 #include "common/failpoint.h"
 #include "common/trace.h"
+#include "data/byte_codec.h"
 #include "data/rolling_store.h"
 #include "data/shard_store.h"
 #include "pipeline/chunk_sink.h"
@@ -251,6 +252,55 @@ TEST_F(AttackSchedulerTest, RowsTriggerFiresOnPublishedGrowth) {
   ASSERT_TRUE(writer.Close().ok());
 }
 
+// Under retention a full window keeps the snapshot's size constant, so
+// the rows trigger counts the rows of shards the last report did not
+// attack: every new shard still fires it. A restarted scheduler has no
+// baseline, so its first rows check fires.
+TEST_F(AttackSchedulerTest, RowsTriggerKeepsFiringOnAFullRetentionWindow) {
+  trace::FakeClockGuard clock(0);
+  data::RollingStoreOptions store_options;
+  store_options.shard_rows = kShardRows;
+  store_options.block_rows = 16;
+  store_options.retain_shards = 2;
+  auto writer_created = data::RollingShardedStoreWriter::Create(
+      kManifest, Names(), store_options);
+  ASSERT_TRUE(writer_created.ok());
+  data::RollingShardedStoreWriter writer = std::move(writer_created).value();
+  for (size_t s = 0; s < 2; ++s) {
+    ASSERT_TRUE(writer.Append(ShardRecords(s), kShardRows).ok());
+    ASSERT_TRUE(writer.Publish().ok());
+  }
+
+  AttackSchedulerOptions options = BaseOptions(kReports);
+  options.min_new_rows = kShardRows;  // No cadence: growth-only trigger.
+  {
+    auto created = AttackScheduler::Create(kManifest, options);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    AttackScheduler& scheduler = *created.value();
+    SchedulerCycleResult first = scheduler.Tick();
+    ASSERT_EQ(first.outcome, CycleOutcome::kOk) << first.status.ToString();
+    EXPECT_EQ(first.snapshot_rows, 2 * kShardRows);
+    EXPECT_EQ(scheduler.Tick().outcome, CycleOutcome::kNotDue);
+    for (size_t s = 2; s < 4; ++s) {
+      // One more shard; retention retires the oldest, so the window
+      // stays at two shards.
+      ASSERT_TRUE(writer.Append(ShardRecords(s), kShardRows).ok());
+      ASSERT_TRUE(writer.Publish().ok());
+      SchedulerCycleResult next = scheduler.Tick();
+      ASSERT_EQ(next.outcome, CycleOutcome::kOk) << next.status.ToString();
+      EXPECT_EQ(next.version, s);
+      EXPECT_EQ(next.snapshot_rows, 2 * kShardRows);
+      EXPECT_EQ(next.rows_since_last_report, 0);
+      EXPECT_EQ(scheduler.Tick().outcome, CycleOutcome::kNotDue);
+    }
+  }
+  auto recreated = AttackScheduler::Create(kManifest, options);
+  ASSERT_TRUE(recreated.ok()) << recreated.status().ToString();
+  EXPECT_EQ(recreated.value()->Tick().outcome,
+            CycleOutcome::kSkippedUnchanged);
+  ASSERT_TRUE(writer.Close().ok());
+}
+
 // The scheduled cycle over the published snapshot and a direct pipeline
 // run over the same manifest must agree bitwise.
 void ExpectCycleMatchesADirectRun(const std::string& manifest_path,
@@ -299,7 +349,7 @@ void ExpectCycleMatchesADirectRun(const std::string& manifest_path,
   EXPECT_EQ(result.manifest_hash, manifest.value().manifest_hash);
   const std::string report = SlurpFile(result.report_path);
   EXPECT_NE(report.find("\"manifest_hash\":\"" +
-                        data::ManifestHashHex(result.manifest_hash) + "\""),
+                        data::HexU64(result.manifest_hash) + "\""),
             std::string::npos);
 }
 

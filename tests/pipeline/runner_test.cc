@@ -406,18 +406,25 @@ class DegradedSweepTest : public ::testing::Test {
     return prototype;
   }
 
+  /// The degraded decomposition of the manifest now at kManifestPath.
+  PerShardJobSet Decompose() const {
+    auto manifest = data::ReadShardManifest(kManifestPath);
+    EXPECT_TRUE(manifest.ok()) << manifest.status().ToString();
+    return MakePerShardJobsDegraded(manifest.value(), kManifestPath,
+                                    Prototype());
+  }
+
   static constexpr const char* kManifestPath = "runner_test_degraded.rrcm";
   BatchFixture fixture_;
 };
 
 TEST_F(DegradedSweepTest, HealthyStoreYieldsTheFullJobSet) {
-  auto job_set = MakePerShardJobsDegraded(kManifestPath, Prototype());
-  ASSERT_TRUE(job_set.ok()) << job_set.status().ToString();
-  EXPECT_EQ(job_set.value().jobs.size(), 4u);
-  EXPECT_FALSE(job_set.value().degraded());
-  EXPECT_EQ(job_set.value().DegradedSummary(), "");
-  EXPECT_EQ(job_set.value().total_shards, 4u);
-  EXPECT_EQ(job_set.value().total_rows, 400u);
+  const PerShardJobSet job_set = Decompose();
+  EXPECT_EQ(job_set.jobs.size(), 4u);
+  EXPECT_FALSE(job_set.degraded());
+  EXPECT_EQ(job_set.DegradedSummary(), "");
+  EXPECT_EQ(job_set.total_shards, 4u);
+  EXPECT_EQ(job_set.total_rows, 400u);
 }
 
 TEST_F(DegradedSweepTest, QuarantinedShardIsSkippedAndNamed) {
@@ -429,9 +436,7 @@ TEST_F(DegradedSweepTest, QuarantinedShardIsSkippedAndNamed) {
                 (shard1 + kQuarantineFileSuffix).c_str()),
             0);
 
-  auto job_set = MakePerShardJobsDegraded(kManifestPath, Prototype());
-  ASSERT_TRUE(job_set.ok()) << job_set.status().ToString();
-  const PerShardJobSet& set = job_set.value();
+  const PerShardJobSet set = Decompose();
   ASSERT_EQ(set.jobs.size(), 3u);
   ASSERT_EQ(set.shard_of_job.size(), 3u);
   EXPECT_EQ(set.shard_of_job[0], 0u);
@@ -481,11 +486,10 @@ TEST_F(DegradedSweepTest, CorruptShardIsExcludedByItsProbe) {
     byte = static_cast<char>(byte ^ 0x1);
     file.write(&byte, 1);
   }
-  auto job_set = MakePerShardJobsDegraded(kManifestPath, Prototype());
-  ASSERT_TRUE(job_set.ok()) << job_set.status().ToString();
-  EXPECT_EQ(job_set.value().jobs.size(), 3u);
-  ASSERT_EQ(job_set.value().excluded.size(), 1u);
-  EXPECT_EQ(job_set.value().excluded[0].shard_index, 2u);
+  const PerShardJobSet job_set = Decompose();
+  EXPECT_EQ(job_set.jobs.size(), 3u);
+  ASSERT_EQ(job_set.excluded.size(), 1u);
+  EXPECT_EQ(job_set.excluded[0].shard_index, 2u);
 }
 
 TEST_F(DegradedSweepTest, ProbeTelemetryCountsEveryShardOnce) {
@@ -496,15 +500,40 @@ TEST_F(DegradedSweepTest, ProbeTelemetryCountsEveryShardOnce) {
                 shard1.c_str(),
                 (shard1 + kQuarantineFileSuffix).c_str()),
             0);
-  auto job_set = MakePerShardJobsDegraded(kManifestPath, Prototype());
-  ASSERT_TRUE(job_set.ok()) << job_set.status().ToString();
+  Decompose();
   EXPECT_EQ(CounterByName("pipeline.shard_probes"), 4u);
   EXPECT_EQ(CounterByName("pipeline.shards_excluded"), 1u);
 }
 
-TEST_F(DegradedSweepTest, UnreadableManifestFailsTheDecomposition) {
-  EXPECT_FALSE(
-      MakePerShardJobsDegraded("/nonexistent/x.rrcm", Prototype()).ok());
+TEST_F(DegradedSweepTest, DecomposesTheGivenManifestNotThePathsCurrentOne) {
+  // M1 names all four shards. Then the path is republished the way
+  // retention does it: M2 names only shards 2 and 3, renumbered from
+  // row 0. The decomposition of M1 must still cover exactly M1's shards.
+  auto first = data::ReadShardManifest(kManifestPath);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  const data::ShardManifest m1 = first.value();
+  data::ShardManifest m2 = m1;
+  m2.shards.erase(m2.shards.begin(), m2.shards.begin() + 2);
+  m2.shards[0].row_begin = 0;
+  m2.shards[1].row_begin = m2.shards[0].row_count;
+  m2.num_records = m2.shards[0].row_count + m2.shards[1].row_count;
+  ASSERT_TRUE(data::WriteShardManifest(m2, kManifestPath).ok());
+  auto current = data::ReadShardManifest(kManifestPath);
+  ASSERT_TRUE(current.ok()) << current.status().ToString();
+  ASSERT_NE(current.value().manifest_hash, m1.manifest_hash);
+
+  const PerShardJobSet set =
+      MakePerShardJobsDegraded(m1, kManifestPath, Prototype());
+  EXPECT_EQ(set.total_shards, 4u);
+  EXPECT_EQ(set.total_rows, 400u);
+  EXPECT_TRUE(set.excluded.empty());
+  EXPECT_EQ(set.shard_of_job, (std::vector<size_t>{0, 1, 2, 3}));
+  const auto results = RunPipelineJobs(set.jobs);
+  ASSERT_EQ(results.size(), 4u);
+  for (size_t s = 0; s < results.size(); ++s) {
+    EXPECT_TRUE(results[s].status.ok()) << results[s].status.ToString();
+    EXPECT_EQ(results[s].report.num_records, m1.shards[s].row_count);
+  }
 }
 
 }  // namespace

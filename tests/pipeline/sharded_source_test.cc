@@ -420,16 +420,16 @@ TEST_F(ShardedSourceTest, PerShardJobsAreBoundToTheirManifest) {
   prototype.noise =
       perturb::NoiseModel::IndependentGaussian(kAttributes, kSigma);
   prototype.attack.attack = StreamingAttack::kPcaDr;
-  auto job_set = MakePerShardJobsDegraded(misaligned_.path(), prototype);
-  ASSERT_TRUE(job_set.ok()) << job_set.status().ToString();
-  ASSERT_FALSE(job_set.value().degraded());
-  const size_t num_shards = job_set.value().jobs.size();
+  auto manifest = data::ReadShardManifest(misaligned_.path());
+  ASSERT_TRUE(manifest.ok());
+  const PerShardJobSet job_set =
+      MakePerShardJobsDegraded(manifest.value(), misaligned_.path(), prototype);
+  ASSERT_FALSE(job_set.degraded());
+  const size_t num_shards = job_set.jobs.size();
   ASSERT_EQ(num_shards, (kRecords + 97 - 1) / 97);
 
   // Shard 1's file, a sealed 97-row store of the same schema, replaces
   // shard 2's.
-  auto manifest = data::ReadShardManifest(misaligned_.path());
-  ASSERT_TRUE(manifest.ok());
   const std::string directory = data::ManifestDirectory(misaligned_.path());
   auto shard_path = [&](size_t s) {
     return directory + manifest.value().shards[s].relative_path;
@@ -443,10 +443,10 @@ TEST_F(ShardedSourceTest, PerShardJobsAreBoundToTheirManifest) {
     to << from.rdbuf();
   }
 
-  const auto results = RunPipelineJobs(job_set.value().jobs);
+  const auto results = RunPipelineJobs(job_set.jobs);
   ASSERT_EQ(results.size(), num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
-    ASSERT_EQ(job_set.value().shard_of_job[s], s);
+    ASSERT_EQ(job_set.shard_of_job[s], s);
     if (s == 2) {
       EXPECT_FALSE(results[s].status.ok());
       EXPECT_NE(results[s].status.message().find("seal digest mismatch"),
@@ -476,6 +476,79 @@ TEST_F(ShardedSourceTest, PerShardJobsAreBoundToTheirManifest) {
                           &direct.value().rmse_vs_disguised, sizeof(double)),
               0)
         << "shard " << s;
+  }
+}
+
+// Corrupt blocks in two shards, one of them with two: both read paths
+// name the lowest failing (shard, block) and its byte offset, for every
+// thread count. A shard's blocks are all verified on its first read, so
+// a read starting past shard 1's first corrupt block names it too.
+TEST_F(ShardedSourceTest, LowestCorruptShardAndBlockIsNamedByEveryReadPath) {
+  ScratchShardedStore corrupt{"corrupt_blocks.rrcm"};
+  WriteManifest(data::Dataset(round_tripped_), corrupt.path(), 200);
+  auto manifest = data::ReadShardManifest(corrupt.path());
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  ASSERT_EQ(manifest.value().shards.size(), 3u);  // 4 blocks each.
+  const std::string directory = data::ManifestDirectory(corrupt.path());
+  const size_t stride = kAttributes * kBlockRows * sizeof(double) + 8;
+  // Flips one payload byte of `block` in shard `shard`; returns the
+  // block's byte offset in the shard file.
+  auto damage = [&](size_t shard, size_t block) -> size_t {
+    const std::string path =
+        directory + manifest.value().shards[shard].relative_path;
+    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+    EXPECT_TRUE(file.is_open()) << path;
+    file.seekg(0, std::ios::end);
+    const size_t header_bytes = static_cast<size_t>(file.tellg()) - 4 * stride;
+    const size_t offset = header_bytes + block * stride;
+    char byte = 0;
+    file.seekg(static_cast<std::streamoff>(offset + 5));
+    file.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0x10);
+    file.seekp(static_cast<std::streamoff>(offset + 5));
+    file.write(&byte, 1);
+    return offset;
+  };
+  damage(1, 3);
+  const size_t expected_offset = damage(1, 1);
+  damage(2, 0);
+
+  auto expect_named = [&](const Status& status, const std::string& what) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << what;
+    const std::string& message = status.message();
+    EXPECT_NE(message.find("shard 1 ('" +
+                           manifest.value().shards[1].relative_path + "')"),
+              std::string::npos)
+        << what << ": " << message;
+    EXPECT_NE(message.find("block 1 checksum mismatch at offset " +
+                           std::to_string(expected_offset) + " "),
+              std::string::npos)
+        << what << ": " << message;
+  };
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    data::ColumnStoreReadOptions options;
+    options.parallel.num_threads = threads;
+    for (const size_t first_row : {size_t{0}, size_t{250}}) {
+      auto opened = data::ShardedStoreReader::Open(corrupt.path(), options);
+      ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+      data::ShardedStoreReader reader = std::move(opened).value();
+      Matrix buffer(kRecords - first_row, kAttributes);
+      expect_named(reader.ReadRows(first_row, kRecords - first_row, &buffer),
+                   "ReadRows from row " + std::to_string(first_row));
+    }
+    auto opened = ShardedRecordSource::Open(corrupt.path(), options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    ShardedRecordSource source = std::move(opened).value();
+    std::vector<const double*> columns;
+    size_t served = 0;
+    Result<size_t> rows = size_t{0};
+    do {
+      rows = source.NextBlockColumns(&columns);
+      if (rows.ok()) served += rows.value();
+    } while (rows.ok() && rows.value() > 0);
+    EXPECT_EQ(served, 200u);  // Shard 0 streams whole before shard 1 fails.
+    expect_named(rows.status(), "columnar sweep");
   }
 }
 

@@ -659,6 +659,41 @@ TEST(StreamingAttackTest, MetricsOnlyRunSkipsTheProjectionPass) {
   EXPECT_TRUE(saw_means);
 }
 
+// A store's blocks are verified once per source, on its first read:
+// over a manifest of 10 blocks (shards of 300 rows in blocks of 128, the
+// last shard 100 rows), a metrics-only attack's two pass-1 sweeps verify
+// each block once, and a pass 2 that gathers every row again verifies
+// nothing more.
+TEST(StreamingAttackTest, EachStoreBlockIsVerifiedOncePerAttack) {
+  const Fixture fixture = MakeFixture(1000, 6);
+  const std::string manifest = "streaming_attack_test_verified_once.rrcm";
+  data::RollingStoreOptions store_options;
+  store_options.block_rows = 128;
+  store_options.shard_rows = 300;
+  ASSERT_TRUE(data::WriteShardedStore(data::Dataset(fixture.disguised),
+                                      manifest, store_options)
+                  .ok());
+  constexpr uint64_t kBlocks = 3 * 3 + 1;
+
+  for (const bool pass2 : {false, true}) {
+    SCOPED_TRACE(pass2 ? "with pass 2" : "metrics only");
+    auto opened = ShardedRecordSource::Open(manifest);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    ShardedRecordSource store = std::move(opened).value();
+    metrics::ResetAllMetrics();
+    NullChunkSink null_sink;
+    CollectChunkSink collect_sink(fixture.disguised.cols());
+    ChunkSink* sink = pass2 ? static_cast<ChunkSink*>(&collect_sink)
+                            : static_cast<ChunkSink*>(&null_sink);
+    const auto report = StreamingAttackPipeline().Run(&store, fixture.noise,
+                                                      sink);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(AttackCounter("attack.records_pass2"), pass2 ? 1000u : 0u);
+    EXPECT_EQ(AttackCounter("store.blocks_verified"), kBlocks);
+  }
+  data::RemoveShardedStoreFiles(manifest);
+}
+
 // Mapped stores keep their blocks valid, so the scatter sweep hands them
 // to StreamingMoments a wave at a time. Over 17 Gram blocks plus a tail,
 // store blocks of 1000 rows (Gram blocks span several store blocks) and

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Keep one durable-write path and one store read path.
+"""Keep one durable-write path, one store read path and one owner of
+block verification.
 
 Fail unless src/common/file_io.cc holds the only call in src/ to each of
 rename(, opendir(, fsync(, sync_file_range( and pwrite(; unless
@@ -9,7 +10,10 @@ WriteShardManifest( is called exactly twice: once by the shard writer
 called exactly three times: by the shard check (src/data/shard_store.cc),
 by the seal's digest reopen (src/data/rolling_store.cc) and by the
 stray-shard rebuild (src/data/store_recovery.cc), which has no manifest
-entry to check a file against.
+entry to check a file against; and unless VerifyBlocks( is called exactly
+twice: by ShardedStoreReader::VerifiedShard (src/data/shard_store.cc), the
+one read-path accessor that verifies a shard's blocks, and by the same
+stray-shard rebuild.
 
 Every durable publish goes through common/file_io (fsync the temp,
 rename, fsync the directory) and every versioned-series scan through its
@@ -21,12 +25,14 @@ sync or scan path that skips that discipline; a third manifest writer is
 a second copy of the seal-then-publish protocol. Every read of a store
 goes through data::ShardedStoreReader, whose shard() checks each shard
 file against its manifest entry before anything reads it; a fourth
-ColumnStoreReader::Open( is a read path that skips that check. Both .cc
-and .h files are scanned, so an inline function in a header counts too.
-Comments and string literals do not count: headers and comments name
-rename( and fsync( on purpose. Neither do the declarations or
-definitions of WriteShardManifest and ColumnStoreReader::Open
-themselves.
+ColumnStoreReader::Open( is a read path that skips that check. A shard's
+blocks are verified once per reader, on its first read, and only
+VerifiedShard decides when; a third VerifyBlocks( is a second decision.
+Both .cc and .h files are scanned, so an inline function in a header
+counts too. Comments and string literals do not count: headers and
+comments name rename( and fsync( on purpose. Neither do the declarations
+or definitions of WriteShardManifest, ColumnStoreReader::Open and
+ColumnStoreReader::VerifyBlocks themselves.
 
 Usage: python3 tools/check_single_write_path.py [repo_root]
 Exit status 0 when the invariant holds, 1 otherwise (sites listed).
@@ -49,11 +55,17 @@ OWNERS = {
     "ColumnStoreReader::Open": ["src/data/rolling_store.cc",
                                 "src/data/shard_store.cc",
                                 "src/data/store_recovery.cc"],
+    "VerifyBlocks": ["src/data/shard_store.cc",
+                     "src/data/store_recovery.cc"],
 }
+# Member functions whose out-of-class definition `Class::name(` is not a
+# call.
+MEMBERS = {"VerifyBlocks"}
 # A call, not a longer name that ends in it, nor the `Status` or
 # `Result<...>` return type of its declaration or definition.
 CALLS = {
     name: re.compile(r"(?<![A-Za-z0-9_])(?<!Status )(?<!> )" +
+                     (r"(?<![A-Za-z0-9_]::)" if name in MEMBERS else "") +
                      re.escape(name) + r"\s*\(")
     for name in OWNERS
 }
