@@ -125,10 +125,11 @@ int RunLoad(const std::string& store, size_t producers, size_t batches,
       const Status offered = service->Offer(batch, rows, deadline);
       if (offered.ok()) {
         accepted.fetch_add(1, std::memory_order_relaxed);
-      } else if (offered.IsRetryable()) {
+      } else if (offered.code() == StatusCode::kUnavailable) {
         // Admission shed: a production producer would back off and
         // re-offer; the load generator just counts it — the service's
-        // own accounting (printed below) must agree.
+        // own accounting (printed below) must agree. A sticky store
+        // error may be retryable too (an IoError), but it is no shed.
         shed.fetch_add(1, std::memory_order_relaxed);
       } else {
         std::lock_guard<std::mutex> lock(error_mutex);
@@ -160,10 +161,6 @@ int RunLoad(const std::string& store, size_t producers, size_t batches,
     std::fprintf(stderr, "accounting identity violated\n");
     return 1;
   }
-  if (stats.rows_appended != service->published_rows()) {
-    std::fprintf(stderr, "published rows do not match appended rows\n");
-    return 1;
-  }
   // Producer-side counters are a weaker view (an accepted batch may
   // still shed later on an expired deadline), so the only cross-check
   // is that the service never reported MORE sheds than producers saw
@@ -172,8 +169,14 @@ int RunLoad(const std::string& store, size_t producers, size_t batches,
     std::fprintf(stderr, "producers saw more sheds than the service counted\n");
     return 1;
   }
+  // A failed store names the appended rows it never published, which
+  // is what the published-rows check below would otherwise only flag.
   if (!closed.ok()) {
     std::fprintf(stderr, "%s\n", closed.ToString().c_str());
+    return 1;
+  }
+  if (stats.rows_appended != service->published_rows()) {
+    std::fprintf(stderr, "published rows do not match appended rows\n");
     return 1;
   }
   if (!first_error.ok()) {

@@ -256,6 +256,18 @@ Status ColumnStoreWriter::Append(const linalg::Matrix& chunk, size_t num_rows) {
 }
 
 Status ColumnStoreWriter::Append(const double* rows, size_t num_rows) {
+  return Fill(rows, names_.size(), num_rows, /*column_major=*/false);
+}
+
+Status ColumnStoreWriter::AppendColumns(const double* columns,
+                                        size_t ld_columns, size_t num_rows) {
+  RR_CHECK(num_rows <= ld_columns)
+      << "ColumnStoreWriter::AppendColumns: num_rows exceeds ld_columns";
+  return Fill(columns, ld_columns, num_rows, /*column_major=*/true);
+}
+
+Status ColumnStoreWriter::Fill(const double* data, size_t ld,
+                               size_t num_rows, bool column_major) {
   if (closed_) {
     return Status::FailedPrecondition(StorePrefix(path_) +
                                       "Append after Close");
@@ -266,10 +278,18 @@ Status ColumnStoreWriter::Append(const double* rows, size_t num_rows) {
   while (consumed < num_rows) {
     const size_t take =
         std::min(block_rows_ - rows_in_block_, num_rows - consumed);
-    // Row-major rows scatter into block-local columns (FORMAT.md §3).
-    linalg::kernels::RowsToColumns(rows + consumed * m, m, take, m,
-                                   block_.data() + rows_in_block_,
-                                   block_rows_);
+    // Block-local columns (FORMAT.md §3): column-major records copy in
+    // one contiguous run per column, row-major ones scatter.
+    double* block = block_.data() + rows_in_block_;
+    if (column_major) {
+      for (size_t j = 0; j < m; ++j) {
+        std::memcpy(block + j * block_rows_, data + j * ld + consumed,
+                    take * sizeof(double));
+      }
+    } else {
+      linalg::kernels::RowsToColumns(data + consumed * ld, ld, take, m, block,
+                                     block_rows_);
+    }
     rows_in_block_ += take;
     consumed += take;
     if (rows_in_block_ == block_rows_) RR_RETURN_NOT_OK(FlushBlock());

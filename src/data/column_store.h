@@ -17,9 +17,12 @@
 // contiguous, so columnar consumers (moments, quantizers) can run
 // straight over mapped memory via BlockColumn().
 //
-//   * ColumnStoreWriter  — streams row-major chunks in, buffers one
-//     block, writes the header placeholder eagerly and patches the
-//     record count + header checksum on Close(). Wrapped by
+//   * ColumnStoreWriter  — streams records in, buffers one block,
+//     writes the header placeholder eagerly and patches the record
+//     count + header checksum on Close(). Row-major chunks are
+//     transposed into the block (Append); column-major batches, which
+//     ingest transposes on its producer threads, fill it with m
+//     contiguous copies (AppendColumns). Wrapped by
 //     pipeline::ColumnStoreChunkSink so any pipeline can emit a store.
 //   * ColumnStoreReader  — memory-maps the file (POSIX mmap, read-only),
 //     validates the header eagerly and serves each block's columns
@@ -78,7 +81,8 @@ struct ColumnStoreOptions {
   size_t block_rows = kDefaultColumnStoreBlockRows;
 };
 
-/// Streams row-major record chunks into a column-store file.
+/// Streams record chunks, row-major or column-major, into a
+/// column-store file.
 ///
 /// All bytes stream into the temp file TempPathFor(path) ("<path>.tmp")
 /// through a POSIX fd, one write per block; after each block the writer
@@ -123,6 +127,13 @@ class ColumnStoreWriter {
   /// values each) — the pointer form sharded writers slice chunks with.
   Status Append(const double* rows, size_t num_rows);
 
+  /// Appends `num_rows` records held column-major: attribute j of record
+  /// r at columns[j * ld_columns + r] (ld_columns >= num_rows). The same
+  /// block splits, flushes and failures as Append; only the copy into
+  /// the block differs — m contiguous copies instead of a transpose.
+  Status AppendColumns(const double* columns, size_t ld_columns,
+                       size_t num_rows);
+
   /// Flushes the final partial block, patches the header record count and
   /// checksum, fsyncs, and atomically renames the temp file to the final
   /// path. Idempotent; IoError naming the errno on write/fsync/rename
@@ -139,6 +150,12 @@ class ColumnStoreWriter {
   ColumnStoreWriter(int fd, std::string path,
                     std::vector<std::string> names, size_t block_rows,
                     size_t header_bytes, std::string header_prefix);
+
+  /// The one block-fill loop behind both appends: `data` holds
+  /// `num_rows` records at leading dimension `ld`, row-major or
+  /// `column_major`, and only the copy into the block depends on which.
+  Status Fill(const double* data, size_t ld, size_t num_rows,
+              bool column_major);
 
   /// Writes the buffered block (zero-padded to full size) + checksum in
   /// one write and starts the writeback of the pages it completed.

@@ -70,6 +70,7 @@ RollingShardedStoreWriter::RollingShardedStoreWriter(
       rows_written_(other.rows_written_),
       published_rows_(other.published_rows_),
       published_shards_(other.published_shards_),
+      published_rows_total_(other.published_rows_total_),
       publishes_(other.publishes_),
       deferred_error_(std::move(other.deferred_error_)),
       closed_(other.closed_) {
@@ -216,6 +217,10 @@ Status RollingShardedStoreWriter::Publish() {
   // writes the longer list.
   RR_RETURN_NOT_OK(published);
   publishes_ += 1;
+  // Entries past the last publish's count are the newly sealed ones.
+  for (size_t s = published_shards_; s < entries_.size(); ++s) {
+    published_rows_total_ += entry_rows_[s];
+  }
   published_rows_ = manifest.num_records;
   published_shards_ = manifest.shards.size();
   m_publishes.Add(1);
@@ -267,34 +272,41 @@ Status RollingShardedStoreWriter::Rotate() {
   return Publish();
 }
 
-Status RollingShardedStoreWriter::WriteRows(const double* rows,
-                                            size_t num_rows) {
-  const size_t m = names_.size();
-  if (next_shard_index_ == 0) RR_RETURN_NOT_OK(StartShard());
-  size_t consumed = 0;
-  while (consumed < num_rows) {
-    if (current_ == nullptr) RR_RETURN_NOT_OK(StartShard());
-    const size_t take =
-        std::min(options_.shard_rows - current_rows_, num_rows - consumed);
-    RR_FAILPOINT(fp_roll_write);
-    RR_RETURN_NOT_OK(current_->Append(rows + consumed * m, take));
-    current_rows_ += take;
-    rows_written_ += take;
-    consumed += take;
-    if (current_rows_ == options_.shard_rows) {
-      RR_RETURN_NOT_OK(SealCurrentShard());
-    }
-  }
-  return Status::OK();
-}
-
-Status RollingShardedStoreWriter::Append(const linalg::Matrix& chunk,
-                                         size_t num_rows) {
+Status RollingShardedStoreWriter::AppendRecords(const double* data, size_t ld,
+                                                size_t num_rows,
+                                                bool column_major) {
   if (closed_) {
     return Status::FailedPrecondition(RollingPrefix(manifest_path_) +
                                       "Append after Close");
   }
   if (!deferred_error_.ok()) return deferred_error_;
+  const Status written = [&]() -> Status {
+    if (next_shard_index_ == 0) RR_RETURN_NOT_OK(StartShard());
+    size_t consumed = 0;
+    while (consumed < num_rows) {
+      if (current_ == nullptr) RR_RETURN_NOT_OK(StartShard());
+      const size_t take =
+          std::min(options_.shard_rows - current_rows_, num_rows - consumed);
+      RR_FAILPOINT(fp_roll_write);
+      RR_RETURN_NOT_OK(column_major
+                           ? current_->AppendColumns(data + consumed, ld, take)
+                           : current_->Append(data + consumed * ld, take));
+      current_rows_ += take;
+      rows_written_ += take;
+      consumed += take;
+      if (current_rows_ == options_.shard_rows) {
+        RR_RETURN_NOT_OK(SealCurrentShard());
+      }
+    }
+    return Status::OK();
+  }();
+  // Sticky: rows were lost, so nothing more may be published.
+  if (!written.ok()) deferred_error_ = written;
+  return written;
+}
+
+Status RollingShardedStoreWriter::Append(const linalg::Matrix& chunk,
+                                         size_t num_rows) {
   if (chunk.cols() != names_.size()) {
     return Status::InvalidArgument(
         RollingPrefix(manifest_path_) + "chunk has " +
@@ -303,10 +315,17 @@ Status RollingShardedStoreWriter::Append(const linalg::Matrix& chunk,
   }
   RR_CHECK(num_rows <= chunk.rows())
       << "RollingShardedStoreWriter::Append: num_rows exceeds chunk";
-  const Status written = WriteRows(chunk.data(), num_rows);
-  // Sticky: rows were lost, so nothing more may be published.
-  if (!written.ok()) deferred_error_ = written;
-  return written;
+  return AppendRecords(chunk.data(), names_.size(), num_rows,
+                       /*column_major=*/false);
+}
+
+Status RollingShardedStoreWriter::AppendColumns(const double* columns,
+                                                size_t ld_columns,
+                                                size_t num_rows) {
+  RR_CHECK(num_rows <= ld_columns)
+      << "RollingShardedStoreWriter::AppendColumns: num_rows exceeds "
+         "ld_columns";
+  return AppendRecords(columns, ld_columns, num_rows, /*column_major=*/true);
 }
 
 Status RollingShardedStoreWriter::Close() {

@@ -12,6 +12,10 @@
 //     shard to `shard_rows` rows (splitting a chunk across shards when
 //     needed) seals it: flush + header patch + fsync + atomic rename,
 //     then a reopen that digests the sealed header and block hashes.
+//     Rows arrive row-major (Append: batch conversions, sinks) or
+//     column-major (AppendColumns: ingest, whose producers already
+//     transposed each batch); both share one split-and-seal loop, and
+//     the column-store writer fills its block either way.
 //     The seal runs inline on the writer's thread but seldom waits
 //     long: the column-store writer starts each block's writeback as
 //     it writes it (StartWriteback, common/file_io.h), so the fsync
@@ -125,6 +129,13 @@ class RollingShardedStoreWriter {
   /// still closes into a readable empty store.
   Status Append(const linalg::Matrix& chunk, size_t num_rows);
 
+  /// Appends `num_rows` records held column-major: attribute j of record
+  /// r at columns[j * ld_columns + r] (ld_columns >= num_rows). Splits,
+  /// seals, failpoints and failures are Append's; only the copy into
+  /// each block differs (ColumnStoreWriter::AppendColumns).
+  Status AppendColumns(const double* columns, size_t ld_columns,
+                       size_t num_rows);
+
   /// Republishes the manifest over every sealed shard, then applies
   /// retention (retired files are deleted only after the publish that
   /// stopped naming them). O(1) when nothing was sealed since the last
@@ -147,6 +158,11 @@ class RollingShardedStoreWriter {
   /// Rows / shards in the last successfully published manifest.
   uint64_t published_rows() const { return published_rows_; }
   size_t published_shards() const { return published_shards_; }
+
+  /// Rows any successful publish has named, over the writer's whole
+  /// life (monotonic — retention does not subtract): rows_written()
+  /// minus this is what a failed writer never published.
+  uint64_t published_rows_total() const { return published_rows_total_; }
 
   /// Successful manifest publishes so far.
   uint64_t publishes() const { return publishes_; }
@@ -172,9 +188,11 @@ class RollingShardedStoreWriter {
   /// Creates the next shard file as the open target.
   Status StartShard();
 
-  /// Append's body: writes `num_rows` row-major rows, starting and
-  /// sealing shards as they fill. Append makes any failure sticky.
-  Status WriteRows(const double* rows, size_t num_rows);
+  /// Both appends' body: writes `num_rows` records held at leading
+  /// dimension `ld`, row-major or `column_major`, starting and sealing
+  /// shards as they fill. Any failure is sticky.
+  Status AppendRecords(const double* data, size_t ld, size_t num_rows,
+                       bool column_major);
 
   /// Seals + digests the open shard into entries_. Failure is sticky.
   Status SealCurrentShard();
@@ -205,6 +223,7 @@ class RollingShardedStoreWriter {
   uint64_t rows_written_ = 0;
   uint64_t published_rows_ = 0;
   size_t published_shards_ = 0;
+  uint64_t published_rows_total_ = 0;
   uint64_t publishes_ = 0;
   /// First write or seal failure, sticky (publish failures are NOT
   /// recorded here).

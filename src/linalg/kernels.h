@@ -71,8 +71,8 @@ void GramAtA(const double* a, size_t n, size_t m, double* c,
              const ParallelOptions& options = {});
 
 /// The two directions of the row↔column copy every columnar layer makes
-/// (column-store append and gather, the row-major pass-1 adapter, the
-/// centered Gram staging, Matrix::Transpose). Both walk the rows in
+/// (ingest's Offer, column-store append and gather, the row-major
+/// pass-1 adapter, the centered Gram staging, Matrix::Transpose). Both walk the rows in
 /// fixed tiles, so the strided side of each copy stays cache-resident
 /// across the tile's m columns. Every value is copied (or shifted by one
 /// subtraction) exactly once, so the output bytes are those of the naive

@@ -1,13 +1,13 @@
 #include "pipeline/ingest.h"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "common/check.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/trace.h"
+#include "linalg/kernels.h"
 
 namespace randrecon {
 namespace pipeline {
@@ -109,12 +109,14 @@ Status IngestService::Offer(const linalg::Matrix& chunk, size_t num_rows,
   m_offered.Add(1);
   m_rows_offered.Add(num_rows);
 
+  // The batch's one copy is also its transpose: the writer thread then
+  // fills store blocks with contiguous column copies.
   Batch batch;
   batch.num_rows = num_rows;
   batch.deadline_nanos = deadline_nanos;
-  batch.rows = linalg::Matrix(num_rows, m);
-  std::memcpy(batch.rows.data(), chunk.data(),
-              num_rows * m * sizeof(double));
+  batch.columns.reset(new double[m * num_rows]);
+  linalg::kernels::RowsToColumns(chunk.data(), m, num_rows, m,
+                                 batch.columns.get(), num_rows);
 
   // Admission is bounded by the tighter of the service's admission
   // timeout and the batch's own deadline; with neither, a full queue
@@ -200,7 +202,8 @@ void IngestService::WriterLoop() {
     Status published;
     {
       trace::TraceSpan span("ingest.append", &h_append);
-      appended = writer_.Append(batch.rows, batch.num_rows);
+      appended = writer_.AppendColumns(batch.columns.get(), batch.num_rows,
+                                       batch.num_rows);
       if (appended.ok()) published = writer_.Publish();
     }
     // A failed Append is sticky in the writer, so none of this batch's
@@ -223,10 +226,18 @@ void IngestService::WriterLoop() {
   }
   // Closed and drained: final rotation + manifest publish.
   const Status closed = writer_.Close();
-  if (!closed.ok()) {
-    std::lock_guard<std::mutex> lock(error_mutex_);
-    if (error_.ok()) error_ = closed;
-  }
+  std::lock_guard<std::mutex> lock(error_mutex_);
+  if (error_.ok()) error_ = closed;
+  if (error_.ok()) return;
+  // A failed store may hold appended rows no manifest will ever name
+  // (a sticky error discards the open shard and publishes nothing), so
+  // the error names how many: the identity counts them as appended.
+  const uint64_t appended = rows_appended_.load(std::memory_order_relaxed);
+  const uint64_t lost = appended - writer_.published_rows_total();
+  error_ = Status(error_.code(),
+                  error_.message() + " (" + std::to_string(lost) + " of " +
+                      std::to_string(appended) +
+                      " appended rows lost: never published)");
 }
 
 Status IngestService::Close() {

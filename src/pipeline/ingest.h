@@ -8,7 +8,11 @@
 // (data/rolling_store.h). The thread appends each batch, which seals
 // every shard that fills, and then publishes the manifest, so
 // concurrent RollingStoreSnapshotReaders always have a sealed prefix to
-// attack. Three properties are load-bearing:
+// attack. Offer's one copy of a batch is its transpose, made on the
+// producer's thread: the queue carries column-major batches, and the
+// one writer thread fills store blocks from them with contiguous
+// column copies (RollingShardedStoreWriter::AppendColumns) instead of
+// transposing every row itself. Three properties are load-bearing:
 //
 //   * Bounded memory: at most `queue_batches` batches are in flight.
 //     A full queue pushes back on producers, never the allocator.
@@ -21,7 +25,9 @@
 //   * Exact accounting: every offered batch is either appended or shed,
 //     so `ingest.shed + ingest.appended == ingest.offered` (same for
 //     the row counters) holds at Close. tools/check_report.py enforces
-//     the identity on every ingest run report.
+//     the identity on every ingest run report. A store that fails
+//     after rows were appended may never publish some of them; Close's
+//     error then names exactly how many.
 //
 // Per-batch deadlines propagate THROUGH the queue: a batch whose
 // deadline_nanos passes while it waits in the queue is shed at dequeue
@@ -95,7 +101,9 @@ class IngestService {
   /// Close()s best-effort — call Close() explicitly to observe errors.
   ~IngestService();
 
-  /// Copies the leading `num_rows` rows of `chunk` into the queue.
+  /// Transposes the leading `num_rows` rows of `chunk` into a
+  /// column-major batch on the caller's thread and queues it (so
+  /// `ingest.offer_ns_per_row` includes the transpose).
   /// `deadline_nanos` (0 = none) is an absolute trace::NowNanos()
   /// deadline for the WHOLE batch — admission and queue residency
   /// included; the write itself starts before the deadline or not at
@@ -113,7 +121,11 @@ class IngestService {
 
   /// Stops admission, drains accepted batches, closes the store (final
   /// rotation + publish), joins the writer thread. Idempotent. Returns
-  /// the first writer/store error, if any.
+  /// the first writer/store error, if any, with its code and message
+  /// followed by "(N of M appended rows lost: never published)": the
+  /// appended rows no successful publish named (0 when the final
+  /// publish recovered them all). The identity still counts them as
+  /// appended.
   Status Close();
 
   /// Exact once Close() returned; a momentary snapshot before that.
@@ -135,7 +147,10 @@ class IngestService {
  private:
   /// One queued unit of work.
   struct Batch {
-    linalg::Matrix rows;
+    /// The batch transposed: attribute j of row r at
+    /// columns[j * num_rows + r]. Not zero-filled first — Offer's
+    /// transpose writes every value.
+    std::unique_ptr<double[]> columns;
     size_t num_rows = 0;
     uint64_t deadline_nanos = 0;
   };

@@ -162,6 +162,42 @@ TEST(ColumnStoreTest, ExactBlockMultipleAndSingleRowBlocks) {
   }
 }
 
+TEST(ColumnStoreTest, ColumnMajorAppendWritesTheBytesOfRowMajorAppend) {
+  // The same records, once row-major through WriteStore and once from a
+  // padded column-major copy (leading dimension > rows) in uneven
+  // pieces that straddle block boundaries, a zero-row piece included:
+  // the two files are byte-for-byte equal.
+  stats::Rng rng(13);
+  constexpr size_t kRecords = 50;
+  constexpr size_t kLd = 61;
+  const Matrix records = rng.GaussianMatrix(kRecords, 3);
+  ScratchFile rows_file("rows_layout.rrcs");
+  WriteStore(rows_file.path(), records, /*block_rows=*/7);
+  std::vector<double> columns(3 * kLd, -1.0);
+  for (size_t j = 0; j < 3; ++j) {
+    for (size_t r = 0; r < kRecords; ++r) columns[j * kLd + r] = records(r, j);
+  }
+  ScratchFile columns_file("columns_layout.rrcs");
+  ColumnStoreOptions options;
+  options.block_rows = 7;
+  auto writer = ColumnStoreWriter::Create(columns_file.path(), Names(3),
+                                          options);
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  ColumnStoreWriter store_writer = std::move(writer).value();
+  const size_t kPieces[] = {0, 1, 6, 7, 20, 16};
+  size_t row = 0;
+  for (const size_t take : kPieces) {
+    ASSERT_TRUE(
+        store_writer.AppendColumns(columns.data() + row, kLd, take).ok());
+    row += take;
+  }
+  ASSERT_EQ(row, kRecords);
+  EXPECT_EQ(store_writer.rows_written(), kRecords);
+  ASSERT_TRUE(store_writer.Close().ok());
+  EXPECT_EQ(ReadFileBytes(columns_file.path()),
+            ReadFileBytes(rows_file.path()));
+}
+
 TEST(ColumnStoreTest, EmptyStoreRoundTrips) {
   ScratchFile file("empty.rrcs");
   auto writer = ColumnStoreWriter::Create(file.path(), Names(4));

@@ -178,6 +178,7 @@ TEST_F(RollingStoreTest, AppendSealsAndOnlyPublishNamesTheShards) {
   EXPECT_EQ(writer.publishes(), 1u);
   EXPECT_EQ(writer.published_rows(), 2 * kShardRows);
   EXPECT_EQ(writer.published_shards(), 2u);
+  EXPECT_EQ(writer.published_rows_total(), 2 * kShardRows);
   // Nothing sealed since: a second publish writes nothing.
   ASSERT_TRUE(writer.Publish().ok());
   EXPECT_EQ(writer.publishes(), 1u);
@@ -254,6 +255,7 @@ TEST_F(RollingStoreTest, RetentionBoundsTheWindowAndSparesPinnedSnapshots) {
   EXPECT_EQ(writer.published_shards(), 3u);
   EXPECT_EQ(writer.published_rows(), kRows - 7 * kShardRows);
   EXPECT_EQ(writer.rows_written(), kRows);  // Monotonic, not a window.
+  EXPECT_EQ(writer.published_rows_total(), kRows);  // Monotonic too.
   size_t window = 0;
   ExpectBitwiseWindow(kPath, &window);
   EXPECT_EQ(window, 7 * kShardRows);

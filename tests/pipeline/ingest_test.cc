@@ -9,6 +9,9 @@
 #include "pipeline/ingest.h"
 
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -16,6 +19,7 @@
 
 #include "common/failpoint.h"
 #include "common/trace.h"
+#include "data/dataset.h"
 #include "data/shard_store.h"
 #include "stats/rng.h"
 
@@ -42,6 +46,13 @@ IngestOptions SmallStoreOptions() {
   options.store.shard_rows = 25;  // Rotates mid-stream.
   options.store.block_rows = 8;
   return options;
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream file(path, std::ios::binary);
+  EXPECT_TRUE(file.is_open()) << path;
+  return std::string((std::istreambuf_iterator<char>(file)),
+                     std::istreambuf_iterator<char>());
 }
 
 void ExpectIdentity(const IngestStats& stats) {
@@ -193,6 +204,95 @@ TEST_F(IngestServiceTest, PublishErrorCountsTheBatchAppendedNotShed) {
   EXPECT_EQ(manifest.value().num_records, stats.rows_appended)
       << "the published store disagrees with the appended-row count";
   EXPECT_EQ(service->published_rows(), stats.rows_appended);
+}
+
+TEST_F(IngestServiceTest, CloseNamesTheAppendedRowsAStoreFailureLost) {
+  // 30-row batches into 100-row shards of one block each: block write 1
+  // seals shard 0 (published after batch 4), block write 2 fails the
+  // seal of shard 1 inside batch 7. That batch sheds, but rows 100..179
+  // of batches 4–6 were appended into the discarded open shard and no
+  // manifest will name them: Close must say so, exactly.
+  FailpointConfig config;
+  config.action = FailpointAction::kError;
+  config.code = StatusCode::kIoError;
+  config.trigger_hit = 2;
+  ASSERT_TRUE(ArmFailpoint("store.block_write", config).ok());
+  IngestOptions options;
+  options.store.shard_rows = 100;
+  auto started = IngestService::Start(kPath, Names(), options);
+  ASSERT_TRUE(started.ok());
+  std::unique_ptr<IngestService> service = std::move(started).value();
+  stats::Rng rng(7);
+  for (size_t b = 0; b < 10; ++b) {
+    (void)service->Offer(rng.GaussianMatrix(30, kCols), 30);
+  }
+  const Status closed = service->Close();
+  const IngestStats stats = service->stats();
+  ExpectIdentity(stats);
+  EXPECT_EQ(stats.rows_appended, 180u);
+  EXPECT_EQ(service->published_rows(), 100u);
+  EXPECT_EQ(closed.code(), StatusCode::kIoError);
+  EXPECT_NE(closed.message().find("store.block_write"), std::string::npos)
+      << closed.ToString();
+  EXPECT_NE(closed.message().find("(80 of 180 appended rows lost: never "
+                                  "published)"),
+            std::string::npos)
+      << closed.ToString();
+}
+
+TEST_F(IngestServiceTest, StoresAreByteEqualToABatchWriteOfTheSameRows) {
+  // Uneven batches (empty, single-row, block- and shard-straddling)
+  // through the column-major ingest path write the same manifest and
+  // shard bytes as one row-major WriteShardedStore of their rows.
+  const size_t kBatchSizes[] = {0, 1, 255, 4096, 4097, 70000, 3, 9000};
+  size_t total = 0;
+  for (const size_t rows : kBatchSizes) total += rows;
+  for (const size_t m : {size_t{1}, size_t{3}}) {
+    SCOPED_TRACE("m = " + std::to_string(m));
+    std::vector<std::string> names;
+    for (size_t j = 0; j < m; ++j) names.push_back("a" + std::to_string(j));
+    stats::Rng rng(300 + m);
+    const Matrix records = rng.GaussianMatrix(total, m);
+    const std::string ingest_dir = "ingest_bytes_ingest/";
+    const std::string batch_dir = "ingest_bytes_batch/";
+    for (const std::string& dir : {ingest_dir, batch_dir}) {
+      std::filesystem::remove_all(dir);
+      std::filesystem::create_directory(dir);
+    }
+    IngestOptions options;
+    options.store.shard_rows = 20000;
+    options.admission_timeout_nanos = 60ull * 1000 * 1000 * 1000;
+    auto started =
+        IngestService::Start(ingest_dir + "store.rrcm", names, options);
+    ASSERT_TRUE(started.ok()) << started.status().ToString();
+    std::unique_ptr<IngestService> service = std::move(started).value();
+    size_t row = 0;
+    for (const size_t rows : kBatchSizes) {
+      const Matrix batch = records.Block(row, row + rows, 0, m);
+      ASSERT_TRUE(service->Offer(batch, rows).ok());
+      row += rows;
+    }
+    ASSERT_TRUE(service->Close().ok());
+    EXPECT_EQ(service->stats().rows_appended, total);
+    ASSERT_TRUE(data::WriteShardedStore(data::Dataset(records),
+                                        batch_dir + "store.rrcm",
+                                        options.store)
+                    .ok());
+    auto manifest = data::ReadShardManifest(batch_dir + "store.rrcm");
+    ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+    ASSERT_EQ(manifest.value().shards.size(), 5u);
+    std::vector<std::string> files = {"store.rrcm"};
+    for (const data::ShardManifestEntry& entry : manifest.value().shards) {
+      files.push_back(entry.relative_path);
+    }
+    for (const std::string& file : files) {
+      EXPECT_EQ(ReadFileBytes(ingest_dir + file), ReadFileBytes(batch_dir + file))
+          << file << " differs";
+    }
+    for (const std::string& dir : {ingest_dir, batch_dir}) {
+      std::filesystem::remove_all(dir);
+    }
+  }
 }
 
 TEST_F(IngestServiceTest, OfferAfterCloseFailsUncounted) {
